@@ -217,6 +217,7 @@ def _render_qcov_json(c: QuantileCov) -> dict:
         "sigma": c.sigma,
         "shift": c.shift,
         "floored": list(c.floored),
+        "bandwidths": None if c.bandwidths is None else list(c.bandwidths),
     }
 
 

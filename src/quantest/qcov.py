@@ -14,11 +14,11 @@ import numpy as np
 
 from .qdensity import (
     QdMethod,
+    _bandwidths,
+    _qdens_grid,
+    _qor_lognormal,
     fit_lognormal_sigma,
-    optimal_bandwidth,
     qdens_inversion,
-    qdens_kernel,
-    qor_lognormal,
 )
 from .quantiles import as_sample
 
@@ -35,6 +35,8 @@ class QuantileCov:
     tuple flags the matrix as suspect.  sigma is the lognormal shape
     used for the QOR bandwidths (None for the density method); shift is
     the location shift applied before fitting, None unless a fit ran.
+    bandwidths holds the kernel bandwidth at each of probs, in the same
+    order (None for the density method).
     """
 
     probs: np.ndarray
@@ -44,27 +46,31 @@ class QuantileCov:
     floored: tuple = ()
     sigma: float | None = None
     shift: float | None = None
+    bandwidths: np.ndarray | None = None
 
     def __post_init__(self):
         self.probs.setflags(write=False)
         self.matrix.setflags(write=False)
+        if self.bandwidths is not None:
+            self.bandwidths.setflags(write=False)
 
 
 def _qdens_at(s, ps: np.ndarray, method: QdMethod, quantile_type: int):
-    """Quantile-density estimates at each p, plus fit metadata."""
+    """Quantile-density estimates at each p, their bandwidths and fit metadata."""
     if method.kind == "qor":
         if method.sigma is None:
             sigma, shift = fit_lognormal_sigma(s)
         else:
             sigma, shift = method.sigma, None
-        out = np.empty(ps.size)
-        for i, p in enumerate(ps):
-            qor = qor_lognormal(sigma, p)
-            b = optimal_bandwidth(qor, p, s.n, method.bw_correct, method.kernel)
-            out[i] = qdens_kernel(s, p, b, method.kernel)
-        return out, sigma, shift
+        # one probability costs less as a NumPy scalar than as an array
+        grid = ps[0] if ps.size == 1 else ps
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(sigma, grid), grid, s.n,
+                                      method.bw_correct, method.kernel))
+        if not method.bw_correct and not (b.min() > 0.0 and b.max() < 1.0):
+            raise ValueError("bandwidth must lie in (0, 1)")
+        return _qdens_grid(s.padded, ps, b, method.kernel), b, sigma, shift
     out = np.array([qdens_inversion(s, p, quantile_type) for p in ps])
-    return out, None, None
+    return out, None, None, None
 
 
 def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> QuantileCov:
@@ -84,7 +90,7 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
         raise ValueError("degenerate sample")
 
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, sigma, shift = _qdens_at(s, uniq, method, quantile_type)
+    qhat, b, sigma, shift = _qdens_at(s, uniq, method, quantile_type)
 
     floored = ()
     # a genuine quantile density is on the order of the data range; this
@@ -104,4 +110,5 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     cov = cov_uniq[np.ix_(inverse, inverse)]
 
     return QuantileCov(probs=ps.copy(), matrix=cov, n=s.n, method=method,
-                       floored=floored, sigma=sigma, shift=shift)
+                       floored=floored, sigma=sigma, shift=shift,
+                       bandwidths=None if b is None else b[inverse])

@@ -8,7 +8,7 @@ median-unbiased estimates regardless of the underlying distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,11 +32,15 @@ class Sample:
     Construct through :func:`as_sample` (or ``Sample.from_values``), which
     validates the data.  NaN and infinite entries are rejected outright
     rather than dropped, so a constructed Sample is always safe input for
-    the variance machinery downstream.
+    the variance machinery downstream.  ``padded`` holds the order
+    statistics between two zeros, X_(0) = X_(n+1) = 0, and ``sorted`` is
+    the view of it without them; the kernel quantile density takes the
+    spacings of the padded sample.
     """
 
     values: np.ndarray
     sorted: np.ndarray
+    padded: np.ndarray = field(repr=False)
 
     @classmethod
     def from_values(cls, values) -> "Sample":
@@ -45,11 +49,16 @@ class Sample:
             raise ValueError("empty sample")
         if not np.all(np.isfinite(arr)):
             raise ValueError("sample contains non-finite values")
-        srt = np.sort(arr)
+        padded = np.empty(arr.size + 2)
+        padded[0] = padded[-1] = 0.0
+        srt = padded[1:-1]
+        srt[:] = arr
+        srt.sort()
         arr = arr.copy()
         arr.setflags(write=False)
         srt.setflags(write=False)
-        return cls(values=arr, sorted=srt)
+        padded.setflags(write=False)
+        return cls(values=arr, sorted=srt, padded=padded)
 
     @property
     def n(self) -> int:

@@ -137,6 +137,9 @@ def population_measure_value(dist: Distribution, measure) -> float:
         if not measure.is_ratio:
             return num
         den = float(np.dot(measure.coef2, dist.quantile(np.asarray(measure.u2))))
+        if den == 0.0:
+            raise ValueError(f"the population denominator of the measure is zero under "
+                             f"the {dist.name} distribution")
         return num / den
     if isinstance(measure, InequalitySpec):
         if float(dist.quantile(1e-12)) <= 0.0:

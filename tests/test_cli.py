@@ -9,6 +9,7 @@ import pytest
 from quantest.cli import UsageError, load_column, main, render
 from quantest.inference import q_test_one
 from quantest.measures import resolve_measure
+from quantest.qcov import qcov
 from conftest import data_path
 
 BLADDER = str(data_path("bladder_remission.csv"))
@@ -226,6 +227,8 @@ def test_qcov_json_fields(capsys):
     m = np.array(got["matrix"])
     assert m.shape == (3, 3)
     np.testing.assert_allclose(m, m.T)
+    x = np.loadtxt(BLADDER, skiprows=1)
+    assert got["bandwidths"] == list(qcov(x, [0.25, 0.5, 0.75]).bandwidths)
 
 
 def test_qcov_text_mentions_bandwidth_model(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quantest.qcov import qcov
-from quantest.qdensity import QdMethod, fit_lognormal_sigma
+from quantest.qdensity import QdMethod, fit_lognormal_sigma, optimal_bandwidth, qor_lognormal
 
 # published covariance matrix for the committed standard-normal n=100
 # fixture at probabilities (0.25, 0.5, 0.75)
@@ -140,3 +140,16 @@ def test_flooring_flags_zero_density():
     c = qcov(x, [0.5])
     assert c.floored == (0.5,)
     assert 0.0 < c.matrix[0, 0] < 1e-12
+
+
+def test_bandwidths_follow_the_caller_order(norm100):
+    us = [0.75, 0.1, 0.5, 0.1]
+    c = qcov(norm100, us)
+    want = [optimal_bandwidth(qor_lognormal(1.0, u), u, norm100.size) for u in us]
+    np.testing.assert_allclose(c.bandwidths, want, rtol=1e-14)
+    assert c.bandwidths[1] == c.bandwidths[3]
+    assert not c.bandwidths.flags.writeable
+    fitted = qcov(norm100, us, method=QdMethod(sigma=None))
+    want = [optimal_bandwidth(qor_lognormal(fitted.sigma, u), u, norm100.size) for u in us]
+    np.testing.assert_allclose(fitted.bandwidths, want, rtol=1e-14)
+    assert qcov(norm100, us, method=QdMethod(kind="density")).bandwidths is None

@@ -100,6 +100,12 @@ def test_population_ratio_measure():
     assert got == pytest.approx(want, rel=1e-12)
 
 
+def test_population_ratio_with_zero_denominator_is_a_value_error():
+    # the normal median is 0, the denominator of the robust CV
+    with pytest.raises(ValueError, match="denominator .* zero"):
+        population_measure_value(Distribution("normal"), resolve_measure("rCViqr"))
+
+
 def test_population_inequality_matches_closed_form():
     want = 1.0 - 2.0 * math.e**2 * float(ndtr(-2.0))
     got = population_measure_value(Distribution("lognormal"), InequalitySpec())
