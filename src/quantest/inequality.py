@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .inference import TestResult, p_value, wald_interval
+from .inference import TestOptions, TestResult, _finish, _floored_warnings
 from .qcov import qcov
 from .qdensity import QdMethod
 from .quantiles import Sample, as_sample, sample_quantiles
@@ -105,7 +105,11 @@ def ineq_variance(s, spec: InequalitySpec) -> float:
     l_i/(J u_i^2) for the upper ones (l and u the lower/upper quantile
     estimates); for G2 they carry the extra 2 p_i weight.
     """
-    s = as_sample(s)
+    return _variance(as_sample(s), spec)[0]
+
+
+def _variance(s: Sample, spec: InequalitySpec):
+    """ineq_variance, with the covariance it contracted."""
     _check_positive(s, spec.kind)
     p, lower, upper = _ratio_terms(s, spec.J, spec.quantile_type)
     grid = np.concatenate([p / 2.0, 1.0 - p / 2.0])
@@ -114,13 +118,14 @@ def ineq_variance(s, spec: InequalitySpec) -> float:
     g_lower = -weight / (spec.J * upper)
     g_upper = weight * lower / (spec.J * upper**2)
     g = np.concatenate([g_lower, g_upper])
-    return float(g @ cov.matrix @ g)
+    return float(g @ cov.matrix @ g), cov
 
 
-def _one_sample(s: Sample, spec: InequalitySpec) -> tuple[float, float]:
+def _one_sample(s: Sample, spec: InequalitySpec):
+    """Estimate, standard error and floored-density warnings of one sample."""
     est = (qri_estimate if spec.kind == "QRI" else g2_estimate)(s, spec.J, spec.quantile_type)
-    var = ineq_variance(s, spec)
-    return est, math.sqrt(max(var, 0.0))
+    var, cov = _variance(s, spec)
+    return est, math.sqrt(max(var, 0.0)), _floored_warnings(cov)
 
 
 def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec()) -> TestResult:
@@ -131,7 +136,7 @@ def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec()) -> TestResult
     it is set explicitly.
     """
     sx = as_sample(x)
-    est_x, se_x = _one_sample(sx, spec)
+    est_x, se_x, warnings = _one_sample(sx, spec)
     if y is None:
         null = 0.5 if spec.true_ineq is None else spec.true_ineq
         est, se = est_x, se_x
@@ -140,21 +145,14 @@ def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec()) -> TestResult
         data_name = "x"
     else:
         sy = as_sample(y)
-        est_y, se_y = _one_sample(sy, spec)
+        est_y, se_y, warn_y = _one_sample(sy, spec)
+        warnings += [w for w in warn_y if w not in warnings]
         null = 0.0 if spec.true_ineq is None else spec.true_ineq
         est = est_x - est_y
         se = math.sqrt(se_x**2 + se_y**2)
         label = f"difference in {spec.kind}"
         description = f"Two sample test of the {spec.kind}"
         data_name = "x and y"
-    if se > 0.0:
-        z = (est - null) / se
-    else:
-        z = 0.0 if est == null else math.copysign(math.inf, est - null)
-    p = p_value(z, spec.alternative)
-    ci = wald_interval(est, se, spec.conf_level, spec.alternative)
-    return TestResult(estimate=est, se=se, statistic_Z=z, p_value=p,
-                      conf_int=ci, null_value=null, alternative=spec.alternative,
-                      scale="identity", description=description,
-                      estimate_label=label, conf_level=spec.conf_level,
-                      data_name=data_name)
+    opts = TestOptions(alternative=spec.alternative, conf_level=spec.conf_level)
+    return _finish(est, se**2, null, opts, "identity", description, label, null,
+                   warnings, data_name)

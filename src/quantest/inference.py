@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
+from ._normal import ndtr, ndtri
 from .measures import MeasureSpec
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
@@ -146,13 +146,13 @@ def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):
     if se < 0:
         raise ValueError("negative standard error")
     if alternative == "two_sided":
-        z = float(ndtri(1.0 - (1.0 - level) / 2.0))
+        z = ndtri(1.0 - (1.0 - level) / 2.0)
         lo, hi = est - z * se, est + z * se
     elif alternative == "less":
-        z = float(ndtri(level))
+        z = ndtri(level)
         lo, hi = -math.inf, est + z * se
     elif alternative == "greater":
-        z = float(ndtri(level))
+        z = ndtri(level)
         lo, hi = est - z * se, math.inf
     else:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
@@ -162,12 +162,20 @@ def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):
 def p_value(z, alternative="two_sided"):
     """Normal-reference p-value for the Wald statistic."""
     if alternative == "two_sided":
-        return float(2.0 * ndtr(-abs(z)))
+        return 2.0 * ndtr(-abs(z))
     if alternative == "less":
-        return float(ndtr(z))
+        return ndtr(z)
     if alternative == "greater":
-        return float(1.0 - ndtr(z))
+        return 1.0 - ndtr(z)
     raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
+
+
+def _floored_warnings(cov: QuantileCov) -> list:
+    """The warning for quantile-density estimates qcov floored, if any."""
+    if not cov.floored:
+        return []
+    return ["nonpositive quantile-density estimate floored at probabilities "
+            + ", ".join(f"{p:g}" for p in cov.floored)]
 
 
 def _union_grid(spec: MeasureSpec):
@@ -195,11 +203,7 @@ def _working_stats(s, spec: MeasureSpec, opts: TestOptions):
     cov = qcov(s, grid, opts.var_method, opts.quantile_type)
     xhat = sample_quantiles(s, grid, opts.quantile_type)
     est1, est2, v1, v2, v12 = lincomb_stats(cov, xhat, b1, b2)
-    warnings = []
-    if cov.floored:
-        warnings.append(
-            "nonpositive quantile-density estimate floored at probabilities "
-            + ", ".join(f"{p:g}" for p in cov.floored))
+    warnings = _floored_warnings(cov)
     if spec.is_ratio:
         raw, var_r, var_log = ratio_variance(est1, est2, v1, v2, v12,
                                              log_scale=opts.log_transf)

@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .quantiles import Sample, as_sample, sample_quantile
 
 __all__ = [

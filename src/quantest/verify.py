@@ -2,7 +2,9 @@
 
 coverage_sim measures empirical confidence-interval coverage against the
 true population value of a measure, computed from closed-form population
-quantile functions (or quadrature for the inequality indices).
+quantile functions (or, for the inequality indices, a fixed composite
+Gauss-Legendre rule on dyadic panels, within 1e-15 relative of 30-digit
+values).
 bootstrap_se is an independent route to a standard error, used as an
 oracle for the delta-method SEs.
 
@@ -17,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
 
+from ._normal import ndtri
 from .inequality import InequalitySpec, g2_estimate, qineq_test, qri_estimate
 from .inference import TestOptions, q_test_one
 from .measures import MeasureSpec
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 RNG_DESCRIPTION = "numpy PCG64, per-replicate SeedSequence.spawn streams"
+
+# composite Gauss-Legendre rule for the inequality indices' population values
+_GL_POINTS = 20
+_GL_PANELS = 61
 
 _DEFAULT_PARAMS = {
     "normal": (0.0, 1.0),
@@ -129,8 +134,12 @@ def population_measure_value(dist: Distribution, measure) -> float:
     """True value of a measure under the distribution.
 
     Quantile measures plug the population quantile function into their
-    combinations; inequality indices integrate the symmetric quantile
-    ratio by adaptive quadrature.
+    combinations.  Inequality indices integrate the symmetric quantile
+    ratio over (0, 1) with 20-point Gauss-Legendre rules on the 61 panels
+    between 0, 2^-60, 2^-59, ..., 1/2 and 1: the panels shrink toward 0,
+    where the ratio is not smooth.  Against 30-digit values this is within
+    1e-15 relative for QRI and G2 under lognormal (sigma 0.25 to 3),
+    exponential and uniform distributions.
     """
     if isinstance(measure, MeasureSpec):
         num = float(np.dot(measure.coef, dist.quantile(np.asarray(measure.u))))
@@ -145,14 +154,17 @@ def population_measure_value(dist: Distribution, measure) -> float:
         if float(dist.quantile(1e-12)) <= 0.0:
             raise ValueError(f"{measure.kind} requires a positive-support distribution")
 
-        def ratio(p):
-            return dist.quantile(p / 2.0) / dist.quantile(1.0 - p / 2.0)
-
-        if measure.kind == "QRI":
-            val, _ = quad(lambda p: 1.0 - ratio(p), 0.0, 1.0, limit=200)
-        else:
-            val, _ = quad(lambda p: 2.0 * p * (1.0 - ratio(p)), 0.0, 1.0, limit=200)
-        return float(val)
+        x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+        edges = np.concatenate(([0.0], np.exp2(np.arange(-_GL_PANELS + 1, 1.0))))
+        half = np.diff(edges)[:, None] / 2.0
+        p = (edges[:-1, None] + half * (x + 1.0)).ravel()
+        # at the smallest nodes 1 - p/2 rounds to 1, the upper quantile is
+        # infinite and the ratio is 0, its limit
+        with np.errstate(divide="ignore", over="ignore"):
+            terms = 1.0 - dist.quantile(p / 2.0) / dist.quantile(1.0 - p / 2.0)
+        if measure.kind == "G2":
+            terms = 2.0 * p * terms
+        return float(terms @ (half * w).ravel())
     raise TypeError("measure must be a MeasureSpec or InequalitySpec")
 
 

@@ -277,3 +277,31 @@ def test_two_city_qri_difference_regression():
     assert r.statistic_Z == pytest.approx(-2.7952, abs=0.05)
     assert r.conf_int[0] == pytest.approx(-0.09487684, abs=0.002)
     assert r.conf_int[1] == pytest.approx(-0.01666514, abs=0.002)
+
+
+def test_floored_density_is_reported_as_in_q_test_one():
+    # integer-valued data: long plateaus in the order statistics give
+    # zero kernel estimates of the quantile density at many grid points
+    from quantest.inference import q_test_one
+    from quantest.measures import resolve_measure
+
+    x = np.round(np.random.default_rng(0).lognormal(0.0, 0.8, 400)) + 1.0
+    spec = InequalitySpec(kind="QRI", J=100)
+    p = (np.arange(1, spec.J + 1) - 0.5) / spec.J
+    cov = qcov(x, np.concatenate([p / 2.0, 1.0 - p / 2.0]))
+    assert len(cov.floored) == 41
+    expected = ("nonpositive quantile-density estimate floored at probabilities "
+                + ", ".join(f"{q:g}" for q in cov.floored))
+    r = qineq_test(x, spec=spec)
+    assert r.warnings == (expected,)
+    assert q_test_one(x, resolve_measure("median")).warnings[0].startswith(
+        "nonpositive quantile-density estimate floored at probabilities ")
+    # the warning is carried, not the floor changed
+    assert r.se == pytest.approx(math.sqrt(ineq_variance(x, spec)), rel=1e-15)
+    # a second sample's warnings join the first's, once each
+    both = qineq_test(x, x, spec)
+    assert both.warnings == (expected,)
+    y = np.random.default_rng(1).lognormal(size=400)
+    assert qineq_test(y, spec=spec).warnings == ()
+    assert qineq_test(x, y, spec).warnings == (expected,)
+    assert qineq_test(y, x, spec).warnings == (expected,)
