@@ -51,7 +51,6 @@ from .verify import (
     coverage_sim,
     gini_coefficient,
     population_measure_value,
-    population_quantile,
 )
 
 __version__ = "0.1.0"
@@ -93,7 +92,6 @@ __all__ = [
     "SimConfig",
     "coverage_sim",
     "bootstrap_se",
-    "population_quantile",
     "population_measure_value",
     "gini_coefficient",
     "__version__",

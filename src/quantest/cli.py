@@ -176,7 +176,6 @@ def _render_test_text(r: TestResult) -> str:
 def _method_dict(m: QdMethod) -> dict:
     return {
         "kind": m.kind,
-        "qor_model": m.qor_model,
         "bw_correct": m.bw_correct,
         "sigma": m.sigma,
         "kernel": m.kernel.name,

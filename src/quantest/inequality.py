@@ -16,15 +16,14 @@ joint covariance of all 2J quantile estimators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .inference import TestOptions, TestResult, _finish, _floored_warnings
-from .qcov import qcov
+from .qcov import _qcov_rows
 from .qdensity import QdMethod
-from .quantiles import Sample, as_sample, sample_quantiles
+from .quantiles import _check_type, _quantiles_sorted, as_sample
 
 __all__ = ["InequalitySpec", "qri_estimate", "g2_estimate", "ineq_variance", "qineq_test"]
 
@@ -59,26 +58,50 @@ def _midpoint_grid(J: int) -> np.ndarray:
     return (np.arange(1, J + 1) - 0.5) / J
 
 
-def _check_positive(s: Sample, kind: str) -> None:
-    if s.min() <= 0.0:
+def _check_positive(rows, kind: str) -> None:
+    if np.count_nonzero(rows[..., 0] <= 0.0):
         raise ValueError(f"{kind} requires positive data")
 
 
-def _ratio_terms(s: Sample, J: int, quantile_type: int):
+def _ratio_terms(rows, J: int, quantile_type: int):
+    """The midpoint grid and each sorted row's quantiles at p/2 and 1 - p/2."""
     p = _midpoint_grid(J)
-    lower = sample_quantiles(s, p / 2.0, quantile_type)
-    upper = sample_quantiles(s, 1.0 - p / 2.0, quantile_type)
+    lower = _quantiles_sorted(rows, p / 2.0, quantile_type)
+    upper = _quantiles_sorted(rows, 1.0 - p / 2.0, quantile_type)
     return p, lower, upper
+
+
+def _index(kind: str, p, lower, upper):
+    """QRI or G2 of each row of ratio terms."""
+    terms = 1.0 - lower / upper
+    if kind == "QRI":
+        return terms.mean(axis=-1)
+    return (2.0 * p * terms).sum(axis=-1) / p.size
+
+
+def _index_rows(rows, kind: str, J: int, quantile_type: int):
+    """The index of each row of a stack of sorted samples.
+
+    rows needs only a shape and indexing along its last axis, as in
+    _quantiles_sorted.  Rows with a nonpositive value give NaN.
+    """
+    est = _index(kind, *_ratio_terms(rows, J, quantile_type))
+    return np.where(rows[..., 0] > 0.0, est, np.nan)
+
+
+def _estimate(x, kind: str, J: int, quantile_type: int) -> float:
+    """qri_estimate or g2_estimate: _index_rows with a stack of one."""
+    rows = as_sample(x).sorted[None]
+    _check_positive(rows, kind)
+    if J < 2:
+        raise ValueError("J must be at least 2")
+    _check_type(quantile_type)
+    return float(_index_rows(rows, kind, J, quantile_type)[0])
 
 
 def qri_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
     """Quantile ratio index on the midpoint grid."""
-    s = as_sample(s)
-    _check_positive(s, "QRI")
-    if J < 2:
-        raise ValueError("J must be at least 2")
-    _, lower, upper = _ratio_terms(s, J, quantile_type)
-    return float(np.mean(1.0 - lower / upper))
+    return _estimate(s, "QRI", J, quantile_type)
 
 
 def g2_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
@@ -88,12 +111,7 @@ def g2_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
     1 - (2/J) sum p_i ratio_i because the midpoint weights sum to J/2;
     this form returns exactly 0 for constant data.
     """
-    s = as_sample(s)
-    _check_positive(s, "G2")
-    if J < 2:
-        raise ValueError("J must be at least 2")
-    p, lower, upper = _ratio_terms(s, J, quantile_type)
-    return float(np.sum(2.0 * p * (1.0 - lower / upper)) / J)
+    return _estimate(s, "G2", J, quantile_type)
 
 
 def ineq_variance(s, spec: InequalitySpec) -> float:
@@ -105,27 +123,38 @@ def ineq_variance(s, spec: InequalitySpec) -> float:
     l_i/(J u_i^2) for the upper ones (l and u the lower/upper quantile
     estimates); for G2 they carry the extra 2 p_i weight.
     """
-    return _variance(as_sample(s), spec)[0]
+    return _one_sample(s, spec)[1]
 
 
-def _variance(s: Sample, spec: InequalitySpec):
-    """ineq_variance, with the covariance it contracted."""
-    _check_positive(s, spec.kind)
-    p, lower, upper = _ratio_terms(s, spec.J, spec.quantile_type)
+def _sample_stats(values, padded, spec: InequalitySpec):
+    """Index estimates and their delta-method variances, one per sample.
+
+    values and padded are a stack of samples, one per row: as drawn, and
+    sorted between two zeros.  The ratio-term quantiles are computed once,
+    for both the estimate and the gradient.  Also returns the
+    probabilities at which the first sample's quantile density was
+    floored.
+    """
+    rows = padded[:, 1:-1]
+    _check_positive(rows, spec.kind)
+    _check_type(spec.quantile_type)
+    p, lower, upper = _ratio_terms(rows, spec.J, spec.quantile_type)
     grid = np.concatenate([p / 2.0, 1.0 - p / 2.0])
-    cov = qcov(s, grid, spec.var_method, spec.quantile_type)
+    cov, uniq, floored, *_ = _qcov_rows(values, padded, grid, spec.var_method,
+                                        spec.quantile_type)
     weight = np.ones(spec.J) if spec.kind == "QRI" else 2.0 * p
     g_lower = -weight / (spec.J * upper)
     g_upper = weight * lower / (spec.J * upper**2)
-    g = np.concatenate([g_lower, g_upper])
-    return float(g @ cov.matrix @ g), cov
+    g = np.concatenate([g_lower, g_upper], axis=-1)
+    var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
+    return _index(spec.kind, p, lower, upper), var, uniq[floored[0]]
 
 
-def _one_sample(s: Sample, spec: InequalitySpec):
-    """Estimate, standard error and floored-density warnings of one sample."""
-    est = (qri_estimate if spec.kind == "QRI" else g2_estimate)(s, spec.J, spec.quantile_type)
-    var, cov = _variance(s, spec)
-    return est, math.sqrt(max(var, 0.0)), _floored_warnings(cov)
+def _one_sample(x, spec: InequalitySpec):
+    """Estimate, variance and floored-density warnings of one sample."""
+    s = as_sample(x)
+    est, var, floored = _sample_stats(s.values[None], s.padded[None], spec)
+    return float(est[0]), float(var[0]), _floored_warnings(floored)
 
 
 def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec()) -> TestResult:
@@ -135,24 +164,22 @@ def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec()) -> TestResult
     test the difference of indices against 0, or against true_ineq when
     it is set explicitly.
     """
-    sx = as_sample(x)
-    est_x, se_x, warnings = _one_sample(sx, spec)
+    est_x, var_x, warnings = _one_sample(x, spec)
     if y is None:
         null = 0.5 if spec.true_ineq is None else spec.true_ineq
-        est, se = est_x, se_x
+        est, var = est_x, var_x
         label = spec.kind
         description = f"One sample test of the {spec.kind}"
         data_name = "x"
     else:
-        sy = as_sample(y)
-        est_y, se_y, warn_y = _one_sample(sy, spec)
+        est_y, var_y, warn_y = _one_sample(y, spec)
         warnings += [w for w in warn_y if w not in warnings]
         null = 0.0 if spec.true_ineq is None else spec.true_ineq
         est = est_x - est_y
-        se = math.sqrt(se_x**2 + se_y**2)
+        var = var_x + var_y
         label = f"difference in {spec.kind}"
         description = f"Two sample test of the {spec.kind}"
         data_name = "x and y"
     opts = TestOptions(alternative=spec.alternative, conf_level=spec.conf_level)
-    return _finish(est, se**2, null, opts, "identity", description, label, null,
+    return _finish(est, var, null, opts, "identity", description, label, null,
                    warnings, data_name)

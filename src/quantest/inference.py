@@ -20,9 +20,9 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .measures import MeasureSpec
-from .qcov import QuantileCov, qcov
+from .qcov import QuantileCov, _qcov_rows
 from .qdensity import QdMethod
-from .quantiles import as_sample, sample_quantiles
+from .quantiles import _check_type, _quantiles_sorted, as_sample
 
 __all__ = [
     "TestOptions",
@@ -105,18 +105,21 @@ def lincomb_stats(cov: QuantileCov, xhat, b1, b2=None):
     d = len(cov.probs)
     if b1.shape != (d,) or xhat.shape != (d,):
         raise ValueError("coefficient/quantile vectors must match the covariance dimension")
-    sigma = cov.matrix
-    est1 = float(b1 @ xhat)
-    v1 = float(b1 @ sigma @ b1)
+    if b2 is not None:
+        b2 = np.asarray(b2, dtype=float)
+        if b2.shape != (d,):
+            raise ValueError("coefficient/quantile vectors must match the covariance dimension")
+    return tuple(None if v is None else float(v)
+                 for v in _lincomb(cov.matrix, xhat, b1, b2))
+
+
+def _lincomb(sigma, xhat, b1, b2):
+    """lincomb_stats for a stack of covariance matrices and quantile rows."""
+    est1 = xhat @ b1
+    v1 = b1 @ sigma @ b1
     if b2 is None:
         return est1, None, v1, None, None
-    b2 = np.asarray(b2, dtype=float)
-    if b2.shape != (d,):
-        raise ValueError("coefficient/quantile vectors must match the covariance dimension")
-    est2 = float(b2 @ xhat)
-    v2 = float(b2 @ sigma @ b2)
-    v12 = float(b1 @ sigma @ b2)
-    return est1, est2, v1, v2, v12
+    return est1, xhat @ b2, v1, b2 @ sigma @ b2, b1 @ sigma @ b2
 
 
 def ratio_variance(est1, est2, v1, v2, v12, log_scale: bool = False):
@@ -124,14 +127,17 @@ def ratio_variance(est1, est2, v1, v2, v12, log_scale: bool = False):
 
     Returns (R, varR, varLogR); varLogR is None unless log_scale is
     requested.  The expanded form of var(R) is used so est1 = 0 is safe.
+    The arguments may also be arrays, one element per sample; a zero
+    denominator or, on the log scale, a nonpositive ratio in any of them
+    is an error.
     """
-    if est2 == 0.0:
+    if np.count_nonzero(est2 == 0.0):
         raise ValueError("zero denominator")
     r = est1 / est2
     var_r = (v1 / est2**2 + est1**2 * v2 / est2**4 - 2.0 * est1 * v12 / est2**3)
     var_log = None
     if log_scale:
-        if r <= 0.0:
+        if np.count_nonzero(r <= 0.0):
             raise ValueError("log of non-positive ratio")
         var_log = var_r / r**2
     return r, var_r, var_log
@@ -141,9 +147,10 @@ def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):
     """Normal-theory interval; one-sided forms use z at 1 - alpha.
 
     The lower bound is clamped at min_q, which supports measures with a
-    known lower limit such as the IQR at zero.
+    known lower limit such as the IQR at zero.  est and se may also be
+    arrays, one interval per element.
     """
-    if se < 0:
+    if np.count_nonzero(se < 0):
         raise ValueError("negative standard error")
     if alternative == "two_sided":
         z = ndtri(1.0 - (1.0 - level) / 2.0)
@@ -156,7 +163,7 @@ def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):
         lo, hi = est - z * se, math.inf
     else:
         raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
-    return max(lo, min_q), hi
+    return np.maximum(lo, min_q), hi
 
 
 def p_value(z, alternative="two_sided"):
@@ -170,12 +177,12 @@ def p_value(z, alternative="two_sided"):
     raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
 
 
-def _floored_warnings(cov: QuantileCov) -> list:
-    """The warning for quantile-density estimates qcov floored, if any."""
-    if not cov.floored:
+def _floored_warnings(floored) -> list:
+    """The warning for the probabilities whose quantile density qcov floored, if any."""
+    if not len(floored):
         return []
     return ["nonpositive quantile-density estimate floored at probabilities "
-            + ", ".join(f"{p:g}" for p in cov.floored)]
+            + ", ".join(f"{p:g}" for p in floored)]
 
 
 def _union_grid(spec: MeasureSpec):
@@ -193,55 +200,76 @@ def _union_grid(spec: MeasureSpec):
     return grid, b1, b2
 
 
-def _working_stats(s, spec: MeasureSpec, opts: TestOptions):
-    """One sample's estimate and variance on the working scale.
+def _working_stats(values, padded, spec: MeasureSpec, opts: TestOptions):
+    """Each sample's estimate and variance on the working scale.
 
-    Returns (raw_estimate, working_estimate, working_variance, warnings).
-    The working scale is the log scale when log_transf is set.
+    values and padded are a stack of samples, one per row: as drawn, and
+    sorted between two zeros.  Returns (raw_estimate, working_estimate,
+    working_variance, floored), each with one element or row per sample;
+    floored lists the probabilities of the first sample whose quantile
+    density was floored.  The working scale is the log scale when
+    log_transf is set.
     """
+    _check_type(opts.quantile_type)
     grid, b1, b2 = _union_grid(spec)
-    cov = qcov(s, grid, opts.var_method, opts.quantile_type)
-    xhat = sample_quantiles(s, grid, opts.quantile_type)
-    est1, est2, v1, v2, v12 = lincomb_stats(cov, xhat, b1, b2)
-    warnings = _floored_warnings(cov)
+    sigma, uniq, floored, *_ = _qcov_rows(values, padded, grid, opts.var_method,
+                                          opts.quantile_type)
+    xhat = _quantiles_sorted(padded[:, 1:-1], grid, opts.quantile_type)
+    est1, est2, v1, v2, v12 = _lincomb(sigma, xhat, b1, b2)
+    floored = uniq[floored[0]]
     if spec.is_ratio:
         raw, var_r, var_log = ratio_variance(est1, est2, v1, v2, v12,
                                              log_scale=opts.log_transf)
         if opts.log_transf:
-            return raw, math.log(raw), var_log, warnings
-        return raw, raw, var_r, warnings
+            return raw, np.log(raw), var_log, floored
+        return raw, raw, var_r, floored
     if opts.log_transf:
-        if est1 <= 0.0:
+        if np.count_nonzero(est1 <= 0.0):
             raise ValueError("log of nonpositive estimate")
-        return est1, math.log(est1), v1 / est1**2, warnings
-    return est1, est1, v1, warnings
+        return est1, np.log(est1), v1 / est1**2, floored
+    return est1, est1, v1, floored
 
 
-def _finish(working_est, working_var, null_working, opts, scale, description,
-            estimate_label, null_value, warnings, data_name):
-    se = math.sqrt(max(working_var, 0.0))
-    if se > 0.0:
-        z = (working_est - null_working) / se
-    else:
-        z = 0.0 if working_est == null_working else math.copysign(math.inf,
-                                                                  working_est - null_working)
-    p = p_value(z, opts.alternative)
+def _interval(working_est, working_var, opts: TestOptions):
+    """Standard errors, reported estimates and Wald intervals, per element.
+
+    Returns (se, estimate, lower, upper); se stays on the working scale.
+    """
+    se = np.sqrt(np.maximum(working_var, 0.0))
     # the log-scale interval is clamped only after any back-transform, so
     # min_q always refers to the reported scale
     clamp_now = -math.inf if opts.log_transf else opts.min_q
     lo, hi = wald_interval(working_est, se, opts.conf_level, opts.alternative, clamp_now)
     estimate = working_est
     if opts.back_transf:
-        estimate = math.exp(working_est)
-        lo, hi = math.exp(lo), math.exp(hi)
+        estimate, lo, hi = np.exp(working_est), np.exp(lo), np.exp(hi)
+    return se, estimate, np.maximum(lo, opts.min_q), hi
+
+
+def _finish(working_est, working_var, null_working, opts, scale, description,
+            estimate_label, null_value, warnings, data_name):
+    se, estimate, lo, hi = (float(v) for v in _interval(working_est, working_var, opts))
+    if se > 0.0:
+        z = (working_est - null_working) / se
+    else:
+        z = 0.0 if working_est == null_working else math.copysign(math.inf,
+                                                                  working_est - null_working)
+    p = p_value(z, opts.alternative)
+    if opts.back_transf:
         scale = "back_transformed_ratio"
-    lo = max(lo, opts.min_q)
     return TestResult(estimate=estimate, se=se, statistic_Z=z, p_value=p,
                       conf_int=(lo, hi), null_value=null_value,
                       alternative=opts.alternative, scale=scale,
                       description=description, warnings=tuple(warnings),
                       estimate_label=estimate_label, conf_level=opts.conf_level,
                       data_name=data_name)
+
+
+def _stats_one(x, spec: MeasureSpec, opts: TestOptions):
+    """_working_stats of one sample, as floats, with its warnings."""
+    s = as_sample(x)
+    stats = _working_stats(s.values[None], s.padded[None], spec, opts)
+    return (*(float(v[0]) for v in stats[:3]), _floored_warnings(stats[3]))
 
 
 def q_test_one(x, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> TestResult:
@@ -252,8 +280,7 @@ def q_test_one(x, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> TestR
     and back_transf merely reports the estimate, interval and null on the
     exponentiated scale.
     """
-    s = as_sample(x)
-    raw, working_est, working_var, warnings = _working_stats(s, spec, opts)
+    raw, working_est, working_var, warnings = _stats_one(x, spec, opts)
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)
     scale = "log" if opts.log_transf else "identity"
@@ -273,9 +300,8 @@ def q_test_two(x, y, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> Te
     null true_q is interpreted on the ratio scale, and a true_q left at 0
     is reset to 1 (equal measures).
     """
-    sx, sy = as_sample(x), as_sample(y)
-    raw_x, wx, vx, warn_x = _working_stats(sx, spec, opts)
-    raw_y, wy, vy, warn_y = _working_stats(sy, spec, opts)
+    raw_x, wx, vx, warn_x = _stats_one(x, spec, opts)
+    raw_y, wy, vy, warn_y = _stats_one(y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)

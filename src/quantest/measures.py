@@ -13,12 +13,13 @@ passing probabilities and coefficients directly.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import as_sample, sample_quantiles
+from .quantiles import _check_type, _quantiles_sorted, as_sample
 
 __all__ = ["MeasureSpec", "resolve_measure", "estimate_measure", "MEASURE_NAMES"]
 
@@ -222,10 +223,22 @@ def resolve_measure(name: str, p: float | None = None) -> MeasureSpec:
 def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
     """Point estimate: plug sample quantiles into the measure's combinations."""
     s = as_sample(x)
-    num = float(np.dot(spec.coef, sample_quantiles(s, spec.u, quantile_type)))
+    _check_type(quantile_type)
+    est = float(_estimate_rows(s.sorted[None], spec, quantile_type)[0])
+    if math.isnan(est):
+        raise ValueError("zero denominator")
+    return est
+
+
+def _estimate_rows(rows, spec: MeasureSpec, quantile_type: int) -> np.ndarray:
+    """estimate_measure of each row of a stack of sorted samples.
+
+    rows needs only a shape and indexing along its last axis, as in
+    _quantiles_sorted.  Rows whose denominator is zero give NaN.
+    """
+    num = _quantiles_sorted(rows, spec.u, quantile_type) @ np.asarray(spec.coef)
     if not spec.is_ratio:
         return num
-    den = float(np.dot(spec.coef2, sample_quantiles(s, spec.u2, quantile_type)))
-    if den == 0.0:
-        raise ValueError("zero denominator")
-    return num / den
+    den = _quantiles_sorted(rows, spec.u2, quantile_type) @ np.asarray(spec.coef2)
+    zero = den == 0.0
+    return np.where(zero, np.nan, num / np.where(zero, 1.0, den))

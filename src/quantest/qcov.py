@@ -15,12 +15,12 @@ import numpy as np
 from .qdensity import (
     QdMethod,
     _bandwidths,
+    _fit_sigma,
     _qdens_grid,
     _qor_lognormal,
-    fit_lognormal_sigma,
     qdens_inversion,
 )
-from .quantiles import as_sample
+from .quantiles import Sample, as_sample
 
 __all__ = ["QuantileCov", "qcov"]
 
@@ -55,22 +55,62 @@ class QuantileCov:
             self.bandwidths.setflags(write=False)
 
 
-def _qdens_at(s, ps: np.ndarray, method: QdMethod, quantile_type: int):
-    """Quantile-density estimates at each p, their bandwidths and fit metadata."""
+def _qdens_at(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
+    """Quantile-density estimates at each p, their bandwidths and fit metadata.
+
+    values and padded are a stack of samples, one per row: as drawn, and
+    sorted between two zeros.  The estimates have one row per sample.
+    The bandwidths are shared by every row unless sigma is fitted, and
+    sigma and shift are then one per row.
+    """
     if method.kind == "qor":
         if method.sigma is None:
-            sigma, shift = fit_lognormal_sigma(s)
+            sigma, shift = _fit_sigma(values, padded)
+            row_sigma = sigma[:, None]
         else:
-            sigma, shift = method.sigma, None
+            sigma = row_sigma = method.sigma
+            shift = None
         # one probability costs less as a NumPy scalar than as an array
         grid = ps[0] if ps.size == 1 else ps
-        b = np.atleast_1d(_bandwidths(_qor_lognormal(sigma, grid), grid, s.n,
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, grid), grid, values.shape[1],
                                       method.bw_correct, method.kernel))
         if not method.bw_correct and not (b.min() > 0.0 and b.max() < 1.0):
             raise ValueError("bandwidth must lie in (0, 1)")
-        return _qdens_grid(s.padded, ps, b, method.kernel), b, sigma, shift
-    out = np.array([qdens_inversion(s, p, quantile_type) for p in ps])
+        return _qdens_grid(padded, ps, b, method.kernel), b, sigma, shift
+    out = np.array([[qdens_inversion(Sample(v, x[1:-1], x), p, quantile_type) for p in ps]
+                    for v, x in zip(values, padded)])
     return out, None, None, None
+
+
+def _qcov_rows(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
+    """qcov of each sample of a stack, one row per sample.
+
+    values and padded are as in _qdens_at.  Returns the covariance
+    matrices at ps in the caller's order (one d x d matrix per row), the
+    sorted unique probabilities with a mask of the floored estimates at
+    them (one row per sample), the bandwidths at ps (None for the density
+    method) and the fitted sigma and shift.
+    """
+    lo, hi = padded[:, 1], padded[:, -2]
+    if np.count_nonzero(hi == lo):
+        raise ValueError("degenerate sample")
+    uniq, inverse = np.unique(ps, return_inverse=True)
+    qhat, b, sigma, shift = _qdens_at(values, padded, uniq, method, quantile_type)
+
+    # a genuine quantile density is on the order of the data range; this
+    # threshold only catches estimates that are zero or negative up to
+    # floating-point noise (e.g. exact plateaus in the order statistics)
+    eps = (1e-12 * (hi - lo))[:, None]
+    floored = qhat <= eps
+    qhat = np.maximum(qhat, eps)
+
+    # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order
+    pi = np.minimum.outer(ps, ps)
+    pj = np.maximum.outer(ps, ps)
+    m = pi * (1.0 - pj) / values.shape[1]
+    q = qhat[:, inverse]
+    return (m * (q[:, :, None] * q[:, None, :]), uniq, floored,
+            None if b is None else b[..., inverse], sigma, shift)
 
 
 def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> QuantileCov:
@@ -86,29 +126,11 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
         raise ValueError("need at least one probability")
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
-    if s.max() == s.min():
-        raise ValueError("degenerate sample")
 
-    uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, b, sigma, shift = _qdens_at(s, uniq, method, quantile_type)
-
-    floored = ()
-    # a genuine quantile density is on the order of the data range; this
-    # threshold only catches estimates that are zero or negative up to
-    # floating-point noise (e.g. exact plateaus in the order statistics)
-    eps = 1e-12 * (s.max() - s.min())
-    bad = qhat <= eps
-    if np.any(bad):
-        floored = tuple(float(p) for p in uniq[bad])
-        qhat = np.where(bad, eps, qhat)
-
-    # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n
-    pi = np.minimum.outer(uniq, uniq)
-    pj = np.maximum.outer(uniq, uniq)
-    m = pi * (1.0 - pj) / s.n
-    cov_uniq = m * np.outer(qhat, qhat)
-    cov = cov_uniq[np.ix_(inverse, inverse)]
-
-    return QuantileCov(probs=ps.copy(), matrix=cov, n=s.n, method=method,
-                       floored=floored, sigma=sigma, shift=shift,
-                       bandwidths=None if b is None else b[inverse])
+    cov, uniq, floored, b, sigma, shift = _qcov_rows(s.values[None], s.padded[None], ps,
+                                                     method, quantile_type)
+    if shift is not None:
+        sigma, shift = float(sigma[0]), float(shift[0])
+    return QuantileCov(probs=ps.copy(), matrix=cov[0], n=s.n, method=method,
+                       floored=tuple(float(p) for p in uniq[floored[0]]), sigma=sigma,
+                       shift=shift, bandwidths=None if b is None else np.atleast_2d(b)[0])

@@ -115,7 +115,6 @@ class QdMethod:
     """
 
     kind: str = "qor"
-    qor_model: str = "lognormal"
     bw_correct: bool = True
     sigma: float | None = 1.0
     kernel: Kernel = EPANECHNIKOV
@@ -123,8 +122,6 @@ class QdMethod:
     def __post_init__(self):
         if self.kind not in ("qor", "density"):
             raise ValueError(f"unknown quantile-density method {self.kind!r}")
-        if self.kind == "qor" and self.qor_model != "lognormal":
-            raise ValueError(f"unknown QOR model {self.qor_model!r}")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("sigma must be positive")
 
@@ -166,12 +163,17 @@ def fit_lognormal_sigma(s) -> tuple[float, float]:
     s = as_sample(s)
     if s.n < 2:
         raise ValueError("need at least two observations to fit sigma")
-    lo, hi = s.min(), s.max()
-    if hi == lo:
+    if s.max() == s.min():
         raise ValueError("degenerate sample")
-    shift = 0.0 if lo > 0 else -lo + (hi - lo) / s.n
-    sigma = float(np.std(np.log(s.values + shift), ddof=1))
-    return sigma, shift
+    sigma, shift = _fit_sigma(s.values[None], s.padded[None])
+    return float(sigma[0]), float(shift[0])
+
+
+def _fit_sigma(values: np.ndarray, padded: np.ndarray):
+    """fit_lognormal_sigma of each row: values as drawn, padded their sorts."""
+    lo, hi = padded[:, 1], padded[:, -2]
+    shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / values.shape[1])
+    return np.std(np.log(values + shift[:, None]), axis=1, ddof=1), shift
 
 
 def optimal_bandwidth(qor_value: float, p: float, n: int,
@@ -220,39 +222,57 @@ _CHUNK = 2048
 def _qdens_grid(xp: np.ndarray, p: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
-    xp holds the order statistics between two zeros (Sample.padded), and
-    every b lies in (0, 1).
+    xp holds the order statistics between two zeros (Sample.padded), or a
+    stack of such rows along its last axis; the result has one row of
+    estimates per row of xp.  b holds one bandwidth per probability,
+    shared by every row, or one row of them per row of xp; every b lies in
+    (0, 1).  Shared bandwidths give every row the same windows and kernel
+    weights.  The table path handles one row at a time.
     """
-    n = xp.size - 2
+    n = xp.shape[-1] - 2
+    rows = xp.reshape(-1, n + 2)
     c = n * p  # window centres and half-widths, in spacings
     h = n * b
     reach = kernel.support * h.max()  # the widest kernel window's radius
     width = int(2.0 * reach) + 2
     if p.size * width > _BAND_MAX and kernel == EPANECHNIKOV:
-        return _table_sums(xp, c, h) / b
-    lo = (c - reach).astype(np.intp)
-    if width > n + 1:  # windows wider than the sample: take all of it
-        lo, width = np.maximum(lo, 0), n + 1
-    return _band_sums(xp, lo, c, h, kernel, width) / b
+        hs = np.broadcast_to(h, (rows.shape[0], p.size))
+        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(rows, hs)])
+    else:
+        lo = (c - reach).astype(np.intp)
+        if width > n + 1:  # windows wider than the sample: take all of it
+            lo, width = np.maximum(lo, 0), n + 1
+        q = _band_sums(rows, lo, c, h, kernel, width)
+    return q.reshape(xp.shape[:-1] + p.shape) / b
 
 
 def _band_sums(xp, lo, c, h, kernel: Kernel, width: int) -> np.ndarray:
-    """sum_j D_j K((j - c)/h) over j = lo .. lo + width - 1, per row.
+    """sum_j D_j K((j - c)/h) over j = lo .. lo + width - 1, per row and window.
 
-    The spacings D_j = xp[j+1] - xp[j] are gathered with the indices
-    clipped to xp, so those outside 0 .. n are zero; the window must hold
-    every j where K is nonzero.  Rows go in chunks of at most _BAND_MAX
+    xp is a stack of padded samples, one per row.  lo and c give one
+    window per probability, the same for every row; h is one half-width
+    per probability or a row of them per row of xp.  The spacings
+    D_j = xp[j+1] - xp[j] are gathered with the indices clipped to xp, so
+    those outside 0 .. n are zero; the window must hold every j where K is
+    nonzero.  Rows, and then windows, go in chunks of at most _BAND_MAX
     gathered spacings.
     """
-    step = max(1, _BAND_MAX // width)
-    if lo.size > step:
-        return np.concatenate([_band_sums(xp, lo[i:i + step], c[i:i + step], h[i:i + step],
-                                          kernel, width)
-                               for i in range(0, lo.size, step)])
+    rows, d = xp.shape[0], lo.size
+    if rows * d * width > _BAND_MAX:
+        if rows > 1:
+            step = max(1, _BAND_MAX // (d * width))
+            return np.concatenate([_band_sums(xp[i:i + step], lo, c,
+                                              h if h.ndim == 1 else h[i:i + step], kernel, width)
+                                   for i in range(0, rows, step)])
+        step = max(1, _BAND_MAX // width)
+        if d > step:
+            return np.concatenate([_band_sums(xp, lo[i:i + step], c[i:i + step],
+                                              h[..., i:i + step], kernel, width)
+                                   for i in range(0, d, step)], axis=1)
     j = lo[:, None] + np.arange(width + 1)
-    x = xp.take(j, mode="clip")
-    w = kernel.fn((j[:, :-1] - c[:, None]) / h[:, None])
-    return ((x[:, 1:] - x[:, :-1])[:, None, :] @ w[:, :, None]).ravel()
+    x = xp.take(j, axis=1, mode="clip")
+    w = kernel.fn((j[:, :-1] - c[:, None]) / h[..., None])
+    return (np.diff(x)[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
 def _table_sums(xp, c, h) -> np.ndarray:
@@ -274,8 +294,8 @@ def _table_sums(xp, c, h) -> np.ndarray:
     # the block before kl and the block from kr on hold the ragged window
     # ends and, where the window reaches them, D_0 and D_n; K is zero on
     # the rest of these two bands
-    out = (_band_sums(xp, (kl - 1) * _BLOCK, c, h, EPANECHNIKOV, _BLOCK)
-           + _band_sums(xp, kr * _BLOCK, c, h, EPANECHNIKOV, _BLOCK))
+    out = (_band_sums(xp[None], (kl - 1) * _BLOCK, c, h, EPANECHNIKOV, _BLOCK)
+           + _band_sums(xp[None], kr * _BLOCK, c, h, EPANECHNIKOV, _BLOCK))[0]
     if not full.any():
         return out
 

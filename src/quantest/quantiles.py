@@ -47,13 +47,8 @@ class Sample:
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             raise ValueError("empty sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("sample contains non-finite values")
-        padded = np.empty(arr.size + 2)
-        padded[0] = padded[-1] = 0.0
+        padded = _padded_rows(arr)
         srt = padded[1:-1]
-        srt[:] = arr
-        srt.sort()
         arr = arr.copy()
         arr.setflags(write=False)
         srt.setflags(write=False)
@@ -69,6 +64,19 @@ class Sample:
 
     def max(self) -> float:
         return float(self.sorted[-1])
+
+
+def _padded_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of finite values sorted between two zeros, as Sample.padded.
+
+    Non-finite values raise a ValueError, as in Sample.from_values.
+    """
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("sample contains non-finite values")
+    padded = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 2,))
+    padded[..., 1:-1] = rows
+    padded[..., 1:-1].sort(axis=-1)
+    return padded
 
 
 def as_sample(x) -> Sample:

@@ -10,7 +10,13 @@ oracle for the delta-method SEs.
 
 Replicate RNG streams are spawned from a single seed (numpy PCG64 via
 SeedSequence.spawn), so results are reproducible and independent of
-evaluation order.
+evaluation order.  coverage_sim draws each replicate from its own stream
+as a replicate-by-replicate loop would, stacks the draws in chunks of
+replicates, sorts each chunk once and computes every replicate's interval
+with the same estimator core that q_test_one and qineq_test run on a
+stack of one sample.  bootstrap_se sorts each resample as integer ranks
+into the sample's sort and gathers only the order statistics that the
+estimator reads.
 """
 
 from __future__ import annotations
@@ -21,15 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .inequality import InequalitySpec, g2_estimate, qineq_test, qri_estimate
-from .inference import TestOptions, q_test_one
-from .measures import MeasureSpec
-from .quantiles import _quantiles_sorted, as_sample
+from .inequality import InequalitySpec, _index_rows, _sample_stats
+from .inference import TestOptions, _interval, _union_grid, _working_stats
+from .measures import MeasureSpec, _estimate_rows
+from .qdensity import _BAND_MAX
+from .quantiles import _padded_rows, as_sample
 
 __all__ = [
     "Distribution",
     "SimConfig",
-    "population_quantile",
     "population_measure_value",
     "coverage_sim",
     "bootstrap_se",
@@ -125,11 +131,6 @@ class SimConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
-def population_quantile(dist: Distribution, p):
-    """Population quantile function of the named distribution."""
-    return dist.quantile(p)
-
-
 def population_measure_value(dist: Distribution, measure) -> float:
     """True value of a measure under the distribution.
 
@@ -168,86 +169,114 @@ def population_measure_value(dist: Distribution, measure) -> float:
     raise TypeError("measure must be a MeasureSpec or InequalitySpec")
 
 
-def _interval_for(measure, data, level: float, log_ratio: bool = False):
+def _replicate_intervals(cfg: SimConfig):
+    """The study's interval function and the size of its covariance grid.
+
+    The function takes a stack of samples, one per row, and returns the
+    lower and upper bounds of the interval that q_test_one or qineq_test
+    builds for each.
+    """
+    measure = cfg.measure
     if isinstance(measure, MeasureSpec):
-        use_log = log_ratio and measure.is_ratio
-        opts = TestOptions(conf_level=level, log_transf=use_log,
-                           back_transf=use_log)
-        return q_test_one(data, measure, opts).conf_int
-    spec = measure
-    if spec.conf_level != level:
-        spec = InequalitySpec(kind=spec.kind, J=spec.J, true_ineq=spec.true_ineq,
-                              alternative=spec.alternative, conf_level=level,
-                              quantile_type=spec.quantile_type,
-                              var_method=spec.var_method)
-    return qineq_test(data, spec=spec).conf_int
+        use_log = cfg.log_ratio and measure.is_ratio
+        opts = TestOptions(conf_level=cfg.level, log_transf=use_log, back_transf=use_log)
+
+        def intervals(values):
+            _, est, var, _ = _working_stats(values, _padded_rows(values), measure, opts)
+            return _interval(est, var, opts)[2:]
+        return intervals, _union_grid(measure)[0].size
+
+    opts = TestOptions(alternative=measure.alternative, conf_level=cfg.level)
+
+    def intervals(values):
+        est, var, _ = _sample_stats(values, _padded_rows(values), measure)
+        return _interval(est, var, opts)[2:]
+    return intervals, 2 * measure.J
 
 
 def coverage_sim(cfg: SimConfig):
     """Empirical coverage of the measure's confidence interval.
 
     Returns (coverage, avg_width, mc_se) where mc_se is the binomial
-    Monte Carlo standard error sqrt(c(1-c)/reps).
+    Monte Carlo standard error sqrt(c(1-c)/reps).  Each replicate is drawn
+    from its own stream.  The replicates go through the estimators in
+    chunks, each sorted once as a stack of rows; a chunk holds about
+    _BAND_MAX numbers, counting each replicate's sample and covariance
+    matrix.  A replicate on which q_test_one or qineq_test would raise
+    makes the study raise the same error, that of the first such
+    replicate.
     """
     true_val = population_measure_value(cfg.distribution, cfg.measure)
+    intervals, d = _replicate_intervals(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
+    step = max(1, _BAND_MAX // (cfg.n + d * d))
     covered = 0
     widths = np.empty(cfg.reps)
-    for i, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        data = cfg.distribution.sample(rng, cfg.n)
-        lo, hi = _interval_for(cfg.measure, data, cfg.level, cfg.log_ratio)
-        covered += int(lo <= true_val <= hi)
-        widths[i] = hi - lo
+    for start in range(0, cfg.reps, step):
+        values = np.stack([cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
+                           for stream in streams[start:start + step]])
+        try:
+            lo, hi = intervals(values)
+        except ValueError:
+            # raise the error of the chunk's first failing replicate
+            for i in range(len(values)):
+                intervals(values[i:i + 1])
+            raise
+        covered += int(np.count_nonzero((lo <= true_val) & (true_val <= hi)))
+        widths[start:start + len(values)] = hi - lo
     coverage = covered / cfg.reps
     mc_se = math.sqrt(coverage * (1.0 - coverage) / cfg.reps)
     return coverage, float(np.mean(widths)), mc_se
 
 
-def _batch_measure(sorted_rows: np.ndarray, measure: MeasureSpec, quantile_type: int):
-    """Measure estimates for a batch of sorted resamples; NaN marks failures."""
-    num = _quantiles_sorted(sorted_rows, np.asarray(measure.u), quantile_type) @ np.asarray(measure.coef)
-    if not measure.is_ratio:
-        return num
-    den = _quantiles_sorted(sorted_rows, np.asarray(measure.u2), quantile_type) @ np.asarray(measure.coef2)
-    out = np.full(num.shape, np.nan)
-    ok = den != 0.0
-    out[ok] = num[ok] / den[ok]
-    return out
+class _RankRows:
+    """Sorted resamples held as ranks into the sorted sample.
 
+    Indexing along the last axis gathers the order statistics it names, so
+    the estimators read only the columns they use.
+    """
 
-def _batch_inequality(sorted_rows: np.ndarray, spec: InequalitySpec):
-    p = (np.arange(1, spec.J + 1) - 0.5) / spec.J
-    lower = _quantiles_sorted(sorted_rows, p / 2.0, spec.quantile_type)
-    upper = _quantiles_sorted(sorted_rows, 1.0 - p / 2.0, spec.quantile_type)
-    terms = 1.0 - lower / upper
-    if spec.kind == "QRI":
-        est = terms.mean(axis=-1)
-    else:
-        est = (2.0 * p * terms).sum(axis=-1) / spec.J
-    est = np.where(sorted_rows[..., 0] > 0.0, est, np.nan)
-    return est
+    def __init__(self, sorted_values: np.ndarray, ranks: np.ndarray):
+        self.shape = ranks.shape
+        self._sorted = sorted_values
+        self._ranks = ranks
+
+    def __getitem__(self, key):
+        return self._sorted[self._ranks[key]]
 
 
 def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     """Standard deviation of B nonparametric-resample estimates.
 
-    Resamples failing to produce an estimate (zero denominator, or
-    nonpositive values for an inequality index) are dropped; more than 5%
-    failures is an error.
+    The estimates are those of estimate_measure with quantile type 8 for
+    a MeasureSpec, and of qri_estimate/g2_estimate with the spec's
+    quantile_type for an InequalitySpec.  Resamples failing to produce an
+    estimate (zero denominator, or nonpositive values for an inequality
+    index) are dropped; more than 5% failures is an error.
+
+    Each resample is sorted as ranks into the sample's sort (int16 up to
+    2^15 values, else int32), and the estimators gather only the order
+    statistics they read.  sorted[rank] is monotone in the rank, so the
+    estimates equal those from sorting the resampled values.
     """
     s = as_sample(s)
     if B < 500:
         raise ValueError("need at least 500 bootstrap resamples")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.integers(0, s.n, size=(B, s.n))
-    rows = np.sort(s.values[idx], axis=1)
     if isinstance(measure, MeasureSpec):
-        est = _batch_measure(rows, measure, 8)
+        def estimate(rows):
+            return _estimate_rows(rows, measure, 8)
     elif isinstance(measure, InequalitySpec):
-        est = _batch_inequality(rows, measure)
+        def estimate(rows):
+            return _index_rows(rows, measure.kind, measure.J, measure.quantile_type)
     else:
         raise TypeError("measure must be a MeasureSpec or InequalitySpec")
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    idx = rng.integers(0, s.n, size=(B, s.n))
+    rank = np.empty(s.n, dtype=np.int16 if s.n <= 2**15 else np.int32)
+    rank[np.argsort(s.values, kind="stable")] = np.arange(s.n)
+    ranks = rank[idx]
+    ranks.sort(axis=1)
+    est = estimate(_RankRows(s.sorted, ranks))
     ok = np.isfinite(est)
     if (B - int(ok.sum())) > 0.05 * B:
         raise ValueError("estimator failed on more than 5% of bootstrap resamples")

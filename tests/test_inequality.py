@@ -305,3 +305,29 @@ def test_floored_density_is_reported_as_in_q_test_one():
     assert qineq_test(y, spec=spec).warnings == ()
     assert qineq_test(x, y, spec).warnings == (expected,)
     assert qineq_test(y, x, spec).warnings == (expected,)
+
+
+@pytest.mark.parametrize("kind", ["QRI", "G2"])
+def test_ratio_term_quantiles_are_computed_once_per_sample(kind, monkeypatch):
+    import quantest.inequality as ineq
+
+    calls = []
+    quantiles = ineq._quantiles_sorted
+
+    def counting(rows, ps, quantile_type=8):
+        calls.append(np.size(ps))
+        return quantiles(rows, ps, quantile_type)
+
+    monkeypatch.setattr(ineq, "_quantiles_sorted", counting)
+    rng = np.random.default_rng(77)
+    x, y = rng.lognormal(size=300), rng.lognormal(0.2, 0.8, size=200)
+    spec = InequalitySpec(kind, J=40)
+    one = qineq_test(x, spec=spec)
+    assert calls == [40, 40]  # the lower and the upper ratio-term quantiles
+    qineq_test(x, y, spec=spec)
+    assert calls == [40] * 6
+
+    # the estimate and the standard error come from the same terms
+    estimator = qri_estimate if kind == "QRI" else g2_estimate
+    assert one.estimate == estimator(x, 40)
+    assert one.se == pytest.approx(math.sqrt(ineq_variance(x, spec)), rel=1e-15)

@@ -10,6 +10,7 @@ from quantest.qdensity import (
     EPANECHNIKOV,
     GAUSSIAN,
     QdMethod,
+    _fit_sigma,
     fit_lognormal_sigma,
     optimal_bandwidth,
     qdens_inversion,
@@ -94,6 +95,20 @@ def test_fit_sigma_shift_rule():
     sigma, shift = fit_lognormal_sigma(x)
     assert shift == pytest.approx(5.0 + 10.0 / 10.0)  # -min + range/n
     assert sigma > 0.0
+
+
+def test_fit_sigma_of_a_stack_is_the_std_of_each_row_as_drawn():
+    # the rows of a coverage study are fitted in their drawn order, so a
+    # stack gives each sample's fit bit for bit
+    rng = np.random.default_rng(41)
+    values = np.concatenate([rng.lognormal(size=(3, 257)), rng.normal(size=(3, 257))])
+    padded = np.zeros((6, 259))
+    padded[:, 1:-1] = np.sort(values, axis=1)
+    sigma, shift = _fit_sigma(values, padded)
+    for v, got_sigma, got_shift in zip(values, sigma, shift):
+        want_sigma, want_shift = fit_lognormal_sigma(v)
+        assert (got_sigma, got_shift) == (want_sigma, want_shift)
+        assert got_sigma == np.std(np.log(v + got_shift), ddof=1)
 
 
 def test_fit_sigma_errors():
@@ -246,7 +261,5 @@ def test_qdmethod_validation():
     assert QdMethod(sigma=None).sigma is None
     with pytest.raises(ValueError):
         QdMethod(kind="nope")
-    with pytest.raises(ValueError):
-        QdMethod(qor_model="weibull")
     with pytest.raises(ValueError):
         QdMethod(sigma=0.0)

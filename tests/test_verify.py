@@ -1,14 +1,18 @@
 """Monte Carlo verification harness: distributions, coverage, bootstrap."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from quantest.inequality import InequalitySpec
+import quantest.verify as verify
+from quantest.inequality import InequalitySpec, qineq_test
+from quantest.inference import TestOptions, q_test_one
 from quantest.measures import MeasureSpec, resolve_measure
-from quantest.inference import q_test_one
+from quantest.qdensity import GAUSSIAN, QdMethod
+from quantest.quantiles import _quantiles_sorted, as_sample
 from quantest.verify import (
     Distribution,
     RNG_DESCRIPTION,
@@ -17,7 +21,6 @@ from quantest.verify import (
     coverage_sim,
     gini_coefficient,
     population_measure_value,
-    population_quantile,
 )
 
 Z75 = ndtri(0.75)
@@ -35,6 +38,7 @@ def test_distribution_quantiles_closed_forms():
     assert Distribution("uniform", (2.0, 5.0)).quantile(0.5) == 3.5
     assert Distribution("uniform", (2.0, 5.0)).quantile(0.0) == 2.0
     assert Distribution("uniform", (2.0, 5.0)).quantile(1.0) == 5.0
+    assert Distribution("uniform", (0.0, 10.0)).quantile(0.3) == pytest.approx(3.0, rel=1e-15)
     assert Distribution("exponential", (2.0,)).quantile(0.5) == pytest.approx(
         math.log(2.0) / 2.0, rel=1e-12)
 
@@ -120,11 +124,6 @@ def test_population_inequality_needs_positive_support():
 def test_population_measure_type_error():
     with pytest.raises(TypeError):
         population_measure_value(Distribution("normal"), "median")
-
-
-def test_population_quantile_passthrough():
-    d = Distribution("uniform", (0.0, 10.0))
-    assert population_quantile(d, 0.3) == pytest.approx(3.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -257,3 +256,194 @@ def test_gini_lognormal_population_value():
     x = rng.lognormal(size=10_000)
     want = 2.0 * float(ndtr(1.0 / math.sqrt(2.0))) - 1.0
     assert gini_coefficient(x) == pytest.approx(want, abs=0.02)
+
+
+# ---------------------------------------------------------------------------
+# batched coverage against the replicate-by-replicate loop
+
+
+def loop_interval(measure, data, level, log_ratio=False):
+    if isinstance(measure, MeasureSpec):
+        use_log = log_ratio and measure.is_ratio
+        opts = TestOptions(conf_level=level, log_transf=use_log, back_transf=use_log)
+        return q_test_one(data, measure, opts).conf_int
+    spec = dataclasses.replace(measure, conf_level=level)
+    return qineq_test(data, spec=spec).conf_int
+
+
+def loop_coverage(cfg):
+    """The study one replicate at a time through the public tests: the oracle."""
+    true_val = population_measure_value(cfg.distribution, cfg.measure)
+    covered, widths = 0, []
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
+        data = cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
+        lo, hi = loop_interval(cfg.measure, data, cfg.level, cfg.log_ratio)
+        covered += int(lo <= true_val <= hi)
+        widths.append(hi - lo)
+    return covered, float(np.mean(widths))
+
+
+def chunk_size(cfg):
+    if isinstance(cfg.measure, InequalitySpec):
+        d = 2 * cfg.measure.J
+    else:
+        d = len(set(cfg.measure.u) | set(cfg.measure.u2 or ()))
+    return max(1, verify._BAND_MAX // (cfg.n + d * d))
+
+
+D = Distribution
+QRI25, G2_25 = InequalitySpec("QRI", 25), InequalitySpec("G2", 25)
+ORACLE_CASES = [
+    # (distribution, n, reps, measure, level, log_ratio)
+    (D("normal"), 60, 100, resolve_measure("median"), 0.95, False),
+    (D("normal", (1.0, 2.0)), 2500, 120, resolve_measure("median"), 0.5, False),
+    (D("uniform"), 40, 100, resolve_measure("iqr"), 0.5, False),
+    (D("exponential", (2.0,)), 80, 100, resolve_measure("iqr"), 0.95, False),
+    (D("lognormal"), 100, 100, resolve_measure("rCViqr"), 0.95, False),
+    (D("lognormal"), 100, 100, resolve_measure("rCViqr"), 0.95, True),
+    (D("exponential"), 50, 110, resolve_measure("rCViqr"), 0.5, True),
+    (D("uniform", (1.0, 3.0)), 70, 100, resolve_measure("rCViqr"), 0.95, False),
+    (D("normal"), 90, 100, resolve_measure("bowley"), 0.95, False),
+    (D("exponential"), 90, 100, resolve_measure("qr9010"), 0.5, True),
+    (D("uniform"), 120, 100, resolve_measure("moors"), 0.95, False),
+    (D("lognormal", (0.5, 0.7)), 120, 100, resolve_measure("moors"), 0.95, True),
+    (D("lognormal"), 200, 100, QRI25, 0.95, False),
+    (D("exponential"), 150, 101, G2_25, 0.5, False),
+    (D("uniform", (0.5, 2.0)), 120, 100, InequalitySpec("QRI", 100), 0.95, False),
+    (D("lognormal", (0.0, 0.5)), 300, 100, InequalitySpec("G2", 100), 0.5, False),
+    (D("lognormal"), 150, 100, InequalitySpec("QRI", 25, var_method=QdMethod(sigma=None)),
+     0.95, False),
+    # large enough for the Epanechnikov table path, one row at a time
+    (D("lognormal"), 20000, 100, InequalitySpec("QRI", 25, var_method=QdMethod(sigma=None)),
+     0.95, False),
+    (D("exponential"), 80, 100, InequalitySpec("G2", 25, var_method=QdMethod(kind="density")),
+     0.95, False),
+    (D("lognormal"), 120, 100, InequalitySpec("QRI", 25, var_method=QdMethod(kernel=GAUSSIAN)),
+     0.5, False),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_batched_coverage_matches_the_replicate_loop(case):
+    dist, n, reps, measure, level, log_ratio = ORACLE_CASES[case]
+    cfg = SimConfig(dist, n=n, reps=reps, measure=measure, level=level, seed=case,
+                    log_ratio=log_ratio)
+    coverage, width, _ = coverage_sim(cfg)
+    covered, want_width = loop_coverage(cfg)
+    assert coverage == covered / reps
+    assert width == pytest.approx(want_width, rel=1e-14, abs=0.0)
+
+
+def test_oracle_cases_include_partial_chunks():
+    partial = [c for c in ORACLE_CASES
+               if c[2] % chunk_size(SimConfig(c[0], n=c[1], reps=c[2], measure=c[3])) != 0]
+    kinds = {type(c[3]) for c in partial}
+    assert kinds == {MeasureSpec, InequalitySpec}
+
+
+def test_study_with_a_failing_replicate_raises_the_loops_error():
+    # a replicate median below 0 gives a negative robust CV, whose log fails
+    cfg = SimConfig(Distribution("normal", (1.0, 1.0)), n=10, reps=130,
+                    measure=resolve_measure("rCViqr"), seed=1, log_ratio=True)
+    failing = []
+    for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.reps)):
+        data = cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
+        try:
+            loop_interval(cfg.measure, data, cfg.level, cfg.log_ratio)
+        except ValueError as exc:
+            failing.append((i, str(exc)))
+    assert len(failing) == 1
+    with pytest.raises(ValueError) as loop_exc:
+        loop_coverage(cfg)
+    with pytest.raises(ValueError) as batch_exc:
+        coverage_sim(cfg)
+    assert str(batch_exc.value) == str(loop_exc.value) == failing[0][1]
+
+
+ZERO_MEDIAN = np.concatenate([np.linspace(-1.0, -0.5, 9), [0.0, 0.0], np.linspace(1.0, 2.0, 9)])
+NEGATIVE_MEDIAN = np.linspace(-2.0, 1.0, 20)
+NOT_FINITE = np.concatenate([np.linspace(1.0, 2.0, 19), [np.inf]])
+
+
+@pytest.mark.parametrize("measure, log_ratio, first, later, message", [
+    # the positivity check comes before the degenerate-sample check
+    (InequalitySpec("QRI", 5), False, np.full(20, 5.0), np.linspace(0.0, 1.0, 20),
+     "degenerate sample"),
+    (InequalitySpec("G2", 5), False, np.linspace(0.0, 1.0, 20), np.full(20, 5.0),
+     "G2 requires positive data"),
+    (resolve_measure("rCViqr"), True, ZERO_MEDIAN, NEGATIVE_MEDIAN, "zero denominator"),
+    (resolve_measure("rCViqr"), True, NEGATIVE_MEDIAN, ZERO_MEDIAN, "log of non-positive ratio"),
+    (resolve_measure("rCViqr"), True, NOT_FINITE, NEGATIVE_MEDIAN, "non-finite"),
+])
+def test_study_raises_the_first_failing_replicates_error(monkeypatch, measure, log_ratio,
+                                                         first, later, message):
+    # replicates 1 and 3 fail in different ways; the loop stops at replicate 1
+    rows = np.tile(np.linspace(1.0, 2.0, 20), (120, 1))
+    rows[1], rows[3] = first, later
+    draws = iter(rows)
+    monkeypatch.setattr(Distribution, "sample", lambda self, rng, n: next(draws).copy())
+    cfg = SimConfig(Distribution("uniform", (1.0, 2.0)), n=20, reps=120, measure=measure,
+                    seed=0, log_ratio=log_ratio)
+    with pytest.raises(ValueError, match=message):
+        coverage_sim(cfg)
+    draws = iter(rows)
+    with pytest.raises(ValueError, match=message):
+        loop_coverage(cfg)
+
+
+# ---------------------------------------------------------------------------
+# bootstrap: ranks against sorting the resampled values
+
+
+def float_sort_bootstrap(x, measure, B, seed):
+    """bootstrap_se by gathering and sorting B x n resampled values."""
+    s = as_sample(x)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rows = s.values[rng.integers(0, s.n, size=(B, s.n))]
+    rows.sort(axis=1)
+    if isinstance(measure, MeasureSpec):
+        num = _quantiles_sorted(rows, np.asarray(measure.u), 8) @ np.asarray(measure.coef)
+        est = num
+        if measure.is_ratio:
+            den = _quantiles_sorted(rows, np.asarray(measure.u2), 8) @ np.asarray(measure.coef2)
+            est = np.full(num.shape, np.nan)
+            est[den != 0.0] = num[den != 0.0] / den[den != 0.0]
+    else:
+        p = (np.arange(1, measure.J + 1) - 0.5) / measure.J
+        terms = 1.0 - (_quantiles_sorted(rows, p / 2.0, measure.quantile_type)
+                       / _quantiles_sorted(rows, 1.0 - p / 2.0, measure.quantile_type))
+        est = terms.mean(axis=-1) if measure.kind == "QRI" else \
+            (2.0 * p * terms).sum(axis=-1) / measure.J
+        est = np.where(rows[:, 0] > 0.0, est, np.nan)
+    ok = np.isfinite(est)
+    return float(np.std(est[ok], ddof=1)), int((~ok).sum())
+
+
+@pytest.mark.parametrize("label, n, measure, B", [
+    ("median, ties", 300, resolve_measure("median"), 600),
+    ("bowley, ties", 500, resolve_measure("bowley"), 500),
+    ("qri type 6", 400, InequalitySpec("QRI", 20, quantile_type=6), 500),
+    ("g2", 250, InequalitySpec("G2", 30), 700),
+    ("moors at 2^15", 2**15, resolve_measure("moors"), 500),
+    ("iqr above 2^15", 2**15 + 1, resolve_measure("iqr"), 500),
+])
+def test_bootstrap_matches_the_float_sort_bit_for_bit(label, n, measure, B):
+    rng = np.random.default_rng(n)
+    x = rng.lognormal(size=n)
+    if "ties" in label:
+        x = np.round(x, 1)
+    got = bootstrap_se(x, measure, B=B, seed=3)
+    want, failed = float_sort_bootstrap(x, measure, B, 3)
+    assert failed == 0
+    assert got == want
+
+
+def test_bootstrap_with_some_failing_resamples_matches_the_float_sort():
+    # most of the sample at one value: some resamples have a zero IQR,
+    # the denominator of Bowley's skew
+    rng = np.random.default_rng(31)
+    x = np.concatenate([np.full(45, 2.0), rng.normal(2.0, 1.0, 55)])
+    measure = resolve_measure("bowley")
+    want, failed = float_sort_bootstrap(x, measure, 1000, 5)
+    assert 0 < failed <= 50
+    assert bootstrap_se(x, measure, B=1000, seed=5) == want
