@@ -49,7 +49,6 @@ from .verify import (
     SimConfig,
     bootstrap_se,
     coverage_sim,
-    gini_coefficient,
     population_measure_value,
 )
 
@@ -93,6 +92,5 @@ __all__ = [
     "coverage_sim",
     "bootstrap_se",
     "population_measure_value",
-    "gini_coefficient",
     "__version__",
 ]

@@ -11,7 +11,9 @@ QRI weights all ratios equally; G2 weights them toward the extremes,
 mirroring the Gini index's emphasis.  Both are 0 for constant data
 (perfect equality, exactly 0 on the midpoint grid) and approach 1 under
 extreme inequality.  Standard errors come from the delta method over the
-joint covariance of all 2J quantile estimators.
+joint covariance of all 2J quantile estimators, contracted with the
+gradient in O(J) by qcov._bridge_form: the covariance matrix is never
+built.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .inference import TestOptions, TestResult, _finish, _floored_warnings
-from .qcov import _qcov_rows
+from .qcov import _bridge_form, _qhat_rows
 from .qdensity import QdMethod
 from .quantiles import _check_type, _quantiles_sorted, as_sample
 
@@ -117,8 +119,9 @@ def g2_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
 def ineq_variance(s, spec: InequalitySpec) -> float:
     """Delta-method variance of the index estimate.
 
-    Builds the covariance of all 2J quantile estimators and contracts it
-    with the gradient of the index with respect to each quantile.  For
+    Contracts the covariance of all 2J quantile estimators with the
+    gradient of the index with respect to each quantile, in O(J) and
+    without building the 2J x 2J matrix.  For
     QRI the gradient entries are -1/(J u_i) for the lower quantiles and
     l_i/(J u_i^2) for the upper ones (l and u the lower/upper quantile
     estimates); for G2 they carry the extra 2 p_i weight.
@@ -139,15 +142,17 @@ def _sample_stats(values, padded, spec: InequalitySpec):
     _check_positive(rows, spec.kind)
     _check_type(spec.quantile_type)
     p, lower, upper = _ratio_terms(rows, spec.J, spec.quantile_type)
-    grid = np.concatenate([p / 2.0, 1.0 - p / 2.0])
-    cov, uniq, floored, *_ = _qcov_rows(values, padded, grid, spec.var_method,
-                                        spec.quantile_type)
+    # p/2 ascends below 1/2 and 1 - p/2 descends above it, so the grid
+    # with the upper half reversed is sorted, as _bridge_form needs
+    grid = np.concatenate([p / 2.0, 1.0 - p[::-1] / 2.0])
+    qhat, _, _, floored, *_ = _qhat_rows(values, padded, grid, spec.var_method,
+                                         spec.quantile_type)
     weight = np.ones(spec.J) if spec.kind == "QRI" else 2.0 * p
     g_lower = -weight / (spec.J * upper)
     g_upper = weight * lower / (spec.J * upper**2)
-    g = np.concatenate([g_lower, g_upper], axis=-1)
-    var = (g[:, None, :] @ cov @ g[:, :, None])[:, 0, 0]
-    return _index(spec.kind, p, lower, upper), var, uniq[floored[0]]
+    a = np.concatenate([g_lower, g_upper[..., ::-1]], axis=-1) * qhat
+    var = _bridge_form(grid, a, a, values.shape[1])
+    return _index(spec.kind, p, lower, upper), var, grid[floored[0]]
 
 
 def _one_sample(x, spec: InequalitySpec):

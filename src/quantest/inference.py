@@ -2,7 +2,9 @@
 
 Variances come from the delta method applied to the joint covariance of
 the quantile estimators involved.  For a linear combination theta = b'Q
-the variance is b' Sigma b.  For a ratio R = theta1/theta2,
+the variance is b' Sigma b, summed in O(d) from the Brownian-bridge form
+of Sigma (qcov._bridge_form) without building the matrix; lincomb_stats
+contracts a QuantileCov's matrix instead.  For a ratio R = theta1/theta2,
 
     var(R) = R^2 (v1/theta1^2 + v2/theta2^2 - 2 v12/(theta1 theta2)),
 
@@ -20,7 +22,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .measures import MeasureSpec
-from .qcov import QuantileCov, _qcov_rows
+from .qcov import QuantileCov, _bridge_form, _qhat_rows
 from .qdensity import QdMethod
 from .quantiles import _check_type, _quantiles_sorted, as_sample
 
@@ -109,17 +111,11 @@ def lincomb_stats(cov: QuantileCov, xhat, b1, b2=None):
         b2 = np.asarray(b2, dtype=float)
         if b2.shape != (d,):
             raise ValueError("coefficient/quantile vectors must match the covariance dimension")
-    return tuple(None if v is None else float(v)
-                 for v in _lincomb(cov.matrix, xhat, b1, b2))
-
-
-def _lincomb(sigma, xhat, b1, b2):
-    """lincomb_stats for a stack of covariance matrices and quantile rows."""
-    est1 = xhat @ b1
-    v1 = b1 @ sigma @ b1
+    sigma = cov.matrix
     if b2 is None:
-        return est1, None, v1, None, None
-    return est1, xhat @ b2, v1, b2 @ sigma @ b2, b1 @ sigma @ b2
+        return float(xhat @ b1), None, float(b1 @ sigma @ b1), None, None
+    return (float(xhat @ b1), float(xhat @ b2), float(b1 @ sigma @ b1),
+            float(b2 @ sigma @ b2), float(b1 @ sigma @ b2))
 
 
 def ratio_variance(est1, est2, v1, v2, v12, log_scale: bool = False):
@@ -212,17 +208,24 @@ def _working_stats(values, padded, spec: MeasureSpec, opts: TestOptions):
     """
     _check_type(opts.quantile_type)
     grid, b1, b2 = _union_grid(spec)
-    sigma, uniq, floored, *_ = _qcov_rows(values, padded, grid, opts.var_method,
-                                          opts.quantile_type)
+    qhat, _, _, floored, *_ = _qhat_rows(values, padded, grid, opts.var_method,
+                                         opts.quantile_type)
+    n = values.shape[1]
     xhat = _quantiles_sorted(padded[:, 1:-1], grid, opts.quantile_type)
-    est1, est2, v1, v2, v12 = _lincomb(sigma, xhat, b1, b2)
-    floored = uniq[floored[0]]
+    floored = grid[floored[0]]
+    est1 = xhat @ b1
     if spec.is_ratio:
-        raw, var_r, var_log = ratio_variance(est1, est2, v1, v2, v12,
+        # v1, v2 and v12 as one stack of forms
+        a = np.array([b1, b2, b1])[:, None] * qhat
+        c = np.array([b1, b2, b2])[:, None] * qhat
+        v1, v2, v12 = _bridge_form(grid, a, c, n)
+        raw, var_r, var_log = ratio_variance(est1, xhat @ b2, v1, v2, v12,
                                              log_scale=opts.log_transf)
         if opts.log_transf:
             return raw, np.log(raw), var_log, floored
         return raw, raw, var_r, floored
+    a1 = b1 * qhat
+    v1 = _bridge_form(grid, a1, a1, n)
     if opts.log_transf:
         if np.count_nonzero(est1 <= 0.0):
             raise ValueError("log of nonpositive estimate")

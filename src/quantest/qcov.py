@@ -4,6 +4,11 @@ For probabilities p <= r the asymptotic covariance of the corresponding
 quantile estimators is p(1-r) q(p) q(r) / n, with q the quantile density.
 qcov plugs in an estimate of q at every requested probability and returns
 the full symmetric matrix.
+
+The Wald tests need only quadratic forms g' Sigma g of this matrix.  Its
+p(1-r) part is a Brownian-bridge kernel, which is semiseparable, so
+_bridge_form sums such a form with prefix sums in O(d) and never builds
+the d x d matrix; qcov is the only place that does.
 """
 
 from __future__ import annotations
@@ -82,14 +87,14 @@ def _qdens_at(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: i
     return out, None, None, None
 
 
-def _qcov_rows(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
-    """qcov of each sample of a stack, one row per sample.
+def _qhat_rows(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
+    """Floored quantile-density estimates of each sample of a stack.
 
-    values and padded are as in _qdens_at.  Returns the covariance
-    matrices at ps in the caller's order (one d x d matrix per row), the
-    sorted unique probabilities with a mask of the floored estimates at
-    them (one row per sample), the bandwidths at ps (None for the density
-    method) and the fitted sigma and shift.
+    values and padded are as in _qdens_at.  Returns the estimates at the
+    sorted unique probabilities uniq of ps (one row per sample), uniq and
+    the inverse that maps it back onto ps, a mask of the floored
+    estimates, the bandwidths at uniq (None for the density method) and
+    the fitted sigma and shift.
     """
     lo, hi = padded[:, 1], padded[:, -2]
     if np.count_nonzero(hi == lo):
@@ -102,15 +107,28 @@ def _qcov_rows(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: 
     # floating-point noise (e.g. exact plateaus in the order statistics)
     eps = (1e-12 * (hi - lo))[:, None]
     floored = qhat <= eps
-    qhat = np.maximum(qhat, eps)
+    return np.maximum(qhat, eps), uniq, inverse, floored, b, sigma, shift
 
-    # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order
-    pi = np.minimum.outer(ps, ps)
-    pj = np.maximum.outer(ps, ps)
-    m = pi * (1.0 - pj) / values.shape[1]
-    q = qhat[:, inverse]
-    return (m * (q[:, :, None] * q[:, None, :]), uniq, floored,
-            None if b is None else b[..., inverse], sigma, shift)
+
+def _bridge_form(p: np.ndarray, a, c, n: int):
+    """a' M c / n along the last axis, with M_ij = p_i (1 - p_j) for i <= j.
+
+    p is sorted; a and c are stacks of rows over it.  With a = w1 q_hat and
+    c = w2 q_hat this is w1' Sigma w2, Sigma the covariance of the quantile
+    estimators at p.  Each column j pairs with every i <= j of a and every
+    i < j of c, so the form is
+
+        sum_j (1 - p_j) (c_j sum_{i<=j} a_i p_i + a_j sum_{i<j} c_i p_i),
+
+    two prefix sums and O(d) work.  Every term is a product: there is no
+    min(p_i, p_j) - p_i p_j to cancel.
+    """
+    # the ufuncs' own methods: cumsum and sum cost more on small grids
+    q = 1.0 - p
+    inclusive_a = np.add.accumulate(a * p, axis=-1)
+    inclusive_c = np.add.accumulate(c * p, axis=-1)
+    return (np.add.reduce(q * (c * inclusive_a), axis=-1)
+            + np.add.reduce(q[1:] * (a[..., 1:] * inclusive_c[..., :-1]), axis=-1)) / n
 
 
 def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> QuantileCov:
@@ -127,10 +145,14 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
-    cov, uniq, floored, b, sigma, shift = _qcov_rows(s.values[None], s.padded[None], ps,
-                                                     method, quantile_type)
+    qhat, uniq, inverse, floored, b, sigma, shift = _qhat_rows(
+        s.values[None], s.padded[None], ps, method, quantile_type)
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
-    return QuantileCov(probs=ps.copy(), matrix=cov[0], n=s.n, method=method,
-                       floored=tuple(float(p) for p in uniq[floored[0]]), sigma=sigma,
-                       shift=shift, bandwidths=None if b is None else np.atleast_2d(b)[0])
+    # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order
+    m = np.minimum.outer(ps, ps) * (1.0 - np.maximum.outer(ps, ps)) / s.n
+    q = qhat[0, inverse]
+    return QuantileCov(probs=ps.copy(), matrix=m * np.multiply.outer(q, q), n=s.n,
+                       method=method, floored=tuple(float(p) for p in uniq[floored[0]]),
+                       sigma=sigma, shift=shift,
+                       bandwidths=None if b is None else np.atleast_2d(b)[0, inverse])

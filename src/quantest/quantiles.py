@@ -117,7 +117,9 @@ def _quantiles_sorted(sorted_values: np.ndarray, ps, quantile_type: int = 8) -> 
     # return the order statistics exactly, then clip away any last-ulp
     # rounding outside the bracket
     out = np.where(gamma < 0.5, lo + gamma * diff, hi - (1.0 - gamma) * diff)
-    return np.clip(out, lo, hi)
+    # a gather from a stack of rows comes back in Fortran order; in C order
+    # a sum over the quantiles adds each row as it adds a row alone
+    return np.clip(out, lo, hi, order="C")
 
 
 def sample_quantile(s, p: float, quantile_type: int = 8) -> float:

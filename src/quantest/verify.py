@@ -14,13 +14,16 @@ evaluation order.  coverage_sim draws each replicate from its own stream
 as a replicate-by-replicate loop would, stacks the draws in chunks of
 replicates, sorts each chunk once and computes every replicate's interval
 with the same estimator core that q_test_one and qineq_test run on a
-stack of one sample.  bootstrap_se sorts each resample as integer ranks
-into the sample's sort and gathers only the order statistics that the
-estimator reads.
+stack of one sample; no covariance matrix is built.  bootstrap_se draws
+its resamples in blocks of about 2^20 indices, sorts each resample as
+integer ranks into the sample's sort, gathers only the order statistics
+that the estimator reads and keeps only the B estimates.  Memory in both
+is therefore bounded by the chunk or block, not by reps or B.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -39,11 +42,13 @@ __all__ = [
     "population_measure_value",
     "coverage_sim",
     "bootstrap_se",
-    "gini_coefficient",
     "RNG_DESCRIPTION",
 ]
 
 RNG_DESCRIPTION = "numpy PCG64, per-replicate SeedSequence.spawn streams"
+
+# resampled indices that bootstrap_se draws, ranks and sorts at a time
+_BOOT_BLOCK = 2**20
 
 # composite Gauss-Legendre rule for the inequality indices' population values
 _GL_POINTS = 20
@@ -131,6 +136,19 @@ class SimConfig:
             raise ValueError("level must lie in (0, 1)")
 
 
+@functools.cache
+def _gauss_legendre_panels():
+    """Nodes and weights of the composite rule on (0, 1), built once, read-only."""
+    x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
+    edges = np.concatenate(([0.0], np.exp2(np.arange(-_GL_PANELS + 1, 1.0))))
+    half = np.diff(edges)[:, None] / 2.0
+    p = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    weights = (half * w).ravel()
+    p.setflags(write=False)
+    weights.setflags(write=False)
+    return p, weights
+
+
 def population_measure_value(dist: Distribution, measure) -> float:
     """True value of a measure under the distribution.
 
@@ -155,22 +173,19 @@ def population_measure_value(dist: Distribution, measure) -> float:
         if float(dist.quantile(1e-12)) <= 0.0:
             raise ValueError(f"{measure.kind} requires a positive-support distribution")
 
-        x, w = np.polynomial.legendre.leggauss(_GL_POINTS)
-        edges = np.concatenate(([0.0], np.exp2(np.arange(-_GL_PANELS + 1, 1.0))))
-        half = np.diff(edges)[:, None] / 2.0
-        p = (edges[:-1, None] + half * (x + 1.0)).ravel()
+        p, weights = _gauss_legendre_panels()
         # at the smallest nodes 1 - p/2 rounds to 1, the upper quantile is
         # infinite and the ratio is 0, its limit
         with np.errstate(divide="ignore", over="ignore"):
             terms = 1.0 - dist.quantile(p / 2.0) / dist.quantile(1.0 - p / 2.0)
         if measure.kind == "G2":
             terms = 2.0 * p * terms
-        return float(terms @ (half * w).ravel())
+        return float(terms @ weights)
     raise TypeError("measure must be a MeasureSpec or InequalitySpec")
 
 
 def _replicate_intervals(cfg: SimConfig):
-    """The study's interval function and the size of its covariance grid.
+    """The study's interval function and the size of its probability grid.
 
     The function takes a stack of samples, one per row, and returns the
     lower and upper bounds of the interval that q_test_one or qineq_test
@@ -201,15 +216,15 @@ def coverage_sim(cfg: SimConfig):
     Monte Carlo standard error sqrt(c(1-c)/reps).  Each replicate is drawn
     from its own stream.  The replicates go through the estimators in
     chunks, each sorted once as a stack of rows; a chunk holds about
-    _BAND_MAX numbers, counting each replicate's sample and covariance
-    matrix.  A replicate on which q_test_one or qineq_test would raise
-    makes the study raise the same error, that of the first such
-    replicate.
+    _BAND_MAX numbers, counting each replicate's sample and its d
+    quantile-density estimates.  A replicate on which q_test_one or
+    qineq_test would raise makes the study raise the same error, that of
+    the first such replicate.
     """
     true_val = population_measure_value(cfg.distribution, cfg.measure)
     intervals, d = _replicate_intervals(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    step = max(1, _BAND_MAX // (cfg.n + d * d))
+    step = max(1, _BAND_MAX // (cfg.n + d))
     covered = 0
     widths = np.empty(cfg.reps)
     for start in range(0, cfg.reps, step):
@@ -254,10 +269,12 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     estimate (zero denominator, or nonpositive values for an inequality
     index) are dropped; more than 5% failures is an error.
 
-    Each resample is sorted as ranks into the sample's sort (int16 up to
-    2^15 values, else int32), and the estimators gather only the order
-    statistics they read.  sorted[rank] is monotone in the rank, so the
-    estimates equal those from sorting the resampled values.
+    The resamples are drawn in blocks of about _BOOT_BLOCK indices, in the
+    generator's order, and only their estimates are kept.  Each resample
+    is sorted as ranks into the sample's sort (int16 up to 2^15 values,
+    else int32), and the estimators gather only the order statistics they
+    read.  sorted[rank] is monotone in the rank, so the estimates equal
+    those from sorting the resampled values.
     """
     s = as_sample(s)
     if B < 500:
@@ -271,25 +288,16 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     else:
         raise TypeError("measure must be a MeasureSpec or InequalitySpec")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    idx = rng.integers(0, s.n, size=(B, s.n))
     rank = np.empty(s.n, dtype=np.int16 if s.n <= 2**15 else np.int32)
     rank[np.argsort(s.values, kind="stable")] = np.arange(s.n)
-    ranks = rank[idx]
-    ranks.sort(axis=1)
-    est = estimate(_RankRows(s.sorted, ranks))
+    est = np.empty(B)
+    step = max(1, _BOOT_BLOCK // s.n)
+    for start in range(0, B, step):
+        ranks = rank[rng.integers(0, s.n, size=(min(step, B - start), s.n))]
+        ranks.sort(axis=1)
+        est[start:start + len(ranks)] = estimate(_RankRows(s.sorted, ranks))
     ok = np.isfinite(est)
     if (B - int(ok.sum())) > 0.05 * B:
         raise ValueError("estimator failed on more than 5% of bootstrap resamples")
     return float(np.std(est[ok], ddof=1))
 
-
-def gini_coefficient(x) -> float:
-    """Plain sample Gini index (convenience for comparison narratives)."""
-    s = as_sample(x)
-    if s.min() < 0:
-        raise ValueError("Gini requires nonnegative data")
-    total = float(s.values.sum())
-    if total == 0.0:
-        raise ValueError("Gini undefined for all-zero data")
-    i = np.arange(1, s.n + 1)
-    return float(2.0 * np.dot(i, s.sorted) / (s.n * total) - (s.n + 1.0) / s.n)

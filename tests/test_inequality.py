@@ -1,6 +1,7 @@
 """Quantile-ratio inequality indices: estimates, variances, tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from scipy.special import ndtr, ndtri
 
 from quantest.inequality import (
     InequalitySpec,
+    _index_rows,
     g2_estimate,
     ineq_variance,
     qineq_test,
     qri_estimate,
 )
 from quantest.qcov import qcov
+from quantest.qdensity import QdMethod
 from quantest.quantiles import as_sample, sample_quantiles
 from conftest import require_house_fixtures
 
@@ -164,6 +167,25 @@ def test_variance_matches_finite_difference_gradient(kind):
         g_fd[i] = (f(qp) - f(qm)) / (2.0 * h)
     var_fd = float(g_fd @ cov.matrix @ g_fd)
     assert ineq_variance(x, spec) == pytest.approx(var_fd, rel=1e-6)
+
+
+@pytest.mark.parametrize("kind, J, method", [
+    ("QRI", 50, QdMethod()),
+    ("G2", 50, QdMethod()),
+    ("G2", 7, QdMethod(sigma=None)),
+    ("QRI", 20, QdMethod(kind="density")),
+])
+def test_variance_matches_the_public_matrix(kind, J, method):
+    # the gradient in the caller's order (lower quantiles, then upper)
+    # against the variance contracted without the matrix
+    x = np.round(np.random.default_rng(J).lognormal(size=300), 2)
+    spec = InequalitySpec(kind=kind, J=J, var_method=method)
+    p = (np.arange(1, J + 1) - 0.5) / J
+    lower, upper = sample_quantiles(x, p / 2.0), sample_quantiles(x, 1.0 - p / 2.0)
+    weight = np.ones(J) if kind == "QRI" else 2.0 * p
+    g = np.concatenate([-weight / (J * upper), weight * lower / (J * upper**2)])
+    cov = qcov(x, np.concatenate([p / 2.0, 1.0 - p / 2.0]), method)
+    assert ineq_variance(x, spec) == pytest.approx(g @ cov.matrix @ g, rel=1e-13, abs=0.0)
 
 
 def test_variance_nonnegative_on_random_samples():
@@ -331,3 +353,27 @@ def test_ratio_term_quantiles_are_computed_once_per_sample(kind, monkeypatch):
     estimator = qri_estimate if kind == "QRI" else g2_estimate
     assert one.estimate == estimator(x, 40)
     assert one.se == pytest.approx(math.sqrt(ineq_variance(x, spec)), rel=1e-15)
+
+
+def test_variance_builds_no_covariance_matrix():
+    # the 4000 x 4000 covariance of J = 2000 would take 128 MB
+    x = np.random.default_rng(3).lognormal(size=10**5)
+    tracemalloc.start()
+    try:
+        r = qineq_test(x, spec=InequalitySpec("QRI", 2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.se > 0.0
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("kind", ["QRI", "G2"])
+def test_stacked_index_equals_each_row_alone(kind):
+    # a stack's sum over the J ratio terms must add as one row's does, so
+    # bootstrap blocks and coverage chunks of any size give the same numbers
+    rows = np.sort(np.random.default_rng(4).lognormal(size=(40, 300)), axis=1)
+    for J in (9, 25, 100):
+        stacked = _index_rows(rows, kind, J, 8)
+        alone = [_index_rows(row[None], kind, J, 8)[0] for row in rows]
+        np.testing.assert_array_equal(stacked, alone)

@@ -5,8 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from quantest.qcov import qcov
-from quantest.qdensity import QdMethod, fit_lognormal_sigma, optimal_bandwidth, qor_lognormal
+from quantest.inference import _union_grid, lincomb_stats, q_test_one, ratio_variance
+from quantest.measures import MEASURE_NAMES, resolve_measure
+from quantest.qcov import _bridge_form, _qhat_rows, qcov
+from quantest.qdensity import (
+    GAUSSIAN,
+    QdMethod,
+    fit_lognormal_sigma,
+    optimal_bandwidth,
+    qor_lognormal,
+)
+from quantest.quantiles import _padded_rows, sample_quantiles
 
 # published covariance matrix for the committed standard-normal n=100
 # fixture at probabilities (0.25, 0.5, 0.75)
@@ -153,3 +162,70 @@ def test_bandwidths_follow_the_caller_order(norm100):
     want = [optimal_bandwidth(qor_lognormal(fitted.sigma, u), u, norm100.size) for u in us]
     np.testing.assert_allclose(fitted.bandwidths, want, rtol=1e-14)
     assert qcov(norm100, us, method=QdMethod(kind="density")).bandwidths is None
+
+
+# ---------------------------------------------------------------------------
+# _bridge_form: the O(d) quadratic form against the public matrix
+
+PLATEAU = np.concatenate([np.linspace(0, 1, 15), np.full(70, 5.0), np.linspace(9, 10, 15)])
+
+
+def bridge_forms(rows, ps, w1, w2, method):
+    """_bridge_form of w1 and w2, given over ps in the caller's order, per row."""
+    values = np.atleast_2d(rows)
+    qhat, uniq, inverse, *_ = _qhat_rows(values, _padded_rows(values), ps, method, 8)
+    # coefficients at a repeated probability add up on the unique grid
+    a = np.bincount(inverse, w1, uniq.size) * qhat
+    c = np.bincount(inverse, w2, uniq.size) * qhat
+    return _bridge_form(uniq, a, c, values.shape[1])
+
+
+@pytest.mark.parametrize("label, ps, method", [
+    ("sorted", [0.1, 0.25, 0.5, 0.75, 0.9], QdMethod()),
+    ("unsorted with duplicates", [0.75, 0.1, 0.5, 0.1, 0.9, 0.5, 0.02], QdMethod()),
+    ("fitted sigma", [0.6, 0.05, 0.3, 0.3, 0.95], QdMethod(sigma=None)),
+    ("density", [0.8, 0.2, 0.5, 0.2], QdMethod(kind="density")),
+    ("gaussian kernel", [0.9, 0.4, 0.1, 0.65], QdMethod(kernel=GAUSSIAN)),
+    ("one probability", [0.3], QdMethod()),
+    ("wide grid", np.linspace(0.01, 0.99, 99)[::-1], QdMethod()),
+])
+def test_bridge_form_matches_the_matrix_product(label, ps, method):
+    rng = np.random.default_rng(len(label))
+    ps = np.asarray(ps, dtype=float)
+    rows = rng.lognormal(size=(4, 150))
+    rows[3] = np.round(rows[3], 1)  # ties
+    w1, w2 = rng.normal(size=(2, ps.size))
+    v1 = bridge_forms(rows, ps, w1, w1, method)
+    v12 = bridge_forms(rows, ps, w1, w2, method)
+    for r, x in enumerate(rows):
+        m = qcov(x, ps, method).matrix
+        assert v1[r] == pytest.approx(w1 @ m @ w1, rel=1e-13, abs=0.0)
+        # a cross form can cancel to near zero, so its rounding is measured
+        # against the form of the absolute values, which bounds both sums
+        assert abs(v12[r] - w1 @ m @ w2) <= 1e-13 * (np.abs(w1) @ m @ np.abs(w2))
+        # a stack of one gives the row of the stack
+        assert bridge_forms(x, ps, w1, w2, method)[0] == v12[r]
+
+
+def test_bridge_form_with_floored_points():
+    ps = np.array([0.5, 0.2, 0.45, 0.9])
+    c = qcov(PLATEAU, ps)
+    assert c.floored == (0.45, 0.5)
+    w1, w2 = np.array([1.0, -2.0, 0.5, 1.5]), np.array([0.0, 1.0, 1.0, -1.0])
+    got = bridge_forms(PLATEAU, ps, w1, w2, QdMethod())[0]
+    assert got == pytest.approx(w1 @ c.matrix @ w2, rel=1e-13, abs=0.0)
+
+
+def test_bridge_form_is_the_diagonal_on_one_point():
+    p = np.array([0.3])
+    assert _bridge_form(p, np.array([2.0]), np.array([3.0]), 10) == 6.0 * 0.3 * 0.7 / 10
+
+
+@pytest.mark.parametrize("name", [m for m in MEASURE_NAMES if m != "qrXXYY"] + ["qr9010"])
+def test_q_test_one_se_equals_lincomb_stats_on_the_public_matrix(name, norm100):
+    spec = resolve_measure(name)
+    x = np.exp(norm100 / 2.0)
+    grid, b1, b2 = _union_grid(spec)
+    est1, est2, v1, v2, v12 = lincomb_stats(qcov(x, grid), sample_quantiles(x, grid), b1, b2)
+    var = v1 if b2 is None else ratio_variance(est1, est2, v1, v2, v12)[1]
+    assert q_test_one(x, spec).se == pytest.approx(math.sqrt(var), rel=1e-13, abs=0.0)

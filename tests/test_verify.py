@@ -19,7 +19,6 @@ from quantest.verify import (
     SimConfig,
     bootstrap_se,
     coverage_sim,
-    gini_coefficient,
     population_measure_value,
 )
 
@@ -233,32 +232,6 @@ def test_bootstrap_inequality_se_positive():
 
 
 # ---------------------------------------------------------------------------
-# Gini
-
-
-def test_gini_small_example():
-    assert gini_coefficient([1.0, 2.0, 3.0]) == pytest.approx(2.0 / 9.0, rel=1e-12)
-
-
-def test_gini_constant_is_zero():
-    assert gini_coefficient(np.full(25, 7.0)) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_gini_validation():
-    with pytest.raises(ValueError, match="nonnegative"):
-        gini_coefficient([-1.0, 2.0])
-    with pytest.raises(ValueError, match="all-zero"):
-        gini_coefficient(np.zeros(10))
-
-
-def test_gini_lognormal_population_value():
-    rng = np.random.default_rng(15)
-    x = rng.lognormal(size=10_000)
-    want = 2.0 * float(ndtr(1.0 / math.sqrt(2.0))) - 1.0
-    assert gini_coefficient(x) == pytest.approx(want, abs=0.02)
-
-
-# ---------------------------------------------------------------------------
 # batched coverage against the replicate-by-replicate loop
 
 
@@ -288,7 +261,7 @@ def chunk_size(cfg):
         d = 2 * cfg.measure.J
     else:
         d = len(set(cfg.measure.u) | set(cfg.measure.u2 or ()))
-    return max(1, verify._BAND_MAX // (cfg.n + d * d))
+    return max(1, verify._BAND_MAX // (cfg.n + d))
 
 
 D = Distribution
@@ -419,6 +392,11 @@ def float_sort_bootstrap(x, measure, B, seed):
     return float(np.std(est[ok], ddof=1)), int((~ok).sum())
 
 
+# resamples are drawn in blocks of _BOOT_BLOCK // n rows; at n = 4001 this
+# B leaves a last block of one row
+ONE_ROW_B = 2 * (verify._BOOT_BLOCK // 4001) + 1
+
+
 @pytest.mark.parametrize("label, n, measure, B", [
     ("median, ties", 300, resolve_measure("median"), 600),
     ("bowley, ties", 500, resolve_measure("bowley"), 500),
@@ -426,6 +404,9 @@ def float_sort_bootstrap(x, measure, B, seed):
     ("g2", 250, InequalitySpec("G2", 30), 700),
     ("moors at 2^15", 2**15, resolve_measure("moors"), 500),
     ("iqr above 2^15", 2**15 + 1, resolve_measure("iqr"), 500),
+    ("median, last block of one row", 4001, resolve_measure("median"), ONE_ROW_B),
+    ("rCViqr, ties, last block of one row", 4001, resolve_measure("rCViqr"), ONE_ROW_B),
+    ("g2, last block of one row", 4001, InequalitySpec("G2", 25), ONE_ROW_B),
 ])
 def test_bootstrap_matches_the_float_sort_bit_for_bit(label, n, measure, B):
     rng = np.random.default_rng(n)
