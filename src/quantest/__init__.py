@@ -11,7 +11,6 @@ bootstrap harness verifies the asymptotics empirically.
 from .inequality import (
     InequalitySpec,
     g2_estimate,
-    ineq_variance,
     qineq_test,
     qri_estimate,
 )
@@ -22,7 +21,6 @@ from .inference import (
     p_value,
     q_test_one,
     q_test_two,
-    ratio_variance,
     wald_interval,
 )
 from .measures import (
@@ -79,13 +77,11 @@ __all__ = [
     "q_test_one",
     "q_test_two",
     "lincomb_stats",
-    "ratio_variance",
     "wald_interval",
     "p_value",
     "InequalitySpec",
     "qri_estimate",
     "g2_estimate",
-    "ineq_variance",
     "qineq_test",
     "Distribution",
     "SimConfig",

@@ -453,11 +453,10 @@ def _cmd_qtest(args) -> int:
 
 
 def _cmd_qineq(args) -> int:
-    spec = _config_error(
-        InequalitySpec,
-        kind=args.measure,
-        J=args.J,
-        true_ineq=args.true_ineq,
+    spec = _config_error(InequalitySpec, kind=args.measure, J=args.J,
+                         true_ineq=args.true_ineq)
+    opts = _config_error(
+        TestOptions,
         alternative=_ALT_FLAG_MAP[args.alternative],
         conf_level=args.level,
         quantile_type=args.type,
@@ -465,7 +464,7 @@ def _cmd_qineq(args) -> int:
     )
     x = _load(args.x, args.column)
     y = _load(args.y, args.column) if args.y is not None else None
-    result = qineq_test(x, y, spec=spec)
+    result = qineq_test(x, y, spec, opts)
     print(render(result, args.format))
     return 0
 

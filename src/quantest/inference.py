@@ -1,16 +1,19 @@
 """Hypothesis tests and confidence intervals for quantile measures.
 
-Variances come from the delta method applied to the joint covariance of
-the quantile estimators involved.  For a linear combination theta = b'Q
-the variance is b' Sigma b, summed in O(d) from the Brownian-bridge form
-of Sigma (qcov._bridge_form) without building the matrix; lincomb_stats
-contracts a QuantileCov's matrix instead.  For a ratio R = theta1/theta2,
+Every measure -- a quantile, a linear combination, a ratio of two
+combinations or an inequality index -- is a smooth function theta of the
+quantiles Q on the sorted probability grid of its spec, and the spec's
+_estimate gives theta and its gradient g for a stack of samples.  The
+delta method then gives
 
-    var(R) = R^2 (v1/theta1^2 + v2/theta2^2 - 2 v12/(theta1 theta2)),
+    var(theta) = g' Sigma g,
 
-and on the log scale var(log R) = var(R)/R^2, which generally yields
-better-calibrated intervals for ratio measures.  Tests are Wald tests
-against a normal reference distribution.
+summed in O(d) from the Brownian-bridge form of Sigma (qcov._bridge_form)
+without building the matrix; lincomb_stats contracts a QuantileCov's
+matrix instead.  For a ratio R = b1'Q / b2'Q the gradient is
+(b1 - R b2)/(b2'Q).  On the log scale var(log theta) = var(theta)/theta^2,
+which generally yields better-calibrated intervals for ratio measures.
+Tests are Wald tests against a normal reference distribution.
 """
 
 from __future__ import annotations
@@ -21,16 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from .measures import MeasureSpec
 from .qcov import QuantileCov, _bridge_form, _qhat_rows
 from .qdensity import QdMethod
-from .quantiles import _check_type, _quantiles_sorted, as_sample
+from .quantiles import _check_type, as_sample
 
 __all__ = [
     "TestOptions",
     "TestResult",
     "lincomb_stats",
-    "ratio_variance",
     "wald_interval",
     "p_value",
     "q_test_one",
@@ -118,27 +119,6 @@ def lincomb_stats(cov: QuantileCov, xhat, b1, b2=None):
             float(b2 @ sigma @ b2), float(b1 @ sigma @ b2))
 
 
-def ratio_variance(est1, est2, v1, v2, v12, log_scale: bool = False):
-    """Delta-method variance of a ratio and, optionally, of its log.
-
-    Returns (R, varR, varLogR); varLogR is None unless log_scale is
-    requested.  The expanded form of var(R) is used so est1 = 0 is safe.
-    The arguments may also be arrays, one element per sample; a zero
-    denominator or, on the log scale, a nonpositive ratio in any of them
-    is an error.
-    """
-    if np.count_nonzero(est2 == 0.0):
-        raise ValueError("zero denominator")
-    r = est1 / est2
-    var_r = (v1 / est2**2 + est1**2 * v2 / est2**4 - 2.0 * est1 * v12 / est2**3)
-    var_log = None
-    if log_scale:
-        if np.count_nonzero(r <= 0.0):
-            raise ValueError("log of non-positive ratio")
-        var_log = var_r / r**2
-    return r, var_r, var_log
-
-
 def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):
     """Normal-theory interval; one-sided forms use z at 1 - alpha.
 
@@ -181,56 +161,33 @@ def _floored_warnings(floored) -> list:
             + ", ".join(f"{p:g}" for p in floored)]
 
 
-def _union_grid(spec: MeasureSpec):
-    """Merged probability grid with coefficient vectors re-indexed onto it."""
-    all_ps = np.asarray(spec.u + (spec.u2 if spec.is_ratio else ()), dtype=float)
-    grid = np.unique(all_ps)
-    b1 = np.zeros(grid.size)
-    for p, c in zip(spec.u, spec.coef):
-        b1[int(np.searchsorted(grid, p))] += c
-    b2 = None
-    if spec.is_ratio:
-        b2 = np.zeros(grid.size)
-        for p, c in zip(spec.u2, spec.coef2):
-            b2[int(np.searchsorted(grid, p))] += c
-    return grid, b1, b2
-
-
-def _working_stats(values, padded, spec: MeasureSpec, opts: TestOptions):
+def _working_stats(values, padded, spec, opts: TestOptions):
     """Each sample's estimate and variance on the working scale.
 
     values and padded are a stack of samples, one per row: as drawn, and
-    sorted between two zeros.  Returns (raw_estimate, working_estimate,
-    working_variance, floored), each with one element or row per sample;
-    floored lists the probabilities of the first sample whose quantile
-    density was floored.  The working scale is the log scale when
-    log_transf is set.
+    sorted between two zeros; spec is a MeasureSpec or an InequalitySpec.
+    Returns (raw_estimate, working_estimate, working_variance, floored),
+    each with one element or row per sample; floored lists the
+    probabilities of the first sample whose quantile density was floored.
+    The working scale is the log scale when log_transf is set.  A sample
+    without an estimate raises the spec's error before the
+    degenerate-sample check.
     """
     _check_type(opts.quantile_type)
-    grid, b1, b2 = _union_grid(spec)
-    qhat, _, _, floored, *_ = _qhat_rows(values, padded, grid, opts.var_method,
-                                         opts.quantile_type)
-    n = values.shape[1]
-    xhat = _quantiles_sorted(padded[:, 1:-1], grid, opts.quantile_type)
+    est, grad = spec._estimate(padded[:, 1:-1], opts.quantile_type)
+    if np.count_nonzero(np.isnan(est)):
+        raise ValueError(spec._nan_message)
+    grid = spec._grid
+    qhat, floored, *_ = _qhat_rows(values, padded, grid, opts.var_method, opts.quantile_type)
+    a = grad * qhat
+    var = _bridge_form(grid, a, a, values.shape[1])
     floored = grid[floored[0]]
-    est1 = xhat @ b1
-    if spec.is_ratio:
-        # v1, v2 and v12 as one stack of forms
-        a = np.array([b1, b2, b1])[:, None] * qhat
-        c = np.array([b1, b2, b2])[:, None] * qhat
-        v1, v2, v12 = _bridge_form(grid, a, c, n)
-        raw, var_r, var_log = ratio_variance(est1, xhat @ b2, v1, v2, v12,
-                                             log_scale=opts.log_transf)
-        if opts.log_transf:
-            return raw, np.log(raw), var_log, floored
-        return raw, raw, var_r, floored
-    a1 = b1 * qhat
-    v1 = _bridge_form(grid, a1, a1, n)
     if opts.log_transf:
-        if np.count_nonzero(est1 <= 0.0):
-            raise ValueError("log of nonpositive estimate")
-        return est1, np.log(est1), v1 / est1**2, floored
-    return est1, est1, v1, floored
+        if np.count_nonzero(est <= 0.0):
+            raise ValueError("log of non-positive ratio" if spec.is_ratio
+                             else "log of nonpositive estimate")
+        return est, np.log(est), var / est**2, floored
+    return est, est, var, floored
 
 
 def _interval(working_est, working_var, opts: TestOptions):
@@ -268,15 +225,15 @@ def _finish(working_est, working_var, null_working, opts, scale, description,
                       data_name=data_name)
 
 
-def _stats_one(x, spec: MeasureSpec, opts: TestOptions):
+def _stats_one(x, spec, opts: TestOptions):
     """_working_stats of one sample, as floats, with its warnings."""
     s = as_sample(x)
     stats = _working_stats(s.values[None], s.padded[None], spec, opts)
     return (*(float(v[0]) for v in stats[:3]), _floored_warnings(stats[3]))
 
 
-def q_test_one(x, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> TestResult:
-    """One-sample Wald test of a quantile measure.
+def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
+    """One-sample Wald test of a quantile measure or an inequality index.
 
     true_q is interpreted on the working scale: with log_transf it is the
     null value of the log measure (so the default 0 tests a ratio of 1),
@@ -294,8 +251,8 @@ def q_test_one(x, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> TestR
                    description, label, null_value, warnings, "x")
 
 
-def q_test_two(x, y, spec: MeasureSpec, opts: TestOptions = TestOptions()) -> TestResult:
-    """Two independent-sample comparison of a quantile measure.
+def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
+    """Two independent-sample comparison of a quantile measure or an index.
 
     On the identity scale the difference of the per-sample estimates is
     tested against true_q (default 0).  With log_transf the difference of

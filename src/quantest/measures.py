@@ -5,6 +5,12 @@ second linear combination:
 
     theta = b1' Q(u)            or      theta = b1' Q(u) / b2' Q(u2).
 
+A spec holds both combinations on one sorted grid of its probabilities,
+and its _estimate gives theta and the gradient of theta in the grid
+quantiles for every row of a stack of sorted samples: b1 for a linear
+combination and (b1 - theta b2)/(b2' Q) for a ratio.  The tests and the
+bootstrap use that one function.
+
 The registry covers location, spread, relative spread, skewness, kurtosis
 and tail-weight measures built from quantiles, plus two-quantile ratios
 such as qr9010 (the 90/10 ratio).  Everything else can be expressed by
@@ -31,6 +37,10 @@ class MeasureSpec:
     u/coef give the numerator combination; u2/coef2, when present, give
     the denominator.  name/label/plural feed report rendering.  tail_p
     records the tail parameter of parameterized measures.
+
+    _grid is the sorted set of all the probabilities, and _b1/_b2 the
+    coefficients of the two combinations on it (_b2 None without a
+    denominator).
     """
 
     u: tuple
@@ -67,10 +77,40 @@ class MeasureSpec:
             object.__setattr__(self, "label", self._default_label())
         if not self.plural:
             object.__setattr__(self, "plural", self.label)
+        # sorted(), not np.unique: on NumPy 2.4 np.unique imports numpy.ma,
+        # about 1.4 MB of resident memory
+        grid = np.array(sorted(set(self.u + (self.u2 or ()))))
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_b1", _on_grid(grid, self.u, self.coef))
+        object.__setattr__(self, "_b2",
+                           _on_grid(grid, self.u2, self.coef2) if self.is_ratio else None)
+        grid.setflags(write=False)
 
     @property
     def is_ratio(self) -> bool:
         return self.u2 is not None
+
+    _nan_message = "zero denominator"
+
+    def _estimate(self, rows, quantile_type: int):
+        """The estimate and its gradient over _grid, for each row of a stack.
+
+        rows is a stack of sorted samples; it needs only a shape and
+        indexing along its last axis, as in _quantiles_sorted.  Rows whose
+        denominator is zero give NaN.  Each combination is a product summed
+        along the row, not a BLAS product, so a row of a stack gives the
+        same number as the row alone.
+        """
+        xq = _quantiles_sorted(rows, self._grid, quantile_type)
+        num = np.add.reduce(xq * self._b1, axis=-1)
+        if not self.is_ratio:
+            return num, self._b1
+        den = np.add.reduce(xq * self._b2, axis=-1)
+        zero = den == 0.0
+        den = np.where(zero, 1.0, den)
+        ratio = np.where(zero, np.nan, num / den)
+        # d(num/den)/dQ = (b1 - ratio b2)/den
+        return ratio, (self._b1 - ratio[..., None] * self._b2) / den[..., None]
 
     def _default_label(self) -> str:
         if not self.is_ratio and len(self.u) == 1 and self.coef == (1.0,):
@@ -111,6 +151,14 @@ class MeasureSpec:
             return cls(u=tuple(u), coef=tuple(coef), u2=tuple(u2),
                        coef2=tuple(coef2), **meta)
         return cls(u=tuple(u), coef=tuple(coef), **meta)
+
+
+def _on_grid(grid: np.ndarray, u: tuple, coef: tuple) -> np.ndarray:
+    """The coefficients of a combination over grid; repeated probabilities add up."""
+    b = np.zeros(grid.size)
+    np.add.at(b, np.searchsorted(grid, u), coef)
+    b.setflags(write=False)
+    return b
 
 
 def _median() -> MeasureSpec:
@@ -221,24 +269,14 @@ def resolve_measure(name: str, p: float | None = None) -> MeasureSpec:
 
 
 def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
-    """Point estimate: plug sample quantiles into the measure's combinations."""
+    """Point estimate: plug sample quantiles into the measure's combinations.
+
+    spec may also be an InequalitySpec; the error for a sample without an
+    estimate is the spec's.
+    """
     s = as_sample(x)
     _check_type(quantile_type)
-    est = float(_estimate_rows(s.sorted[None], spec, quantile_type)[0])
+    est = float(spec._estimate(s.sorted[None], quantile_type)[0][0])
     if math.isnan(est):
-        raise ValueError("zero denominator")
+        raise ValueError(spec._nan_message)
     return est
-
-
-def _estimate_rows(rows, spec: MeasureSpec, quantile_type: int) -> np.ndarray:
-    """estimate_measure of each row of a stack of sorted samples.
-
-    rows needs only a shape and indexing along its last axis, as in
-    _quantiles_sorted.  Rows whose denominator is zero give NaN.
-    """
-    num = _quantiles_sorted(rows, spec.u, quantile_type) @ np.asarray(spec.coef)
-    if not spec.is_ratio:
-        return num
-    den = _quantiles_sorted(rows, spec.u2, quantile_type) @ np.asarray(spec.coef2)
-    zero = den == 0.0
-    return np.where(zero, np.nan, num / np.where(zero, 1.0, den))

@@ -87,27 +87,25 @@ def _qdens_at(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: i
     return out, None, None, None
 
 
-def _qhat_rows(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
+def _qhat_rows(values, padded, grid: np.ndarray, method: QdMethod, quantile_type: int):
     """Floored quantile-density estimates of each sample of a stack.
 
-    values and padded are as in _qdens_at.  Returns the estimates at the
-    sorted unique probabilities uniq of ps (one row per sample), uniq and
-    the inverse that maps it back onto ps, a mask of the floored
-    estimates, the bandwidths at uniq (None for the density method) and
-    the fitted sigma and shift.
+    values and padded are as in _qdens_at; grid is sorted and unique.
+    Returns the estimates at grid (one row per sample), a mask of the
+    floored estimates, the bandwidths at grid (None for the density
+    method) and the fitted sigma and shift.
     """
     lo, hi = padded[:, 1], padded[:, -2]
     if np.count_nonzero(hi == lo):
         raise ValueError("degenerate sample")
-    uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, b, sigma, shift = _qdens_at(values, padded, uniq, method, quantile_type)
+    qhat, b, sigma, shift = _qdens_at(values, padded, grid, method, quantile_type)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to
     # floating-point noise (e.g. exact plateaus in the order statistics)
     eps = (1e-12 * (hi - lo))[:, None]
     floored = qhat <= eps
-    return np.maximum(qhat, eps), uniq, inverse, floored, b, sigma, shift
+    return np.maximum(qhat, eps), floored, b, sigma, shift
 
 
 def _bridge_form(p: np.ndarray, a, c, n: int):
@@ -145,8 +143,9 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     if np.any(ps <= 0.0) or np.any(ps >= 1.0):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
-    qhat, uniq, inverse, floored, b, sigma, shift = _qhat_rows(
-        s.values[None], s.padded[None], ps, method, quantile_type)
+    uniq, inverse = np.unique(ps, return_inverse=True)
+    qhat, floored, b, sigma, shift = _qhat_rows(
+        s.values[None], s.padded[None], uniq, method, quantile_type)
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
     # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order

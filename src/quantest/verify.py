@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._normal import ndtri
-from .inequality import InequalitySpec, _index_rows, _sample_stats
-from .inference import TestOptions, _interval, _union_grid, _working_stats
-from .measures import MeasureSpec, _estimate_rows
-from .qdensity import _BAND_MAX
+from .inequality import InequalitySpec
+from .inference import TestOptions, _interval, _working_stats
+from .qdensity import _BAND_MAX, QdMethod
 from .quantiles import _padded_rows, as_sample
 
 __all__ = [
@@ -116,7 +115,8 @@ class SimConfig:
     log_ratio switches ratio measures to the log-scale interval with
     back-transformation (the recommended reporting practice for ratios;
     slightly more conservative).  The default False verifies the interval
-    the package constructs with default options.
+    the package constructs with default options.  var_method is the
+    quantile-density method of every replicate's variance.
     """
 
     distribution: Distribution
@@ -126,6 +126,7 @@ class SimConfig:
     level: float = 0.95
     seed: int = 0
     log_ratio: bool = False
+    var_method: QdMethod = field(default_factory=QdMethod)
 
     def __post_init__(self):
         if self.reps < 100:
@@ -160,15 +161,7 @@ def population_measure_value(dist: Distribution, measure) -> float:
     1e-15 relative for QRI and G2 under lognormal (sigma 0.25 to 3),
     exponential and uniform distributions.
     """
-    if isinstance(measure, MeasureSpec):
-        num = float(np.dot(measure.coef, dist.quantile(np.asarray(measure.u))))
-        if not measure.is_ratio:
-            return num
-        den = float(np.dot(measure.coef2, dist.quantile(np.asarray(measure.u2))))
-        if den == 0.0:
-            raise ValueError(f"the population denominator of the measure is zero under "
-                             f"the {dist.name} distribution")
-        return num / den
+    _check_spec(measure)
     if isinstance(measure, InequalitySpec):
         if float(dist.quantile(1e-12)) <= 0.0:
             raise ValueError(f"{measure.kind} requires a positive-support distribution")
@@ -181,32 +174,36 @@ def population_measure_value(dist: Distribution, measure) -> float:
         if measure.kind == "G2":
             terms = 2.0 * p * terms
         return float(terms @ weights)
-    raise TypeError("measure must be a MeasureSpec or InequalitySpec")
+    num = float(np.dot(measure.coef, dist.quantile(np.asarray(measure.u))))
+    if not measure.is_ratio:
+        return num
+    den = float(np.dot(measure.coef2, dist.quantile(np.asarray(measure.u2))))
+    if den == 0.0:
+        raise ValueError(f"the population denominator of the measure is zero under "
+                         f"the {dist.name} distribution")
+    return num / den
+
+
+def _check_spec(measure) -> None:
+    """A TypeError for anything without a spec's _estimate."""
+    if not hasattr(measure, "_estimate"):
+        raise TypeError("measure must be a MeasureSpec or InequalitySpec")
 
 
 def _replicate_intervals(cfg: SimConfig):
-    """The study's interval function and the size of its probability grid.
+    """The study's interval function.
 
     The function takes a stack of samples, one per row, and returns the
-    lower and upper bounds of the interval that q_test_one or qineq_test
-    builds for each.
+    lower and upper bounds of the interval that q_test_one builds for each.
     """
-    measure = cfg.measure
-    if isinstance(measure, MeasureSpec):
-        use_log = cfg.log_ratio and measure.is_ratio
-        opts = TestOptions(conf_level=cfg.level, log_transf=use_log, back_transf=use_log)
-
-        def intervals(values):
-            _, est, var, _ = _working_stats(values, _padded_rows(values), measure, opts)
-            return _interval(est, var, opts)[2:]
-        return intervals, _union_grid(measure)[0].size
-
-    opts = TestOptions(alternative=measure.alternative, conf_level=cfg.level)
+    use_log = cfg.log_ratio and cfg.measure.is_ratio
+    opts = TestOptions(conf_level=cfg.level, log_transf=use_log, back_transf=use_log,
+                       var_method=cfg.var_method)
 
     def intervals(values):
-        est, var, _ = _sample_stats(values, _padded_rows(values), measure)
+        _, est, var, _ = _working_stats(values, _padded_rows(values), cfg.measure, opts)
         return _interval(est, var, opts)[2:]
-    return intervals, 2 * measure.J
+    return intervals
 
 
 def coverage_sim(cfg: SimConfig):
@@ -222,9 +219,9 @@ def coverage_sim(cfg: SimConfig):
     the first such replicate.
     """
     true_val = population_measure_value(cfg.distribution, cfg.measure)
-    intervals, d = _replicate_intervals(cfg)
+    intervals = _replicate_intervals(cfg)
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
-    step = max(1, _BAND_MAX // (cfg.n + d))
+    step = max(1, _BAND_MAX // (cfg.n + cfg.measure._grid.size))
     covered = 0
     widths = np.empty(cfg.reps)
     for start in range(0, cfg.reps, step):
@@ -263,11 +260,11 @@ class _RankRows:
 def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     """Standard deviation of B nonparametric-resample estimates.
 
-    The estimates are those of estimate_measure with quantile type 8 for
-    a MeasureSpec, and of qri_estimate/g2_estimate with the spec's
-    quantile_type for an InequalitySpec.  Resamples failing to produce an
-    estimate (zero denominator, or nonpositive values for an inequality
-    index) are dropped; more than 5% failures is an error.
+    The estimates are those of estimate_measure for a MeasureSpec and of
+    qri_estimate/g2_estimate for an InequalitySpec, with quantile type 8.
+    Resamples failing to produce an estimate (zero denominator, or
+    nonpositive values for an inequality index) are dropped; more than 5%
+    failures is an error.
 
     The resamples are drawn in blocks of about _BOOT_BLOCK indices, in the
     generator's order, and only their estimates are kept.  Each resample
@@ -279,14 +276,7 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     s = as_sample(s)
     if B < 500:
         raise ValueError("need at least 500 bootstrap resamples")
-    if isinstance(measure, MeasureSpec):
-        def estimate(rows):
-            return _estimate_rows(rows, measure, 8)
-    elif isinstance(measure, InequalitySpec):
-        def estimate(rows):
-            return _index_rows(rows, measure.kind, measure.J, measure.quantile_type)
-    else:
-        raise TypeError("measure must be a MeasureSpec or InequalitySpec")
+    _check_spec(measure)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rank = np.empty(s.n, dtype=np.int16 if s.n <= 2**15 else np.int32)
     rank[np.argsort(s.values, kind="stable")] = np.arange(s.n)
@@ -295,7 +285,7 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     for start in range(0, B, step):
         ranks = rank[rng.integers(0, s.n, size=(min(step, B - start), s.n))]
         ranks.sort(axis=1)
-        est[start:start + len(ranks)] = estimate(_RankRows(s.sorted, ranks))
+        est[start:start + len(ranks)] = measure._estimate(_RankRows(s.sorted, ranks), 8)[0]
     ok = np.isfinite(est)
     if (B - int(ok.sum())) > 0.05 * B:
         raise ValueError("estimator failed on more than 5% of bootstrap resamples")

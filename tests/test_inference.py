@@ -12,11 +12,11 @@ from quantest.inference import (
     p_value,
     q_test_one,
     q_test_two,
-    ratio_variance,
     wald_interval,
 )
 from quantest.measures import MeasureSpec, resolve_measure
 from quantest.qcov import qcov
+from quantest.quantiles import sample_quantile
 
 Z975 = 1.959963984540054
 
@@ -56,33 +56,49 @@ def test_dimension_mismatch(norm100):
 
 
 # ---------------------------------------------------------------------------
-# ratio_variance
+# ratio measures: one gradient, (b1 - R b2)/theta2
 
 
-def test_ratio_variance_pinned_example():
-    R, varR, varLogR = ratio_variance(2.0, 4.0, 0.01, 0.04, 0.0, log_scale=True)
-    assert R == 0.5
-    assert varR == pytest.approx(0.00125, rel=1e-12)
-    assert varLogR == pytest.approx(0.005, rel=1e-12)
+def test_log_scale_ratio_se_is_the_ratio_se_over_the_ratio(bladder):
+    spec = resolve_measure("rCViqr")
+    r = q_test_one(bladder, spec)
+    rlog = q_test_one(bladder, spec, TestOptions(log_transf=True))
+    assert rlog.estimate == math.log(r.estimate)
+    assert rlog.se == pytest.approx(r.se / r.estimate, rel=1e-14)
 
 
-def test_ratio_variance_perfectly_correlated_is_zero():
-    R, varR, _ = ratio_variance(3.0, 3.0, 0.02, 0.02, 0.02)
-    assert R == 1.0
-    assert varR == pytest.approx(0.0, abs=1e-18)
+def test_ratio_of_a_combination_to_itself_has_se_exactly_zero():
+    # the gradient b1 - R b2 is exactly 0 at R = 1; three forms combined
+    # leave a rounding residue
+    spec = MeasureSpec(u=(0.25, 0.75), coef=(-1.0, 1.0), u2=(0.25, 0.75), coef2=(-1.0, 1.0))
+    streams = np.random.SeedSequence(0).spawn(200)
+    for i, stream in enumerate(streams):
+        x = np.random.default_rng(stream).lognormal(size=20 + 10 * i)
+        r = q_test_one(x, spec)
+        assert r.estimate == 1.0
+        assert r.se == 0.0
+        assert r.conf_int == (1.0, 1.0)
 
 
-def test_ratio_variance_zero_numerator_limit():
-    R, varR, _ = ratio_variance(0.0, 4.0, 0.01, 0.04, 0.003)
-    assert R == 0.0
-    assert varR == pytest.approx(0.01 / 16.0, rel=1e-12)
+def test_ratio_with_zero_numerator_has_the_numerators_se():
+    # the median is the order statistic 0, so R = 0 and var R = v1/theta2^2
+    x = np.array([-3.0, -1.5, -0.5, 0.0, 0.7, 2.0, 4.5])
+    ratio = MeasureSpec(u=(0.5,), coef=(1.0,), u2=(0.75,), coef2=(1.0,))
+    r = q_test_one(x, ratio)
+    assert r.estimate == 0.0
+    cov = qcov(x, [0.5, 0.75])
+    want = math.sqrt(cov.matrix[0, 0]) / sample_quantile(x, 0.75)
+    assert r.se == pytest.approx(want, rel=1e-14)
 
 
-def test_ratio_variance_errors():
+def test_ratio_errors_name_the_failure():
+    zero_median = np.concatenate([np.linspace(-1.0, -0.5, 9), [0.0, 0.0],
+                                  np.linspace(1.0, 2.0, 9)])
     with pytest.raises(ValueError, match="zero denominator"):
-        ratio_variance(1.0, 0.0, 0.01, 0.01, 0.0)
+        q_test_one(zero_median, resolve_measure("rCViqr"))
     with pytest.raises(ValueError, match="non-positive ratio"):
-        ratio_variance(-1.0, 2.0, 0.01, 0.01, 0.0, log_scale=True)
+        q_test_one(np.linspace(-2.0, 1.0, 20), resolve_measure("rCViqr"),
+                   TestOptions(log_transf=True))
 
 
 # ---------------------------------------------------------------------------

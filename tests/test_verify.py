@@ -1,6 +1,5 @@
 """Monte Carlo verification harness: distributions, coverage, bootstrap."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 import quantest.verify as verify
-from quantest.inequality import InequalitySpec, qineq_test
+from quantest.inequality import InequalitySpec
 from quantest.inference import TestOptions, q_test_one
 from quantest.measures import MeasureSpec, resolve_measure
 from quantest.qdensity import GAUSSIAN, QdMethod
@@ -235,13 +234,11 @@ def test_bootstrap_inequality_se_positive():
 # batched coverage against the replicate-by-replicate loop
 
 
-def loop_interval(measure, data, level, log_ratio=False):
-    if isinstance(measure, MeasureSpec):
-        use_log = log_ratio and measure.is_ratio
-        opts = TestOptions(conf_level=level, log_transf=use_log, back_transf=use_log)
-        return q_test_one(data, measure, opts).conf_int
-    spec = dataclasses.replace(measure, conf_level=level)
-    return qineq_test(data, spec=spec).conf_int
+def loop_interval(cfg, data):
+    use_log = cfg.log_ratio and cfg.measure.is_ratio
+    opts = TestOptions(conf_level=cfg.level, log_transf=use_log, back_transf=use_log,
+                       var_method=cfg.var_method)
+    return q_test_one(data, cfg.measure, opts).conf_int
 
 
 def loop_coverage(cfg):
@@ -250,7 +247,7 @@ def loop_coverage(cfg):
     covered, widths = 0, []
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.reps):
         data = cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
-        lo, hi = loop_interval(cfg.measure, data, cfg.level, cfg.log_ratio)
+        lo, hi = loop_interval(cfg, data)
         covered += int(lo <= true_val <= hi)
         widths.append(hi - lo)
     return covered, float(np.mean(widths))
@@ -267,7 +264,7 @@ def chunk_size(cfg):
 D = Distribution
 QRI25, G2_25 = InequalitySpec("QRI", 25), InequalitySpec("G2", 25)
 ORACLE_CASES = [
-    # (distribution, n, reps, measure, level, log_ratio)
+    # (distribution, n, reps, measure, level, log_ratio[, var_method])
     (D("normal"), 60, 100, resolve_measure("median"), 0.95, False),
     (D("normal", (1.0, 2.0)), 2500, 120, resolve_measure("median"), 0.5, False),
     (D("uniform"), 40, 100, resolve_measure("iqr"), 0.5, False),
@@ -284,23 +281,21 @@ ORACLE_CASES = [
     (D("exponential"), 150, 101, G2_25, 0.5, False),
     (D("uniform", (0.5, 2.0)), 120, 100, InequalitySpec("QRI", 100), 0.95, False),
     (D("lognormal", (0.0, 0.5)), 300, 100, InequalitySpec("G2", 100), 0.5, False),
-    (D("lognormal"), 150, 100, InequalitySpec("QRI", 25, var_method=QdMethod(sigma=None)),
-     0.95, False),
+    (D("lognormal"), 150, 100, QRI25, 0.95, False, QdMethod(sigma=None)),
     # large enough for the Epanechnikov table path, one row at a time
-    (D("lognormal"), 20000, 100, InequalitySpec("QRI", 25, var_method=QdMethod(sigma=None)),
-     0.95, False),
-    (D("exponential"), 80, 100, InequalitySpec("G2", 25, var_method=QdMethod(kind="density")),
-     0.95, False),
-    (D("lognormal"), 120, 100, InequalitySpec("QRI", 25, var_method=QdMethod(kernel=GAUSSIAN)),
-     0.5, False),
+    (D("lognormal"), 20000, 100, QRI25, 0.95, False, QdMethod(sigma=None)),
+    (D("exponential"), 80, 100, G2_25, 0.95, False, QdMethod(kind="density")),
+    (D("lognormal"), 120, 100, QRI25, 0.5, False, QdMethod(kernel=GAUSSIAN)),
+    (D("exponential"), 90, 100, resolve_measure("iqr"), 0.95, False, QdMethod(sigma=None)),
+    (D("lognormal"), 70, 100, resolve_measure("rCViqr"), 0.95, True, QdMethod(kind="density")),
 ]
 
 
 @pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
 def test_batched_coverage_matches_the_replicate_loop(case):
-    dist, n, reps, measure, level, log_ratio = ORACLE_CASES[case]
+    dist, n, reps, measure, level, log_ratio, *method = ORACLE_CASES[case]
     cfg = SimConfig(dist, n=n, reps=reps, measure=measure, level=level, seed=case,
-                    log_ratio=log_ratio)
+                    log_ratio=log_ratio, var_method=method[0] if method else QdMethod())
     coverage, width, _ = coverage_sim(cfg)
     covered, want_width = loop_coverage(cfg)
     assert coverage == covered / reps
@@ -322,7 +317,7 @@ def test_study_with_a_failing_replicate_raises_the_loops_error():
     for i, stream in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.reps)):
         data = cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
         try:
-            loop_interval(cfg.measure, data, cfg.level, cfg.log_ratio)
+            loop_interval(cfg, data)
         except ValueError as exc:
             failing.append((i, str(exc)))
     assert len(failing) == 1
@@ -375,16 +370,25 @@ def float_sort_bootstrap(x, measure, B, seed):
     rows = s.values[rng.integers(0, s.n, size=(B, s.n))]
     rows.sort(axis=1)
     if isinstance(measure, MeasureSpec):
-        num = _quantiles_sorted(rows, np.asarray(measure.u), 8) @ np.asarray(measure.coef)
-        est = num
+        # each combination as products summed along the row, over the
+        # sorted grid of all the measure's probabilities
+        grid = np.unique(measure.u + (measure.u2 or ()))
+        xq = _quantiles_sorted(rows, grid, 8)
+
+        def combination(u, coef):
+            b = np.zeros(grid.size)
+            np.add.at(b, np.searchsorted(grid, u), coef)
+            return np.add.reduce(xq * b, axis=-1)
+
+        num = est = combination(measure.u, measure.coef)
         if measure.is_ratio:
-            den = _quantiles_sorted(rows, np.asarray(measure.u2), 8) @ np.asarray(measure.coef2)
+            den = combination(measure.u2, measure.coef2)
             est = np.full(num.shape, np.nan)
             est[den != 0.0] = num[den != 0.0] / den[den != 0.0]
     else:
         p = (np.arange(1, measure.J + 1) - 0.5) / measure.J
-        terms = 1.0 - (_quantiles_sorted(rows, p / 2.0, measure.quantile_type)
-                       / _quantiles_sorted(rows, 1.0 - p / 2.0, measure.quantile_type))
+        terms = 1.0 - (_quantiles_sorted(rows, p / 2.0, 8)
+                       / _quantiles_sorted(rows, 1.0 - p / 2.0, 8))
         est = terms.mean(axis=-1) if measure.kind == "QRI" else \
             (2.0 * p * terms).sum(axis=-1) / measure.J
         est = np.where(rows[:, 0] > 0.0, est, np.nan)
@@ -400,7 +404,7 @@ ONE_ROW_B = 2 * (verify._BOOT_BLOCK // 4001) + 1
 @pytest.mark.parametrize("label, n, measure, B", [
     ("median, ties", 300, resolve_measure("median"), 600),
     ("bowley, ties", 500, resolve_measure("bowley"), 500),
-    ("qri type 6", 400, InequalitySpec("QRI", 20, quantile_type=6), 500),
+    ("qri", 400, InequalitySpec("QRI", 20), 500),
     ("g2", 250, InequalitySpec("G2", 30), 700),
     ("moors at 2^15", 2**15, resolve_measure("moors"), 500),
     ("iqr above 2^15", 2**15 + 1, resolve_measure("iqr"), 500),
