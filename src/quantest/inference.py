@@ -101,7 +101,7 @@ def lincomb_stats(cov: QuantileCov, xhat, b1, b2=None):
 
     Returns (est1, est2, v1, v2, v12); the entries for the second
     combination are None when b2 is absent.  Coefficients must already
-    be aligned with cov.probs (zero-padded onto the union grid).
+    be aligned with cov.probs, one per probability in its order.
     """
     b1 = np.asarray(b1, dtype=float)
     xhat = np.asarray(xhat, dtype=float)
@@ -161,11 +161,11 @@ def _floored_warnings(floored) -> list:
             + ", ".join(f"{p:g}" for p in floored)]
 
 
-def _working_stats(values, padded, spec, opts: TestOptions):
+def _working_stats(padded, spec, opts: TestOptions):
     """Each sample's estimate and variance on the working scale.
 
-    values and padded are a stack of samples, one per row: as drawn, and
-    sorted between two zeros; spec is a MeasureSpec or an InequalitySpec.
+    padded is a stack of samples, one per row, each sorted between two
+    zeros; spec is a MeasureSpec or an InequalitySpec.
     Returns (raw_estimate, working_estimate, working_variance, floored),
     each with one element or row per sample; floored lists the
     probabilities of the first sample whose quantile density was floored.
@@ -178,9 +178,9 @@ def _working_stats(values, padded, spec, opts: TestOptions):
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
     grid = spec._grid
-    qhat, floored, *_ = _qhat_rows(values, padded, grid, opts.var_method, opts.quantile_type)
+    qhat, floored, *_ = _qhat_rows(padded, grid, opts.var_method, opts.quantile_type)
     a = grad * qhat
-    var = _bridge_form(grid, a, a, values.shape[1])
+    var = _bridge_form(grid, a, a, padded.shape[1] - 2)
     floored = grid[floored[0]]
     if opts.log_transf:
         if np.count_nonzero(est <= 0.0):
@@ -227,8 +227,7 @@ def _finish(working_est, working_var, null_working, opts, scale, description,
 
 def _stats_one(x, spec, opts: TestOptions):
     """_working_stats of one sample, as floats, with its warnings."""
-    s = as_sample(x)
-    stats = _working_stats(s.values[None], s.padded[None], spec, opts)
+    stats = _working_stats(as_sample(x).padded[None], spec, opts)
     return (*(float(v[0]) for v in stats[:3]), _floored_warnings(stats[3]))
 
 

@@ -21,11 +21,11 @@ from .qdensity import (
     QdMethod,
     _bandwidths,
     _fit_sigma,
+    _inversion_grid,
     _qdens_grid,
     _qor_lognormal,
-    qdens_inversion,
 )
-from .quantiles import Sample, as_sample
+from .quantiles import _check_type, as_sample
 
 __all__ = ["QuantileCov", "qcov"]
 
@@ -60,45 +60,35 @@ class QuantileCov:
             self.bandwidths.setflags(write=False)
 
 
-def _qdens_at(values, padded, ps: np.ndarray, method: QdMethod, quantile_type: int):
-    """Quantile-density estimates at each p, their bandwidths and fit metadata.
-
-    values and padded are a stack of samples, one per row: as drawn, and
-    sorted between two zeros.  The estimates have one row per sample.
-    The bandwidths are shared by every row unless sigma is fitted, and
-    sigma and shift are then one per row.
-    """
-    if method.kind == "qor":
-        if method.sigma is None:
-            sigma, shift = _fit_sigma(values, padded)
-            row_sigma = sigma[:, None]
-        else:
-            sigma = row_sigma = method.sigma
-            shift = None
-        # one probability costs less as a NumPy scalar than as an array
-        grid = ps[0] if ps.size == 1 else ps
-        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, grid), grid, values.shape[1],
-                                      method.bw_correct, method.kernel))
-        if not method.bw_correct and not (b.min() > 0.0 and b.max() < 1.0):
-            raise ValueError("bandwidth must lie in (0, 1)")
-        return _qdens_grid(padded, ps, b, method.kernel), b, sigma, shift
-    out = np.array([[qdens_inversion(Sample(v, x[1:-1], x), p, quantile_type) for p in ps]
-                    for v, x in zip(values, padded)])
-    return out, None, None, None
-
-
-def _qhat_rows(values, padded, grid: np.ndarray, method: QdMethod, quantile_type: int):
+def _qhat_rows(padded, grid: np.ndarray, method: QdMethod, quantile_type: int):
     """Floored quantile-density estimates of each sample of a stack.
 
-    values and padded are as in _qdens_at; grid is sorted and unique.
-    Returns the estimates at grid (one row per sample), a mask of the
-    floored estimates, the bandwidths at grid (None for the density
-    method) and the fitted sigma and shift.
+    padded is a stack of samples sorted between two zeros, one per row;
+    grid is sorted and unique.  Returns the estimates at grid (one row per
+    sample), a mask of the floored estimates, the bandwidths at grid and
+    the lognormal sigma and shift, each None where the method has none.
+    The bandwidths are shared by every row unless sigma is fitted; sigma
+    and shift are then one per row.
     """
     lo, hi = padded[:, 1], padded[:, -2]
     if np.count_nonzero(hi == lo):
         raise ValueError("degenerate sample")
-    qhat, b, sigma, shift = _qdens_at(values, padded, grid, method, quantile_type)
+    b = sigma = shift = None
+    if method.kind == "density":
+        qhat = _inversion_grid(padded, grid, quantile_type)
+    else:
+        if method.sigma is None:
+            sigma, shift = _fit_sigma(padded)
+            row_sigma = sigma[:, None]
+        else:
+            sigma = row_sigma = method.sigma
+        # one probability costs less as a NumPy scalar than as an array
+        ps = grid[0] if grid.size == 1 else grid
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, padded.shape[1] - 2,
+                                      method.bw_correct, method.kernel))
+        if not method.bw_correct and not (b.min() > 0.0 and b.max() < 1.0):
+            raise ValueError("bandwidth must lie in (0, 1)")
+        qhat = _qdens_grid(padded, grid, b, method.kernel)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to
@@ -137,6 +127,7 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     p_i <= p_j is p_i (1 - p_j) q_hat(p_i) q_hat(p_j) / n.
     """
     s = as_sample(x)
+    _check_type(quantile_type)
     ps = np.atleast_1d(np.asarray(us, dtype=float))
     if ps.size == 0:
         raise ValueError("need at least one probability")
@@ -144,8 +135,7 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, floored, b, sigma, shift = _qhat_rows(
-        s.values[None], s.padded[None], uniq, method, quantile_type)
+    qhat, floored, b, sigma, shift = _qhat_rows(s.padded[None], uniq, method, quantile_type)
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
     # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order

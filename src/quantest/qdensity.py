@@ -17,8 +17,9 @@ QOR(p) = q(p)/q''(p) is unknown, so it is evaluated under a lognormal
 working model, either with a fixed shape parameter (sigma = 1 by default)
 or with sigma fitted from the data.
 
-The alternative inverts a Gaussian kernel density estimate at the
-estimated quantile: q_hat(p) = 1/f_hat(x_p).
+The alternative inverts a Gaussian kernel density estimate with Silverman's
+bandwidth at the estimated quantile: q_hat(p) = 1/f_hat(x_p).  Both
+estimators take a stack of sorted samples, one per row.
 
 The direct estimator is evaluated at every probability of a grid at once.
 Summation by parts over the zero-padded sample X_(0) = X_(n+1) = 0 turns
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .quantiles import Sample, as_sample, sample_quantile
+from .quantiles import _check_type, _quantiles_sorted, as_sample
 
 __all__ = [
     "Kernel",
@@ -137,10 +138,14 @@ def qor_lognormal(sigma: float, p: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    return float(_qor_lognormal(sigma, _check_p(p)))
+
+
+def _check_p(p) -> float:
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly inside (0, 1)")
-    return float(_qor_lognormal(sigma, p))
+    return p
 
 
 def _qor_lognormal(sigma: float, p):
@@ -157,23 +162,23 @@ def fit_lognormal_sigma(s) -> tuple[float, float]:
     Returns (sigma_hat, shift).  shift is 0 when all values are positive,
     otherwise -min + (max - min)/n, chosen so the shifted data are
     strictly positive.  sigma_hat is the n-1 divisor standard deviation
-    of log(values + shift).  Shifting is legitimate preprocessing here
-    because q(p) is invariant to location.
+    of the logs of the shifted order statistics.  Shifting is legitimate
+    preprocessing here because q(p) is invariant to location.
     """
     s = as_sample(s)
     if s.n < 2:
         raise ValueError("need at least two observations to fit sigma")
     if s.max() == s.min():
         raise ValueError("degenerate sample")
-    sigma, shift = _fit_sigma(s.values[None], s.padded[None])
+    sigma, shift = _fit_sigma(s.padded[None])
     return float(sigma[0]), float(shift[0])
 
 
-def _fit_sigma(values: np.ndarray, padded: np.ndarray):
-    """fit_lognormal_sigma of each row: values as drawn, padded their sorts."""
-    lo, hi = padded[:, 1], padded[:, -2]
-    shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / values.shape[1])
-    return np.std(np.log(values + shift[:, None]), axis=1, ddof=1), shift
+def _fit_sigma(xp: np.ndarray):
+    """fit_lognormal_sigma of each row of a stack of padded samples."""
+    lo, hi = xp[:, 1], xp[:, -2]
+    shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / (xp.shape[1] - 2))
+    return np.std(np.log(xp[:, 1:-1] + shift[:, None]), axis=1, ddof=1), shift
 
 
 def optimal_bandwidth(qor_value: float, p: float, n: int,
@@ -187,10 +192,7 @@ def optimal_bandwidth(qor_value: float, p: float, n: int,
     """
     if n < 2:
         raise ValueError("need at least two observations")
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
-    return float(_bandwidths(qor_value, p, n, bw_correct, kernel))
+    return float(_bandwidths(qor_value, _check_p(p), n, bw_correct, kernel))
 
 
 def _bandwidths(qor, p, n: int, bw_correct: bool, kernel: Kernel):
@@ -203,9 +205,7 @@ def _bandwidths(qor, p, n: int, bw_correct: bool, kernel: Kernel):
 def qdens_kernel(s, p: float, b: float, kernel: Kernel = EPANECHNIKOV) -> float:
     """Direct kernel estimate of q(p) at bandwidth b: a grid of one."""
     s = as_sample(s)
-    p = float(p)
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly inside (0, 1)")
+    p = _check_p(p)
     if not 0.0 < b < 1.0:
         raise ValueError("bandwidth must lie in (0, 1)")
     return float(_qdens_grid(s.padded, np.array([p]), np.array([float(b)]), kernel)[0])
@@ -355,31 +355,41 @@ def _moment_table(xp, k0: int, k1: int) -> list:
     return levels
 
 
-def _silverman_bandwidth(s: Sample) -> float:
-    sd = float(np.std(s.values, ddof=1))
-    iqr = sample_quantile(s, 0.75) - sample_quantile(s, 0.25)
-    scale = min(sd, iqr / 1.349)
-    if scale <= 0:
-        scale = sd  # many ties in the middle; fall back to the sd
-    if scale <= 0:
+def _inversion_grid(xp: np.ndarray, p: np.ndarray, quantile_type: int) -> np.ndarray:
+    """1/f_hat(x_p) at the probabilities p for each row of a padded stack xp.
+
+    f_hat is the row's Gaussian kernel density estimate, summed over the
+    whole row, with the Silverman bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5)
+    from the type-8 quartiles (the sd alone where the IQR is 0); x_p is
+    the row's sample quantile of quantile_type.
+    """
+    rows = xp[:, 1:-1]
+    sd = np.std(rows, axis=1, ddof=1)
+    lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
+    scale = np.minimum(sd, (upper - lower) / 1.349)
+    scale = np.where(scale > 0, scale, sd)  # many ties in the middle
+    if np.count_nonzero(scale <= 0):
         raise ValueError("degenerate sample")
-    return 0.9 * scale * s.n ** -0.2
+    h = 0.9 * scale * rows.shape[1] ** -0.2
+    fhat = np.empty((rows.shape[0], p.size))
+    for j, x in enumerate(_quantiles_sorted(rows, p, quantile_type).T):
+        u = (x[:, None] - rows) / h[:, None]
+        fhat[:, j] = np.mean(np.exp(-0.5 * u * u), axis=1) / (_SQRT_2PI * h)
+    if np.count_nonzero((fhat <= 0.0) | ~np.isfinite(fhat)):
+        raise ValueError("zero density at quantile")
+    return 1.0 / fhat
 
 
 def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
-    """Estimate q(p) as 1/f_hat(x_p).
+    """Estimate q(p) as 1/f_hat(x_p): a grid of one.
 
     f_hat is a Gaussian kernel density estimate with the Silverman
     bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5); x_p is the type-8 sample
     quantile by default.
     """
     s = as_sample(s)
+    _check_type(quantile_type)
+    p = np.array([_check_p(p)])
     if s.n < 2:
         raise ValueError("need at least two observations")
-    h = _silverman_bandwidth(s)
-    xp = sample_quantile(s, p, quantile_type)
-    u = (xp - s.values) / h
-    fhat = float(np.mean(np.exp(-0.5 * u * u)) / (_SQRT_2PI * h))
-    if fhat <= 0.0 or not math.isfinite(fhat):
-        raise ValueError("zero density at quantile")
-    return 1.0 / fhat
+    return float(_inversion_grid(s.padded[None], p, quantile_type)[0, 0])

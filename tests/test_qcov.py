@@ -117,6 +117,12 @@ def test_validation_errors(norm100):
         qcov(np.full(30, 2.0), [0.5])
 
 
+@pytest.mark.parametrize("method", [QdMethod(), QdMethod(kind="density")])
+def test_unsupported_quantile_type_is_named(norm100, method):
+    with pytest.raises(ValueError, match="unsupported quantile type 99"):
+        qcov(norm100, [0.5], method=method, quantile_type=99)
+
+
 def test_density_method_route(norm100):
     c = qcov(norm100, [0.25, 0.5, 0.75], method=QdMethod(kind="density"))
     np.testing.assert_array_equal(c.matrix, c.matrix.T)
@@ -174,7 +180,7 @@ def bridge_forms(rows, ps, w1, w2, method):
     """_bridge_form of w1 and w2, given over ps in the caller's order, per row."""
     values = np.atleast_2d(rows)
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, *_ = _qhat_rows(values, _padded_rows(values), uniq, method, 8)
+    qhat, *_ = _qhat_rows(_padded_rows(values), uniq, method, 8)
     # coefficients at a repeated probability add up on the unique grid
     a = np.bincount(inverse, w1, uniq.size) * qhat
     c = np.bincount(inverse, w2, uniq.size) * qhat

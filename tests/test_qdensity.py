@@ -11,12 +11,14 @@ from quantest.qdensity import (
     GAUSSIAN,
     QdMethod,
     _fit_sigma,
+    _inversion_grid,
     fit_lognormal_sigma,
     optimal_bandwidth,
     qdens_inversion,
     qdens_kernel,
     qor_lognormal,
 )
+from quantest.quantiles import _padded_rows
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -97,18 +99,16 @@ def test_fit_sigma_shift_rule():
     assert sigma > 0.0
 
 
-def test_fit_sigma_of_a_stack_is_the_std_of_each_row_as_drawn():
-    # the rows of a coverage study are fitted in their drawn order, so a
-    # stack gives each sample's fit bit for bit
+def test_fit_sigma_of_a_stack_is_the_std_of_the_log_of_each_sorted_row():
+    # the fit reads the sorted rows of the stack, so a stack gives each
+    # sample's fit bit for bit
     rng = np.random.default_rng(41)
     values = np.concatenate([rng.lognormal(size=(3, 257)), rng.normal(size=(3, 257))])
-    padded = np.zeros((6, 259))
-    padded[:, 1:-1] = np.sort(values, axis=1)
-    sigma, shift = _fit_sigma(values, padded)
+    sigma, shift = _fit_sigma(_padded_rows(values))
     for v, got_sigma, got_shift in zip(values, sigma, shift):
         want_sigma, want_shift = fit_lognormal_sigma(v)
         assert (got_sigma, got_shift) == (want_sigma, want_shift)
-        assert got_sigma == np.std(np.log(v + got_shift), ddof=1)
+        assert got_sigma == np.std(np.log(np.sort(v) + got_shift), ddof=1)
 
 
 def test_fit_sigma_errors():
@@ -250,6 +250,89 @@ def test_inversion_uniform_oracle():
 def test_inversion_constant_sample_errors():
     with pytest.raises(ValueError):
         qdens_inversion(np.full(20, 3.0), 0.5)
+
+
+# numpy's names for the Hyndman-Fan types, an independent route to x_p
+NUMPY_METHOD = {4: "interpolated_inverted_cdf", 5: "hazen", 6: "weibull", 7: "linear",
+                8: "median_unbiased", 9: "normal_unbiased"}
+
+
+def inversion_oracle(x, p, quantile_type=8):
+    """1 / mean(phi((x_p - X_i)/h)) / h, with the Silverman h written out."""
+    x = np.asarray(x, dtype=float)
+    sd = np.std(x, ddof=1)
+    q1, q3 = np.quantile(x, [0.25, 0.75], method="median_unbiased")
+    scale = min(sd, (q3 - q1) / 1.349)
+    if scale <= 0:
+        scale = sd
+    h = 0.9 * scale * x.size ** -0.2
+    xp = np.quantile(x, p, method=NUMPY_METHOD[quantile_type])
+    fhat = math.fsum(np.exp(-0.5 * ((xp - x) / h) ** 2) / SQRT_2PI) / x.size / h
+    if fhat == 0.0:
+        raise ValueError("zero density at quantile")
+    return 1.0 / fhat
+
+
+INVERSION_PS = np.array([0.01, 0.1, 0.25, 0.5, 0.8, 0.99])
+# about two thirds tied at 5: both quartiles are 5, so h comes from the sd
+TIED = np.concatenate([np.full(70, 5.0), np.random.default_rng(7).normal(5.0, 2.0, 30)])
+
+
+@pytest.mark.parametrize("quantile_type", sorted(NUMPY_METHOD))
+@pytest.mark.parametrize("n", [2, 3, 100, 10**4])
+def test_inversion_matches_the_literal_sum(n, quantile_type):
+    rng = np.random.default_rng(n + quantile_type)
+    x = rng.lognormal(size=n)
+    got = _inversion_grid(_padded_rows(x[None]), INVERSION_PS, quantile_type)[0]
+    want = [inversion_oracle(x, p, quantile_type) for p in INVERSION_PS]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    for p, w in zip(INVERSION_PS, want):
+        assert qdens_inversion(x, p, quantile_type) == pytest.approx(w, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("quantile_type", sorted(NUMPY_METHOD))
+def test_inversion_falls_back_to_the_sd_when_the_iqr_is_zero(quantile_type):
+    q1, q3 = np.quantile(TIED, [0.25, 0.75], method="median_unbiased")
+    assert q1 == q3 == 5.0
+    got = _inversion_grid(_padded_rows(TIED[None]), INVERSION_PS, quantile_type)[0]
+    want = [inversion_oracle(TIED, p, quantile_type) for p in INVERSION_PS]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_inversion_zero_density_at_quantile():
+    # x_p at p = 0.1 falls in the gap between -1e6 and a cluster near 0
+    # whose quartiles set h to about 1e-4: every kernel term underflows
+    x = np.concatenate([np.full(10, -1e6), np.linspace(0.0, 1e-3, 90)])
+    with pytest.raises(ValueError, match="zero density at quantile"):
+        inversion_oracle(x, 0.1)
+    with pytest.raises(ValueError, match="zero density at quantile"):
+        qdens_inversion(x, 0.1)
+    with pytest.raises(ValueError, match="zero density at quantile"):
+        _inversion_grid(_padded_rows(x[None]), np.array([0.1, 0.5]), 8)
+
+
+def test_inversion_row_of_a_stack_equals_the_row_alone():
+    rng = np.random.default_rng(11)
+    values = np.concatenate([rng.lognormal(size=(4, 300)), rng.normal(size=(3, 300)),
+                             np.round(rng.normal(size=(3, 300)), 1)])
+    ps = np.array([0.05, 0.5, 0.7, 0.95])
+    for quantile_type in (4, 8):
+        stack = _inversion_grid(_padded_rows(values), ps, quantile_type)
+        for v, row in zip(values, stack):
+            np.testing.assert_array_equal(row, _inversion_grid(_padded_rows(v[None]), ps,
+                                                               quantile_type)[0])
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+def test_inversion_rejects_p_outside_the_open_interval(p):
+    x = np.random.default_rng(0).lognormal(size=100)
+    with pytest.raises(ValueError, match=r"p must lie strictly inside \(0, 1\)"):
+        qdens_inversion(x, p)
+
+
+def test_inversion_names_an_unsupported_quantile_type():
+    with pytest.raises(ValueError, match="unsupported quantile type 99"):
+        qdens_inversion(np.arange(10.0), 0.5, quantile_type=99)
 
 
 # ---------------------------------------------------------------------------
