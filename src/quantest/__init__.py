@@ -32,7 +32,6 @@ from .measures import (
 from .qcov import QuantileCov, qcov
 from .qdensity import (
     EPANECHNIKOV,
-    GAUSSIAN,
     Kernel,
     QdMethod,
     fit_lognormal_sigma,
@@ -59,7 +58,6 @@ __all__ = [
     "sample_quantiles",
     "Kernel",
     "EPANECHNIKOV",
-    "GAUSSIAN",
     "QdMethod",
     "qor_lognormal",
     "fit_lognormal_sigma",

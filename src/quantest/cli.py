@@ -174,12 +174,7 @@ def _render_test_text(r: TestResult) -> str:
 
 
 def _method_dict(m: QdMethod) -> dict:
-    return {
-        "kind": m.kind,
-        "bw_correct": m.bw_correct,
-        "sigma": m.sigma,
-        "kernel": m.kernel.name,
-    }
+    return {"kind": m.kind, "sigma": m.sigma}
 
 
 def _render_qcov_text(c: QuantileCov) -> str:

@@ -84,11 +84,8 @@ def _qhat_rows(padded, grid: np.ndarray, method: QdMethod, quantile_type: int):
             sigma = row_sigma = method.sigma
         # one probability costs less as a NumPy scalar than as an array
         ps = grid[0] if grid.size == 1 else grid
-        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, padded.shape[1] - 2,
-                                      method.bw_correct, method.kernel))
-        if not method.bw_correct and not (b.min() > 0.0 and b.max() < 1.0):
-            raise ValueError("bandwidth must lie in (0, 1)")
-        qhat = _qdens_grid(padded, grid, b, method.kernel)
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, padded.shape[1] - 2))
+        qhat = _qdens_grid(padded, grid, b)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to

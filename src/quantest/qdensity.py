@@ -4,18 +4,22 @@ The quantile density q(p) = Q'(p) = 1/f(Q(p)) drives the sampling
 variability of quantile estimators: n var(x_p) is approximately
 p(1-p) q(p)^2.  Two estimators are provided.
 
-The direct kernel estimator smooths the order statistics,
+The direct kernel estimator (Jones 1992) smooths the order statistics,
 
     q_hat(p) = sum_i X_(i) [K_b(p - (i-1)/n) - K_b(p - i/n)],
 
-with K_b(y) = K(y/b)/b.  Its mean-squared-error-optimal bandwidth is
+with K_b(y) = K(y/b)/b and K the Epanechnikov kernel 0.75 (1 - u^2) on
+|u| <= 1.  Its mean-squared-error-optimal bandwidth is
 
-    b = (R(K)/mu2(K)^2)^(1/5) |q(p)/q''(p)|^(2/5) n^(-1/5),
+    b_raw = (R(K)/mu2(K)^2)^(1/5) |q(p)/q''(p)|^(2/5) n^(-1/5),
 
-where R(K) is the kernel roughness and mu2 its second moment.  The ratio
-QOR(p) = q(p)/q''(p) is unknown, so it is evaluated under a lognormal
-working model, either with a fixed shape parameter (sigma = 1 by default)
-or with sigma fitted from the data.
+where R(K) = 3/5 is the kernel roughness and mu2 = 1/5 its second moment,
+so the leading constant is 15^(1/5).  The ratio QOR(p) = q(p)/q''(p) is
+unknown, so it is evaluated under a lognormal working model (Prendergast
+& Staudte 2016), either with a fixed shape parameter (sigma = 1 by
+default) or with sigma fitted from the data.  The bandwidth used is
+b_raw clamped to [1/n, min(p, 1-p)], so the kernel window stays inside
+(0, 1) wherever 1/n <= min(p, 1-p).
 
 The alternative inverts a Gaussian kernel density estimate with Silverman's
 bandwidth at the estimated quantile: q_hat(p) = 1/f_hat(x_p).  Both
@@ -29,7 +33,7 @@ it into a sum over the spacings D_j = X_(j+1) - X_(j),
 
 whose interior terms are all nonnegative.  A small band (the grid size
 times the widest kernel window up to 2^17 spacings) is gathered and
-summed directly.  On a larger Epanechnikov grid, K_b(p - j/n) is
+summed directly.  On a larger grid, K_b(p - j/n) is
 quadratic in j inside the window, so each p needs only the window sums
 of D_j and D_j (j - np)^2.  They come from a dyadic table of the moments
 of 64-spacing blocks, each taken about its own start and re-centred on
@@ -53,7 +57,6 @@ from .quantiles import _check_type, _quantiles_sorted, as_sample
 __all__ = [
     "Kernel",
     "EPANECHNIKOV",
-    "GAUSSIAN",
     "QdMethod",
     "qor_lognormal",
     "fit_lognormal_sigma",
@@ -68,11 +71,6 @@ _NEG_LOG_2PI = -math.log(2.0 * math.pi)
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(1.0 - u * u, 0.0)
-
-
-def _gaussian(u: np.ndarray) -> np.ndarray:
-    # zero at and beyond the support radius 5, like every Kernel.fn
-    return np.where(np.abs(u) < 5.0, np.exp(-0.5 * u * u) / _SQRT_2PI, 0.0)
 
 
 @dataclass(frozen=True)
@@ -100,31 +98,31 @@ class Kernel:
 
 EPANECHNIKOV = Kernel("epanechnikov", _epanechnikov, roughness=0.6,
                       second_moment=0.2, support=1.0)
-GAUSSIAN = Kernel("gaussian", _gaussian, roughness=1.0 / (2.0 * math.sqrt(math.pi)),
-                  second_moment=1.0, support=5.0)
 
 
 @dataclass(frozen=True)
 class QdMethod:
     """How to estimate q(p) for variance construction.
 
-    kind "qor" uses the direct kernel estimator with the QOR-optimal
-    bandwidth under a lognormal working model; kind "density" inverts a
-    Gaussian KDE at the quantile.  sigma is the lognormal shape used by
-    the QOR rule: the default 1.0 reproduces the standard behaviour, and
-    None requests a fit from the data via fit_lognormal_sigma.
+    kind "qor" uses the direct Epanechnikov kernel estimator with the
+    clamped QOR bandwidth under a lognormal working model; sigma is that
+    model's shape, the default 1.0 or None to fit it from the data via
+    fit_lognormal_sigma.  kind "density" inverts a Gaussian KDE at the
+    quantile and has no bandwidth rule, so its sigma is stored as None
+    whatever was passed.  These are the three methods: sigma fixed, sigma
+    fitted, and density.
     """
 
     kind: str = "qor"
-    bw_correct: bool = True
     sigma: float | None = 1.0
-    kernel: Kernel = EPANECHNIKOV
 
     def __post_init__(self):
         if self.kind not in ("qor", "density"):
             raise ValueError(f"unknown quantile-density method {self.kind!r}")
         if self.sigma is not None and self.sigma <= 0:
             raise ValueError("sigma must be positive")
+        if self.kind == "density":  # no bandwidth rule, so no sigma
+            object.__setattr__(self, "sigma", None)
 
 
 def qor_lognormal(sigma: float, p: float) -> float:
@@ -181,34 +179,33 @@ def _fit_sigma(xp: np.ndarray):
     return np.std(np.log(xp[:, 1:-1] + shift[:, None]), axis=1, ddof=1), shift
 
 
-def optimal_bandwidth(qor_value: float, p: float, n: int,
-                      bw_correct: bool = True, kernel: Kernel = EPANECHNIKOV) -> float:
-    """MSE-optimal bandwidth for the direct kernel estimator.
+def optimal_bandwidth(qor_value: float, p: float, n: int) -> float:
+    """MSE-optimal bandwidth for the direct Epanechnikov kernel estimator.
 
-    b_raw = (R(K)/mu2^2)^(1/5) |qor_value|^(2/5) n^(-1/5); for the
-    Epanechnikov kernel the leading constant is 15^(1/5).  With
-    bw_correct the bandwidth is clamped to min(b_raw, p, 1-p) so the
-    kernel window stays inside (0, 1), floored at 1/n.
+    b_raw = 15^(1/5) |qor_value|^(2/5) n^(-1/5), clamped to
+    min(b_raw, p, 1-p) so the kernel window stays inside (0, 1) and
+    floored at 1/n.
     """
     if n < 2:
         raise ValueError("need at least two observations")
-    return float(_bandwidths(qor_value, _check_p(p), n, bw_correct, kernel))
+    return float(_bandwidths(qor_value, _check_p(p), n))
 
 
-def _bandwidths(qor, p, n: int, bw_correct: bool, kernel: Kernel):
-    b = kernel.bandwidth_constant * np.abs(qor) ** 0.4 * n ** -0.2
-    if bw_correct:
-        b = np.maximum(np.minimum(b, np.minimum(p, 1.0 - p)), 1.0 / n)
-    return b
+def _bandwidths(qor, p, n: int):
+    b = EPANECHNIKOV.bandwidth_constant * np.abs(qor) ** 0.4 * n ** -0.2
+    return np.maximum(np.minimum(b, np.minimum(p, 1.0 - p)), 1.0 / n)
 
 
-def qdens_kernel(s, p: float, b: float, kernel: Kernel = EPANECHNIKOV) -> float:
-    """Direct kernel estimate of q(p) at bandwidth b: a grid of one."""
+def qdens_kernel(s, p: float, b: float) -> float:
+    """Direct Epanechnikov kernel estimate of q(p) at bandwidth b in (0, 1).
+
+    A stack of one sample and a grid of one probability.
+    """
     s = as_sample(s)
     p = _check_p(p)
     if not 0.0 < b < 1.0:
         raise ValueError("bandwidth must lie in (0, 1)")
-    return float(_qdens_grid(s.padded, np.array([p]), np.array([float(b)]), kernel)[0])
+    return float(_qdens_grid(s.padded[None], np.array([p]), np.array([float(b)]))[0, 0])
 
 
 # spacings per leaf block of the moment table
@@ -219,59 +216,58 @@ _BAND_MAX = 2 ** 17
 _CHUNK = 2048
 
 
-def _qdens_grid(xp: np.ndarray, p: np.ndarray, b: np.ndarray, kernel: Kernel) -> np.ndarray:
+def _qdens_grid(xp: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
-    xp holds the order statistics between two zeros (Sample.padded), or a
-    stack of such rows along its last axis; the result has one row of
-    estimates per row of xp.  b holds one bandwidth per probability,
-    shared by every row, or one row of them per row of xp; every b lies in
-    (0, 1).  Shared bandwidths give every row the same windows and kernel
-    weights.  The table path handles one row at a time.
+    xp is a stack of samples sorted between two zeros (Sample.padded), one
+    per row; the result has one row of estimates per row of xp.  b holds
+    one bandwidth per probability, shared by every row, or one row of them
+    per row of xp; every b lies in (0, 1).  Shared bandwidths give every
+    row the same windows and kernel weights.  The table path handles one
+    row at a time.
     """
-    n = xp.shape[-1] - 2
-    rows = xp.reshape(-1, n + 2)
+    n = xp.shape[1] - 2
     c = n * p  # window centres and half-widths, in spacings
     h = n * b
-    reach = kernel.support * h.max()  # the widest kernel window's radius
+    reach = h.max()  # the widest kernel window's radius
     width = int(2.0 * reach) + 2
-    if p.size * width > _BAND_MAX and kernel == EPANECHNIKOV:
-        hs = np.broadcast_to(h, (rows.shape[0], p.size))
-        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(rows, hs)])
+    if p.size * width > _BAND_MAX:
+        hs = np.broadcast_to(h, (xp.shape[0], p.size))
+        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(xp, hs)])
     else:
         lo = (c - reach).astype(np.intp)
         if width > n + 1:  # windows wider than the sample: take all of it
             lo, width = np.maximum(lo, 0), n + 1
-        q = _band_sums(rows, lo, c, h, kernel, width)
-    return q.reshape(xp.shape[:-1] + p.shape) / b
+        q = _band_sums(xp, lo, c, h, width)
+    return q / b
 
 
-def _band_sums(xp, lo, c, h, kernel: Kernel, width: int) -> np.ndarray:
+def _band_sums(xp, lo, c, h, width: int) -> np.ndarray:
     """sum_j D_j K((j - c)/h) over j = lo .. lo + width - 1, per row and window.
 
     xp is a stack of padded samples, one per row.  lo and c give one
     window per probability, the same for every row; h is one half-width
     per probability or a row of them per row of xp.  The spacings
     D_j = xp[j+1] - xp[j] are gathered with the indices clipped to xp, so
-    those outside 0 .. n are zero; the window must hold every j where K is
-    nonzero.  Rows, and then windows, go in chunks of at most _BAND_MAX
-    gathered spacings.
+    those outside 0 .. n are zero; the window must hold every j where the
+    Epanechnikov K is nonzero.  Rows, and then windows, go in chunks of at
+    most _BAND_MAX gathered spacings.
     """
     rows, d = xp.shape[0], lo.size
     if rows * d * width > _BAND_MAX:
         if rows > 1:
             step = max(1, _BAND_MAX // (d * width))
             return np.concatenate([_band_sums(xp[i:i + step], lo, c,
-                                              h if h.ndim == 1 else h[i:i + step], kernel, width)
+                                              h if h.ndim == 1 else h[i:i + step], width)
                                    for i in range(0, rows, step)])
         step = max(1, _BAND_MAX // width)
         if d > step:
             return np.concatenate([_band_sums(xp, lo[i:i + step], c[i:i + step],
-                                              h[..., i:i + step], kernel, width)
+                                              h[..., i:i + step], width)
                                    for i in range(0, d, step)], axis=1)
     j = lo[:, None] + np.arange(width + 1)
     x = xp.take(j, axis=1, mode="clip")
-    w = kernel.fn((j[:, :-1] - c[:, None]) / h[..., None])
+    w = _epanechnikov((j[:, :-1] - c[:, None]) / h[..., None])
     return (np.diff(x)[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
@@ -294,8 +290,8 @@ def _table_sums(xp, c, h) -> np.ndarray:
     # the block before kl and the block from kr on hold the ragged window
     # ends and, where the window reaches them, D_0 and D_n; K is zero on
     # the rest of these two bands
-    out = (_band_sums(xp[None], (kl - 1) * _BLOCK, c, h, EPANECHNIKOV, _BLOCK)
-           + _band_sums(xp[None], kr * _BLOCK, c, h, EPANECHNIKOV, _BLOCK))[0]
+    out = (_band_sums(xp[None], (kl - 1) * _BLOCK, c, h, _BLOCK)
+           + _band_sums(xp[None], kr * _BLOCK, c, h, _BLOCK))[0]
     if not full.any():
         return out
 

@@ -223,7 +223,7 @@ def test_qcov_json_fields(capsys):
     assert got["sigma"] == 1.0
     assert got["shift"] is None
     assert got["floored"] == []
-    assert got["method"]["kind"] == "qor"
+    assert got["method"] == {"kind": "qor", "sigma": 1.0}
     m = np.array(got["matrix"])
     assert m.shape == (3, 3)
     np.testing.assert_allclose(m, m.T)
@@ -243,7 +243,7 @@ def test_qcov_density_method(capsys):
                                 "--var-method", "density", "--format", "json"])
     assert code == 0
     got = json.loads(out)
-    assert got["method"]["kind"] == "density"
+    assert got["method"] == {"kind": "density", "sigma": None}
     assert got["sigma"] is None
 
 

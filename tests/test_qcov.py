@@ -9,7 +9,6 @@ from quantest.inference import lincomb_stats, q_test_one
 from quantest.measures import MEASURE_NAMES, resolve_measure
 from quantest.qcov import _bridge_form, _qhat_rows, qcov
 from quantest.qdensity import (
-    GAUSSIAN,
     QdMethod,
     fit_lognormal_sigma,
     optimal_bandwidth,
@@ -192,7 +191,8 @@ def bridge_forms(rows, ps, w1, w2, method):
     ("unsorted with duplicates", [0.75, 0.1, 0.5, 0.1, 0.9, 0.5, 0.02], QdMethod()),
     ("fitted sigma", [0.6, 0.05, 0.3, 0.3, 0.95], QdMethod(sigma=None)),
     ("density", [0.8, 0.2, 0.5, 0.2], QdMethod(kind="density")),
-    ("gaussian kernel", [0.9, 0.4, 0.1, 0.65], QdMethod(kernel=GAUSSIAN)),
+    # 1/n > min(p, 1 - p): the bandwidth is 1/n and the window reaches the end terms
+    ("extreme tails", [0.997, 0.003, 0.5, 0.003], QdMethod()),
     ("one probability", [0.3], QdMethod()),
     ("wide grid", np.linspace(0.01, 0.99, 99)[::-1], QdMethod()),
 ])

@@ -8,7 +8,6 @@ from scipy.special import ndtri
 
 from quantest.qdensity import (
     EPANECHNIKOV,
-    GAUSSIAN,
     QdMethod,
     _fit_sigma,
     _inversion_grid,
@@ -133,17 +132,25 @@ def test_bandwidth_zero_qor_floors_at_1_over_n():
     assert optimal_bandwidth(0.0, 0.9, 25) == 0.04
 
 
+def raw_bandwidth(qor, n):
+    return 15.0 ** 0.2 * abs(qor) ** 0.4 * n ** -0.2
+
+
 def test_bandwidth_boundary_clamp():
     # raw value well above p = 0.1 must clamp to 0.1
-    b_raw = optimal_bandwidth(0.07958, 0.1, 100, bw_correct=False)
-    assert b_raw > 0.1
+    assert raw_bandwidth(0.07958, 100) > 0.1
     assert optimal_bandwidth(0.07958, 0.1, 100) == pytest.approx(0.1)
+    # and well above 1 - p = 0.05 > 1/n must clamp to 0.05
+    assert raw_bandwidth(0.02, 100) > 0.05
+    assert optimal_bandwidth(0.02, 0.95, 100) == pytest.approx(0.05)
 
 
 def test_bandwidth_without_correction_is_raw():
-    b_raw = optimal_bandwidth(0.02, 0.02, 50, bw_correct=False)
-    assert b_raw == pytest.approx((15.0 / 50.0) ** 0.2 * 0.02 ** 0.4, rel=1e-12)
-    assert optimal_bandwidth(0.02, 0.02, 50) == pytest.approx(0.02)
+    # 1/n = 0.02 < b_raw = 0.164 < min(p, 1 - p) = 0.3: neither clamp binds
+    b_raw = raw_bandwidth(-0.02, 50)
+    assert 1.0 / 50 < b_raw < 0.3
+    assert optimal_bandwidth(-0.02, 0.3, 50) == pytest.approx(b_raw, rel=1e-12)
+    assert optimal_bandwidth(-0.02, 0.7, 50) == pytest.approx(b_raw, rel=1e-12)
 
 
 def test_bandwidth_range_property():
@@ -162,9 +169,6 @@ def test_bandwidth_range_property():
 
 def test_bandwidth_kernel_constants():
     assert EPANECHNIKOV.bandwidth_constant == pytest.approx(15.0 ** 0.2, rel=1e-12)
-    # R(K) = 1/(2 sqrt(pi)), mu2 = 1 for the Gaussian
-    assert GAUSSIAN.bandwidth_constant == pytest.approx(
-        (1.0 / (2.0 * math.sqrt(math.pi))) ** 0.2, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +204,6 @@ def test_kernel_windowing_matches_full_sum():
         w = (EPANECHNIKOV((p - (i - 1) / n) / b) - EPANECHNIKOV((p - i / n) / b)) / b
         full = float(np.dot(x, w))
         assert qdens_kernel(x, p, b) == pytest.approx(full, rel=1e-12, abs=1e-12)
-
-
-def test_kernel_gaussian_route():
-    rng = np.random.default_rng(7)
-    x = rng.normal(size=500)
-    b = optimal_bandwidth(qor_lognormal(1.0, 0.5), 0.5, 500, kernel=GAUSSIAN)
-    est = qdens_kernel(x, 0.5, b, kernel=GAUSSIAN)
-    assert est == pytest.approx(SQRT_2PI, rel=0.35)
 
 
 def test_kernel_scale_equivariance_and_shift_invariance():
@@ -342,6 +338,11 @@ def test_inversion_names_an_unsupported_quantile_type():
 def test_qdmethod_validation():
     assert QdMethod().sigma == 1.0
     assert QdMethod(sigma=None).sigma is None
+    # the density method has no bandwidth rule, so it keeps no sigma
+    assert QdMethod(kind="density", sigma=0.7) == QdMethod(kind="density")
+    assert QdMethod(kind="density", sigma=1.0).sigma is None
+    with pytest.raises(ValueError):
+        QdMethod(kind="density", sigma=-1.0)
     with pytest.raises(ValueError):
         QdMethod(kind="nope")
     with pytest.raises(ValueError):

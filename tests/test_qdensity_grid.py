@@ -1,20 +1,19 @@
 """Grid evaluation of the direct kernel quantile density.
 
 Every probability of a qcov call is evaluated in one pass over the order
-statistics: small bands are gathered and summed directly, larger
-Epanechnikov grids read the window sums from a dyadic table of block
-moments.  Both regimes must reproduce the literal order-statistic sum.
+statistics: small bands are gathered and summed directly, larger grids
+read the window sums from a dyadic table of block moments.  Both regimes
+must reproduce the literal order-statistic sum.
 """
 
 import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
 
 import quantest.qdensity as qd
 from quantest.qcov import qcov
-from quantest.qdensity import EPANECHNIKOV, GAUSSIAN, QdMethod, optimal_bandwidth, qor_lognormal
+from quantest.qdensity import optimal_bandwidth, qor_lognormal
 
 RTOL = 1e-10
 FLOOR = 1e-12  # absolute floor, as a share of the data range
@@ -24,28 +23,24 @@ def epanechnikov(u):
     return np.where(np.abs(u) <= 1.0, 0.75 * (1.0 - u * u), 0.0)
 
 
-def gaussian(u):
-    return np.where(np.abs(u) < 5.0, np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi), 0.0)
-
-
-def literal_qdens(xs, p, b, kernel=epanechnikov, support=1.0):
+def literal_qdens(xs, p, b):
     """sum_i X_(i) [K_b(p - (i-1)/n) - K_b(p - i/n)], summed exactly.
 
     Only the order statistics whose two kernel arguments can fall inside
-    the support are summed; every other term is exactly zero.
+    the support [-1, 1] are summed; every other term is exactly zero.
     """
     n = xs.size
-    lo = max(1, math.floor(n * (p - support * b)) - 1)
-    hi = min(n, math.ceil(n * (p + support * b)) + 2)
+    lo = max(1, math.floor(n * (p - b)) - 1)
+    hi = min(n, math.ceil(n * (p + b)) + 2)
     i = np.arange(lo, hi + 1)
-    w = (kernel((p - (i - 1) / n) / b) - kernel((p - i / n) / b)) / b
+    w = (epanechnikov((p - (i - 1) / n) / b) - epanechnikov((p - i / n) / b)) / b
     return math.fsum(xs[i - 1] * w)
 
 
-def assert_literal(got, xs, ps, bs, kernel=epanechnikov, support=1.0):
+def assert_literal(got, xs, ps, bs):
     span = xs[-1] - xs[0]
     for g, p, b in zip(got, ps, bs):
-        want = literal_qdens(xs, p, b, kernel, support)
+        want = literal_qdens(xs, p, b)
         assert abs(g - want) <= RTOL * abs(want) + FLOOR * span, (p, b, g, want)
 
 
@@ -72,10 +67,10 @@ def table_calls(monkeypatch):
     return calls
 
 
-def grid(xs, ps, bs, kernel=EPANECHNIKOV):
-    """The grid estimates at ps for the sorted sample xs."""
-    return qd._qdens_grid(np.concatenate(([0.0], xs, [0.0])), np.asarray(ps), np.asarray(bs),
-                          kernel)
+def grid(xs, ps, bs):
+    """The grid estimates at ps for the sorted sample xs, a stack of one."""
+    padded = np.concatenate(([0.0], xs, [0.0]))[None]
+    return qd._qdens_grid(padded, np.asarray(ps), np.asarray(bs))[0]
 
 
 def random_sample(rng, n, case):
@@ -86,8 +81,8 @@ def random_sample(rng, n, case):
     return np.sort(x)
 
 
-def qor_bandwidths(ps, n, sigma=1.0, bw_correct=True):
-    return np.array([optimal_bandwidth(qor_lognormal(sigma, p), p, n, bw_correct) for p in ps])
+def qor_bandwidths(ps, n, sigma=1.0):
+    return np.array([optimal_bandwidth(qor_lognormal(sigma, p), p, n) for p in ps])
 
 
 def test_grid_matches_literal_sum_on_random_cases(regime, table_calls):
@@ -124,45 +119,11 @@ def test_grid_matches_literal_sum_at_a_million(regime):
     assert_literal(grid(xs, ps, bs), xs, ps, bs)
 
 
-def test_gaussian_kernel_matches_literal_sum(regime):
-    # the Gaussian kernel always takes the band; forcing the switch to 0
-    # splits it into one row per chunk
-    rng = np.random.default_rng(11)
-    for case in range(12):
-        n = int(rng.integers(2, 3001))
-        xs = random_sample(rng, n, case)
-        ps = np.sort(rng.uniform(0.01, 0.99, int(rng.integers(1, 30))))
-        bs = rng.uniform(1e-3, 0.3, ps.size)
-        got = grid(xs, ps, bs, GAUSSIAN)
-        assert_literal(got, xs, ps, bs, gaussian, 5.0)
-
-
 @pytest.mark.parametrize("p, b", [(0.05, 0.2), (0.93, 0.3), (0.5, 0.9), (0.01, 0.999)])
 def test_truncated_windows_keep_the_end_terms(regime, p, b):
     rng = np.random.default_rng(3)
     xs = np.sort(rng.lognormal(size=700))
     assert_literal(grid(xs, [p], [b]), xs, [p], [b])
-
-
-def test_qcov_without_bandwidth_correction_matches_literal_sum(regime):
-    rng = np.random.default_rng(5)
-    x = rng.lognormal(size=40)
-    ps = np.array([0.02, 0.1, 0.5, 0.98])
-    c = qcov(x, ps, QdMethod(bw_correct=False))
-    assert c.bandwidths[0] > ps[0] and c.bandwidths[3] > 1.0 - ps[3]
-    # the window past 1 takes -X_(n) K_b(p - 1), and the sum turns negative
-    assert c.floored == (0.98,)
-    assert literal_qdens(np.sort(x), ps[3], c.bandwidths[3]) < 0.0
-    qhat = np.sqrt(np.diag(c.matrix) * c.n / (ps * (1.0 - ps)))
-    assert_literal(qhat[:3], np.sort(x), ps[:3], c.bandwidths[:3])
-
-
-def test_raw_bandwidth_of_one_or_more_is_rejected():
-    # sigma = 3 puts a zero of the QOR denominator at z = -2, where the raw
-    # bandwidth grows without bound
-    x = np.random.default_rng(1).lognormal(size=20)
-    with pytest.raises(ValueError, match="bandwidth"):
-        qcov(x, [float(ndtr(-2.001))], QdMethod(sigma=3.0, bw_correct=False))
 
 
 def test_plateau_windows_are_exactly_zero(regime):

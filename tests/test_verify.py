@@ -10,7 +10,7 @@ import quantest.verify as verify
 from quantest.inequality import InequalitySpec
 from quantest.inference import TestOptions, q_test_one
 from quantest.measures import MeasureSpec, resolve_measure
-from quantest.qdensity import GAUSSIAN, QdMethod
+from quantest.qdensity import QdMethod
 from quantest.quantiles import _quantiles_sorted, as_sample
 from quantest.verify import (
     Distribution,
@@ -285,7 +285,7 @@ ORACLE_CASES = [
     # large enough for the Epanechnikov table path, one row at a time
     (D("lognormal"), 20000, 100, QRI25, 0.95, False, QdMethod(sigma=None)),
     (D("exponential"), 80, 100, G2_25, 0.95, False, QdMethod(kind="density")),
-    (D("lognormal"), 120, 100, QRI25, 0.5, False, QdMethod(kernel=GAUSSIAN)),
+    (D("lognormal"), 120, 100, QRI25, 0.5, False, QdMethod()),
     (D("exponential"), 90, 100, resolve_measure("iqr"), 0.95, False, QdMethod(sigma=None)),
     (D("lognormal"), 70, 100, resolve_measure("rCViqr"), 0.95, True, QdMethod(kind="density")),
 ]
