@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import _check_type, _quantiles_sorted, as_sample
+from .quantiles import _check_type, _padded_one, _quantiles_sorted
 
 __all__ = ["MeasureSpec", "resolve_measure", "estimate_measure", "MEASURE_NAMES"]
 
@@ -274,9 +274,9 @@ def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
     spec may also be an InequalitySpec; the error for a sample without an
     estimate is the spec's.
     """
-    s = as_sample(x)
+    xp = _padded_one(x)
     _check_type(quantile_type)
-    est = float(spec._estimate(s.sorted[None], quantile_type)[0][0])
+    est = float(spec._estimate(xp[:, 1:-1], quantile_type)[0][0])
     if math.isnan(est):
         raise ValueError(spec._nan_message)
     return est

@@ -25,7 +25,7 @@ from .qdensity import (
     _qdens_grid,
     _qor_lognormal,
 )
-from .quantiles import _check_type, as_sample
+from .quantiles import _check_type, _padded_one
 
 __all__ = ["QuantileCov", "qcov"]
 
@@ -123,7 +123,8 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     output, which preserves the caller's ordering.  Entry (i, j) with
     p_i <= p_j is p_i (1 - p_j) q_hat(p_i) q_hat(p_j) / n.
     """
-    s = as_sample(x)
+    xp = _padded_one(x)
+    n = xp.shape[1] - 2
     _check_type(quantile_type)
     ps = np.atleast_1d(np.asarray(us, dtype=float))
     if ps.size == 0:
@@ -132,13 +133,13 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, floored, b, sigma, shift = _qhat_rows(s.padded[None], uniq, method, quantile_type)
+    qhat, floored, b, sigma, shift = _qhat_rows(xp, uniq, method, quantile_type)
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
     # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order
-    m = np.minimum.outer(ps, ps) * (1.0 - np.maximum.outer(ps, ps)) / s.n
+    m = np.minimum.outer(ps, ps) * (1.0 - np.maximum.outer(ps, ps)) / n
     q = qhat[0, inverse]
-    return QuantileCov(probs=ps.copy(), matrix=m * np.multiply.outer(q, q), n=s.n,
+    return QuantileCov(probs=ps.copy(), matrix=m * np.multiply.outer(q, q), n=n,
                        method=method, floored=tuple(float(p) for p in uniq[floored[0]]),
                        sigma=sigma, shift=shift,
                        bandwidths=None if b is None else np.atleast_2d(b)[0, inverse])

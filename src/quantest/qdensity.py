@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .quantiles import _check_type, _quantiles_sorted, as_sample
+from .quantiles import _check_type, _padded_one, _quantiles_sorted
 
 __all__ = [
     "Kernel",
@@ -163,20 +163,42 @@ def fit_lognormal_sigma(s) -> tuple[float, float]:
     of the logs of the shifted order statistics.  Shifting is legitimate
     preprocessing here because q(p) is invariant to location.
     """
-    s = as_sample(s)
-    if s.n < 2:
+    xp = _padded_one(s)
+    if xp.shape[1] - 2 < 2:
         raise ValueError("need at least two observations to fit sigma")
-    if s.max() == s.min():
+    if xp[0, -2] == xp[0, 1]:
         raise ValueError("degenerate sample")
-    sigma, shift = _fit_sigma(s.padded[None])
+    sigma, shift = _fit_sigma(xp)
     return float(sigma[0]), float(shift[0])
 
 
 def _fit_sigma(xp: np.ndarray):
-    """fit_lognormal_sigma of each row of a stack of padded samples."""
+    """fit_lognormal_sigma of each row of a stack of padded samples.
+
+    The logs go into one buffer, which the standard deviation then
+    works in.
+    """
     lo, hi = xp[:, 1], xp[:, -2]
     shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / (xp.shape[1] - 2))
-    return np.std(np.log(xp[:, 1:-1] + shift[:, None]), axis=1, ddof=1), shift
+    if np.count_nonzero(shift):
+        logs = np.add(xp[:, 1:-1], shift[:, None])
+        np.log(logs, out=logs)
+    else:
+        logs = np.log(xp[:, 1:-1])
+    return _std_rows(logs, logs), shift
+
+
+def _std_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """np.std(rows, axis=1, ddof=1), with out (rows' shape) the only temporary.
+
+    The reductions and their order are np.std's, so the result is
+    bit-identical to it; out may be rows itself.
+    """
+    n = rows.shape[1]
+    mean = np.add.reduce(rows, axis=1, keepdims=True) / n
+    np.subtract(rows, mean, out=out)
+    np.multiply(out, out, out=out)
+    return np.sqrt(np.add.reduce(out, axis=1) / (n - 1))
 
 
 def optimal_bandwidth(qor_value: float, p: float, n: int) -> float:
@@ -201,11 +223,11 @@ def qdens_kernel(s, p: float, b: float) -> float:
 
     A stack of one sample and a grid of one probability.
     """
-    s = as_sample(s)
+    xp = _padded_one(s)
     p = _check_p(p)
     if not 0.0 < b < 1.0:
         raise ValueError("bandwidth must lie in (0, 1)")
-    return float(_qdens_grid(s.padded[None], np.array([p]), np.array([float(b)]))[0, 0])
+    return float(_qdens_grid(xp, np.array([p]), np.array([float(b)]))[0, 0])
 
 
 # spacings per leaf block of the moment table
@@ -357,10 +379,12 @@ def _inversion_grid(xp: np.ndarray, p: np.ndarray, quantile_type: int) -> np.nda
     f_hat is the row's Gaussian kernel density estimate, summed over the
     whole row, with the Silverman bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5)
     from the type-8 quartiles (the sd alone where the IQR is 0); x_p is
-    the row's sample quantile of quantile_type.
+    the row's sample quantile of quantile_type.  One (rows, n) buffer
+    holds every temporary of the sums.
     """
     rows = xp[:, 1:-1]
-    sd = np.std(rows, axis=1, ddof=1)
+    u = np.empty(rows.shape)
+    sd = _std_rows(rows, u)
     lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
     scale = np.minimum(sd, (upper - lower) / 1.349)
     scale = np.where(scale > 0, scale, sd)  # many ties in the middle
@@ -369,8 +393,12 @@ def _inversion_grid(xp: np.ndarray, p: np.ndarray, quantile_type: int) -> np.nda
     h = 0.9 * scale * rows.shape[1] ** -0.2
     fhat = np.empty((rows.shape[0], p.size))
     for j, x in enumerate(_quantiles_sorted(rows, p, quantile_type).T):
-        u = (x[:, None] - rows) / h[:, None]
-        fhat[:, j] = np.mean(np.exp(-0.5 * u * u), axis=1) / (_SQRT_2PI * h)
+        np.subtract(x[:, None], rows, out=u)
+        u /= h[:, None]
+        np.multiply(u, u, out=u)
+        u *= -0.5  # exact, so this is -0.5 u u in either order
+        np.exp(u, out=u)
+        fhat[:, j] = np.mean(u, axis=1) / (_SQRT_2PI * h)
     if np.count_nonzero((fhat <= 0.0) | ~np.isfinite(fhat)):
         raise ValueError("zero density at quantile")
     return 1.0 / fhat
@@ -383,9 +411,9 @@ def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
     bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5); x_p is the type-8 sample
     quantile by default.
     """
-    s = as_sample(s)
+    xp = _padded_one(s)
     _check_type(quantile_type)
     p = np.array([_check_p(p)])
-    if s.n < 2:
+    if xp.shape[1] - 2 < 2:
         raise ValueError("need at least two observations")
-    return float(_inversion_grid(s.padded[None], p, quantile_type)[0, 0])
+    return float(_inversion_grid(xp, p, quantile_type)[0, 0])

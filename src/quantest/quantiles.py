@@ -45,10 +45,9 @@ class Sample:
     @classmethod
     def from_values(cls, values) -> "Sample":
         arr = np.asarray(values, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("empty sample")
-        padded = _padded_rows(arr)
+        padded = _padded_one(arr)[0]
         srt = padded[1:-1]
+        # bootstrap_se resamples in input order, so a Sample keeps a copy
         arr = arr.copy()
         arr.setflags(write=False)
         srt.setflags(write=False)
@@ -77,6 +76,21 @@ def _padded_rows(rows: np.ndarray) -> np.ndarray:
     padded[..., 1:-1] = rows
     padded[..., 1:-1].sort(axis=-1)
     return padded
+
+
+def _padded_one(x) -> np.ndarray:
+    """A stack of one: x as Sample.padded with a leading axis, validated.
+
+    A Sample passes its own padded array; other data are sorted straight
+    into a new one, without the copy of the values a Sample keeps.  Empty
+    and non-finite data raise a ValueError, as in Sample.from_values.
+    """
+    if isinstance(x, Sample):
+        return x.padded[None]
+    arr = np.asarray(x, dtype=float).ravel()
+    if arr.size == 0:
+        raise ValueError("empty sample")
+    return _padded_rows(arr[None])
 
 
 def as_sample(x) -> Sample:
@@ -140,21 +154,21 @@ def sample_quantile(s, p: float, quantile_type: int = 8) -> float:
     to [1, n]; with k = floor(h) the result is
     ``sorted[k] + (h - k) (sorted[k+1] - sorted[k])`` in 1-based indexing.
     """
-    s = as_sample(s)
+    xp = _padded_one(s)
     _check_type(quantile_type)
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability {p!r} outside [0, 1]")
-    return float(_quantiles_sorted(s.sorted, p, quantile_type))
+    return float(_quantiles_sorted(xp[0, 1:-1], p, quantile_type))
 
 
 def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
     """Vectorized sample_quantile; output matches the length and order of ps."""
-    s = as_sample(s)
+    xp = _padded_one(s)
     _check_type(quantile_type)
     p = np.asarray(ps, dtype=float)
     if p.size == 0:
         return np.empty(0)
     if np.any(p < 0.0) or np.any(p > 1.0):
         raise ValueError("probabilities outside [0, 1]")
-    return _quantiles_sorted(s.sorted, p, quantile_type)
+    return _quantiles_sorted(xp[0, 1:-1], p, quantile_type)

@@ -17,7 +17,7 @@ from quantest.qdensity import (
     qdens_kernel,
     qor_lognormal,
 )
-from quantest.quantiles import _padded_rows
+from quantest.quantiles import _padded_rows, _quantiles_sorted
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -108,6 +108,22 @@ def test_fit_sigma_of_a_stack_is_the_std_of_the_log_of_each_sorted_row():
         want_sigma, want_shift = fit_lognormal_sigma(v)
         assert (got_sigma, got_shift) == (want_sigma, want_shift)
         assert got_sigma == np.std(np.log(np.sort(v) + got_shift), ddof=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 100, 10**4, 10**6])
+def test_fit_sigma_in_place_equals_the_std_of_the_shifted_logs(n):
+    # the in-place fit is np.std(np.log(rows + shift), ddof=1) bit for bit,
+    # on positive rows (shift 0) and on rows with a nonzero shift
+    rng = np.random.default_rng(n)
+    for values in (rng.lognormal(size=(2, n)), rng.normal(size=(2, n)),
+                   np.stack([rng.lognormal(size=n), rng.normal(size=n)])):
+        xp = _padded_rows(values)
+        lo, hi = xp[:, 1], xp[:, -2]
+        shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / n)
+        sigma, got_shift = _fit_sigma(xp)
+        np.testing.assert_array_equal(got_shift, shift)
+        np.testing.assert_array_equal(
+            sigma, np.std(np.log(xp[:, 1:-1] + shift[:, None]), axis=1, ddof=1))
 
 
 def test_fit_sigma_errors():
@@ -317,6 +333,36 @@ def test_inversion_row_of_a_stack_equals_the_row_alone():
         for v, row in zip(values, stack):
             np.testing.assert_array_equal(row, _inversion_grid(_padded_rows(v[None]), ps,
                                                                quantile_type)[0])
+
+
+def inversion_temporaries(xp, p, quantile_type):
+    """_inversion_grid as a fresh array per step: np.std and exp(-0.5 u u)."""
+    rows = xp[:, 1:-1]
+    sd = np.std(rows, axis=1, ddof=1)
+    lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
+    scale = np.minimum(sd, (upper - lower) / 1.349)
+    scale = np.where(scale > 0, scale, sd)
+    h = 0.9 * scale * rows.shape[1] ** -0.2
+    fhat = np.empty((rows.shape[0], p.size))
+    for j, x in enumerate(_quantiles_sorted(rows, p, quantile_type).T):
+        u = (x[:, None] - rows) / h[:, None]
+        fhat[:, j] = np.mean(np.exp(-0.5 * u * u), axis=1) / (SQRT_2PI * h)
+    return 1.0 / fhat
+
+
+@pytest.mark.parametrize("quantile_type", [4, 8, 9])
+@pytest.mark.parametrize("n", [2, 3, 100, 10**4, 10**5])
+def test_inversion_in_place_equals_fresh_temporaries(n, quantile_type):
+    # one reused buffer gives the same bits as a new array per step,
+    # on smooth, tied and tiny-scale rows
+    rng = np.random.default_rng(n + 7 * quantile_type)
+    values = np.stack([rng.lognormal(size=n), rng.normal(size=n),
+                       np.round(rng.normal(size=n), 1) + (np.arange(n) == 0),
+                       1.0 + 1e-12 * rng.normal(size=n)])
+    xp = _padded_rows(values)
+    ps = np.array([0.01, 0.1, 0.25, 0.5, 0.8, 0.99])
+    np.testing.assert_array_equal(_inversion_grid(xp, ps, quantile_type),
+                                  inversion_temporaries(xp, ps, quantile_type))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])

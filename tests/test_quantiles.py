@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from quantest.quantiles import (
     Sample,
+    _padded_one,
+    _padded_rows,
     _quantiles_sorted,
     as_sample,
     sample_quantile,
@@ -72,6 +74,21 @@ def test_sample_rejects_empty_and_nonfinite():
 def test_as_sample_passthrough():
     s = as_sample([1.0, 2.0])
     assert as_sample(s) is s
+
+
+def test_padded_one_is_a_stack_of_one_without_a_sample():
+    s = as_sample([3.0, 1.0, 2.0])
+    assert np.shares_memory(_padded_one(s), s.padded)
+    for data in ([3.0, 1.0, 2.0], np.array([[3.0, 1.0], [2.0, 5.0]]), 4.0):
+        got = _padded_one(data)
+        np.testing.assert_array_equal(got, _padded_rows(np.ravel(data)[None]))
+        np.testing.assert_array_equal(got[0], as_sample(data).padded)
+    for bad, message in (([], "empty sample"), ([1.0, np.nan], "non-finite"),
+                         ([1.0, np.inf], "non-finite")):
+        with pytest.raises(ValueError, match=message):
+            _padded_one(bad)
+        with pytest.raises(ValueError, match=message):
+            as_sample(bad)
 
 
 # ---------------------------------------------------------------------------
