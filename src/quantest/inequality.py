@@ -78,21 +78,24 @@ class InequalitySpec:
     def _nan_message(self) -> str:
         return f"{self.kind} requires positive data"
 
-    def _estimate(self, rows, quantile_type: int):
+    def _estimate(self, rows, quantile_type: int, gradient: bool = True):
         """The index and its gradient over _grid, for each row of a stack.
 
         rows is a stack of sorted samples; it needs only a shape and
         indexing along its last axis, as in _quantiles_sorted.  Rows with a
-        nonpositive value give NaN.
+        nonpositive value give NaN.  With gradient False the gradient is
+        None.
         """
         J, w = self.J, self._weight
         xq = _quantiles_sorted(rows, self._grid, quantile_type)
         lower, upper = xq[..., :J], xq[..., J:][..., ::-1]
+        grad = None
         # a row with a nonpositive value may divide by zero; it gives NaN
         with np.errstate(divide="ignore", invalid="ignore"):
             index = np.add.reduce(w * (1.0 - lower / upper), axis=-1) / J
-            grad = np.concatenate([-w / (J * upper), (w * lower / (J * upper**2))[..., ::-1]],
-                                  axis=-1)
+            if gradient:
+                grad = np.concatenate([-w / (J * upper), (w * lower / (J * upper**2))[..., ::-1]],
+                                      axis=-1)
         return np.where(rows[..., 0] > 0.0, index, np.nan), grad
 
 

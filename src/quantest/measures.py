@@ -92,23 +92,26 @@ class MeasureSpec:
 
     _nan_message = "zero denominator"
 
-    def _estimate(self, rows, quantile_type: int):
+    def _estimate(self, rows, quantile_type: int, gradient: bool = True):
         """The estimate and its gradient over _grid, for each row of a stack.
 
         rows is a stack of sorted samples; it needs only a shape and
         indexing along its last axis, as in _quantiles_sorted.  Rows whose
         denominator is zero give NaN.  Each combination is a product summed
         along the row, not a BLAS product, so a row of a stack gives the
-        same number as the row alone.
+        same number as the row alone.  With gradient False the gradient is
+        None.
         """
         xq = _quantiles_sorted(rows, self._grid, quantile_type)
         num = np.add.reduce(xq * self._b1, axis=-1)
         if not self.is_ratio:
-            return num, self._b1
+            return num, (self._b1 if gradient else None)
         den = np.add.reduce(xq * self._b2, axis=-1)
         zero = den == 0.0
         den = np.where(zero, 1.0, den)
         ratio = np.where(zero, np.nan, num / den)
+        if not gradient:
+            return ratio, None
         # d(num/den)/dQ = (b1 - ratio b2)/den
         return ratio, (self._b1 - ratio[..., None] * self._b2) / den[..., None]
 
@@ -276,7 +279,7 @@ def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
     """
     xp = _padded_one(x)
     _check_type(quantile_type)
-    est = float(spec._estimate(xp[:, 1:-1], quantile_type)[0][0])
+    est = float(spec._estimate(xp[:, 1:-1], quantile_type, gradient=False)[0][0])
     if math.isnan(est):
         raise ValueError(spec._nan_message)
     return est

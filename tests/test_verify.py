@@ -411,15 +411,26 @@ ONE_ROW_B = 2 * (verify._BOOT_BLOCK // 4001) + 1
     ("median, last block of one row", 4001, resolve_measure("median"), ONE_ROW_B),
     ("rCViqr, ties, last block of one row", 4001, resolve_measure("rCViqr"), ONE_ROW_B),
     ("g2, last block of one row", 4001, InequalitySpec("G2", 25), ONE_ROW_B),
+    # selected, not sorted: one column per access at 10^4 over five blocks,
+    # two int32 columns per access above 2^15
+    ("median, selected", 10**4, resolve_measure("median"), 500),
+    ("qr9010, selected above 2^15", 2**15 + 1, resolve_measure("qr9010"), 500),
+    ("median at n = 2", 2, resolve_measure("median"), 500),
+    # about half the sample at one value: a few resamples have a zero IQR,
+    # the denominator of Bowley's skew, whose three quartiles are selected
+    ("bowley, atom, selected", 10**4, resolve_measure("bowley"), 500),
 ])
 def test_bootstrap_matches_the_float_sort_bit_for_bit(label, n, measure, B):
     rng = np.random.default_rng(n)
     x = rng.lognormal(size=n)
     if "ties" in label:
         x = np.round(x, 1)
+    if "atom" in label:
+        x = np.concatenate([rng.normal(0.0, 1.0, 2560), np.full(n - 2560 - n // 4, 2.0),
+                            rng.normal(4.0, 1.0, n // 4)])
     got = bootstrap_se(x, measure, B=B, seed=3)
     want, failed = float_sort_bootstrap(x, measure, B, 3)
-    assert failed == 0
+    assert (failed > 0) == ("atom" in label)
     assert got == want
 
 
@@ -432,3 +443,70 @@ def test_bootstrap_with_some_failing_resamples_matches_the_float_sort():
     want, failed = float_sort_bootstrap(x, measure, 1000, 5)
     assert 0 < failed <= 50
     assert bootstrap_se(x, measure, B=1000, seed=5) == want
+
+
+# ---------------------------------------------------------------------------
+# _RankRows: every gather against the same gather from the sorted ranks
+
+
+def check_rank_rows(ranks, keys):
+    """Gather each key from _RankRows in turn and from np.sort(ranks)."""
+    n = ranks.shape[-1]
+    # strictly increasing values, so a gathered value names its rank
+    values = np.arange(n) + 0.5
+    want = np.sort(ranks, axis=-1)
+    rows = verify._RankRows(values, ranks.copy())
+    for key in keys:
+        got = rows[key]
+        assert got.shape == values[want[key]].shape
+        assert np.array_equal(got, values[want[key]]), key
+    return rows
+
+
+@pytest.mark.parametrize("dtype, n", [(np.int16, 10**4), (np.int32, 2**15 + 1)])
+def test_rank_rows_select_columns_as_the_sort_places_them(dtype, n):
+    rng = np.random.default_rng(n)
+    # heavy ties: each row holds few distinct ranks, bunched near the middle
+    ties = rng.integers(n // 2 - 20, n // 2 + 20, size=(5, n)).astype(dtype)
+    spread = rng.integers(0, n, size=(5, n)).astype(dtype)
+    keys = [
+        (..., 0),
+        (..., n - 1),
+        (..., np.array([n // 2, n // 2 - 1, n // 2 + 1])),
+        (..., np.array([n // 2 + 2, n // 2 + 2, 7])),   # duplicates, out of order
+        (..., np.array([n // 2, n // 2 + 1])),          # placed already
+        (..., slice(n // 3, n // 3 + 3)),
+        (..., n // 3 + 1),
+        (Ellipsis, np.array([n - 2, 1, n - 3])),
+    ]
+    for ranks in (ties, spread):
+        rows = check_rank_rows(ranks, keys)
+        # no access named more than three new columns: nothing was sorted
+        assert rows._placed is not None
+
+
+def test_rank_rows_sort_when_selecting_costs_more():
+    rng = np.random.default_rng(5)
+    n = 10**4
+    ranks = rng.integers(0, n, size=(4, n)).astype(np.int16)
+    rows = check_rank_rows(ranks, [(..., np.array([10, 5000]))])
+    assert rows._placed is not None
+    # four new columns at 10^4: every row is sorted, and stays so
+    rows = check_rank_rows(ranks, [(..., np.array([10, 5000])),
+                                   (..., np.array([1, 2, 3, 4000])),
+                                   (..., np.array([0, 9999, 17]))])
+    assert rows._placed is None
+    assert np.array_equal(rows._ranks, np.sort(ranks, axis=-1))
+    # the benchmark's bootstraps fall on both sides: the median at 10^4
+    # selects, QRI's 200 columns at 10^3 sort
+    assert verify._select_pays(10**4, 1) and not verify._select_pays(1000, 200)
+    # below about 10^3 even one column sorts
+    check_rank_rows(rng.integers(0, 300, size=(6, 300)).astype(np.int16),
+                    [(..., np.array([149])), (..., 150)])
+    assert not verify._select_pays(300, 1)
+
+
+def test_rank_rows_single_value_rows():
+    ranks = np.zeros((7, 1), dtype=np.int16)
+    # the n = 1 path of _quantiles_sorted reads a slice, then column 0
+    check_rank_rows(ranks, [(..., slice(0, 1)), (..., 0), (..., slice(0, 1))])
