@@ -5,7 +5,9 @@ each, every ``TestResult`` and ``QuantileCov`` built and every value
 returned by ``coverage_sim``, ``bootstrap_se``, ``qdens_kernel``,
 ``qdens_inversion`` and ``fit_lognormal_sigma``.  A record is keyed by the
 node id of the running test and its call order within that test, so two
-runs of the same suite line up record by record.  Floats are written with
+runs of the same suite line up record by record.  A test whose results are
+built on more than one thread has no fixed call order, so its records are
+written sorted by their canonical JSON instead.  Floats are written with
 ``repr``, which round-trips, so equal logs mean bit-identical results.
 
 ``compare`` lines up two logs and prints, per field, the largest absolute
@@ -38,6 +40,7 @@ import json
 import math
 import re
 import sys
+import threading
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -73,18 +76,31 @@ def plain(x):
 
 
 class Recorder:
-    """pytest plugin that writes one JSON line per logged result."""
+    """pytest plugin that writes one JSON line per logged result.
+
+    A test's records are held until it ends, with the thread that built
+    each, and then written in call order or, if several threads built
+    them, in the order of their canonical JSON.
+    """
 
     def __init__(self, path: str):
         self.out = open(path, "w")
         self.test = "<collection>"
         self.seq = Counter()
+        self.pending = []  # (thread, kind, value) of the running test
 
     def log(self, kind: str, value) -> None:
-        seq = self.seq[self.test]
-        self.seq[self.test] += 1
-        self.out.write(json.dumps({"test": self.test, "seq": seq, "kind": kind,
-                                   "value": plain(value)}) + "\n")
+        self.pending.append((threading.get_ident(), kind, plain(value)))
+
+    def flush(self) -> None:
+        records = [(kind, value) for _, kind, value in self.pending]
+        if len({thread for thread, _, _ in self.pending}) > 1:
+            records.sort(key=lambda r: json.dumps(r, sort_keys=True))
+        for seq, (kind, value) in enumerate(records, self.seq[self.test]):
+            self.out.write(json.dumps({"test": self.test, "seq": seq, "kind": kind,
+                                       "value": value}) + "\n")
+        self.seq[self.test] += len(records)
+        self.pending = []
 
     def pytest_configure(self, config):
         for module_name, names in FUNCTIONS.items():
@@ -128,11 +144,14 @@ class Recorder:
 
     @pytest.hookimpl(hookwrapper=True)
     def pytest_runtest_protocol(self, item, nextitem):
+        self.flush()
         self.test = item.nodeid
         yield
+        self.flush()
         self.test = "<collection>"
 
     def pytest_unconfigure(self, config):
+        self.flush()
         self.out.close()
 
 

@@ -17,7 +17,6 @@ from .inequality import (
 from .inference import (
     TestOptions,
     TestResult,
-    lincomb_stats,
     p_value,
     q_test_one,
     q_test_two,
@@ -74,7 +73,6 @@ __all__ = [
     "TestResult",
     "q_test_one",
     "q_test_two",
-    "lincomb_stats",
     "wald_interval",
     "p_value",
     "InequalitySpec",

@@ -9,8 +9,7 @@ delta method then gives
     var(theta) = g' Sigma g,
 
 summed in O(d) from the Brownian-bridge form of Sigma (qcov._bridge_form)
-without building the matrix; lincomb_stats contracts a QuantileCov's
-matrix instead.  For a ratio R = b1'Q / b2'Q the gradient is
+without building the matrix.  For a ratio R = b1'Q / b2'Q the gradient is
 (b1 - R b2)/(b2'Q).  On the log scale var(log theta) = var(theta)/theta^2,
 which generally yields better-calibrated intervals for ratio measures.
 Tests are Wald tests against a normal reference distribution.
@@ -33,14 +32,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import ndtr, ndtri
-from .qcov import QuantileCov, _bridge_form, _qhat_rows
+from .qcov import _bridge_form, _qhat_rows
 from .qdensity import QdMethod
 from .quantiles import Sample, _check_type, _padded_one
 
 __all__ = [
     "TestOptions",
     "TestResult",
-    "lincomb_stats",
     "wald_interval",
     "p_value",
     "q_test_one",
@@ -131,29 +129,6 @@ class TestResult:
     estimate_label: str = "estimate"
     conf_level: float = 0.95
     data_name: str = "x"
-
-
-def lincomb_stats(cov: QuantileCov, xhat, b1, b2=None):
-    """Point estimates and (co)variances of the coefficient combinations.
-
-    Returns (est1, est2, v1, v2, v12); the entries for the second
-    combination are None when b2 is absent.  Coefficients must already
-    be aligned with cov.probs, one per probability in its order.
-    """
-    b1 = np.asarray(b1, dtype=float)
-    xhat = np.asarray(xhat, dtype=float)
-    d = len(cov.probs)
-    if b1.shape != (d,) or xhat.shape != (d,):
-        raise ValueError("coefficient/quantile vectors must match the covariance dimension")
-    if b2 is not None:
-        b2 = np.asarray(b2, dtype=float)
-        if b2.shape != (d,):
-            raise ValueError("coefficient/quantile vectors must match the covariance dimension")
-    sigma = cov.matrix
-    if b2 is None:
-        return float(xhat @ b1), None, float(b1 @ sigma @ b1), None, None
-    return (float(xhat @ b1), float(xhat @ b2), float(b1 @ sigma @ b1),
-            float(b2 @ sigma @ b2), float(b1 @ sigma @ b2))
 
 
 def wald_interval(est, se, level, alternative="two_sided", min_q=-math.inf):

@@ -42,6 +42,11 @@ are summed directly.  Every table entry adds nonnegative terms, so the
 result keeps float64 accuracy (about 2e-14 relative to the literal sum
 at n = 10^6), where global prefix sums of j D_j and j^2 D_j lose digits
 to cancellation.  The table holds O(n/64) numbers.
+
+The window sums and the leaf moments are fixed-order NumPy reductions
+(einsum and subtraction), never BLAS calls: a BLAS dot product splits
+over the BLAS threads, so its last bits, and its speed on a busy host,
+would depend on the BLAS thread count.  These do not.
 """
 
 from __future__ import annotations
@@ -273,7 +278,9 @@ def _band_sums(xp, lo, c, h, width: int) -> np.ndarray:
     D_j = xp[j+1] - xp[j] are gathered with the indices clipped to xp, so
     those outside 0 .. n are zero; the window must hold every j where the
     Epanechnikov K is nonzero.  Rows, and then windows, go in chunks of at
-    most _BAND_MAX gathered spacings.
+    most _BAND_MAX gathered spacings.  Each window is summed by einsum in a
+    fixed order, with no BLAS call, so the bits do not depend on the BLAS
+    thread count.
     """
     rows, d = xp.shape[0], lo.size
     if rows * d * width > _BAND_MAX:
@@ -290,7 +297,7 @@ def _band_sums(xp, lo, c, h, width: int) -> np.ndarray:
     j = lo[:, None] + np.arange(width + 1)
     x = xp.take(j, axis=1, mode="clip")
     w = _epanechnikov((j[:, :-1] - c[:, None]) / h[..., None])
-    return (np.diff(x)[..., None, :] @ w[..., :, None])[..., 0, 0]
+    return np.einsum("...j,...j->...", np.diff(x), w)
 
 
 def _table_sums(xp, c, h) -> np.ndarray:
@@ -351,15 +358,22 @@ def _moment_table(xp, k0: int, k1: int) -> list:
     Level l row i holds sum D_j t^q (q = 0, 1, 2) over the 2^l blocks
     from block k0 + i 2^l on, with t the offset of spacing j from the
     run's start.  Block k holds the spacings D_j = xp[j+1] - xp[j] with
-    j in [64k, 64k + 64).
+    j in [64k, 64k + 64).  A leaf's zeroth moment telescopes to
+    xp[64k + 64] - xp[64k], one rounding; the other two are einsum
+    reductions.  None is a BLAS call, so the bits do not depend on the BLAS
+    thread count.
     """
     t = np.arange(_BLOCK, dtype=float)
-    powers = np.stack((np.ones(_BLOCK), t, t * t), axis=1)
+    t2 = t * t
     level = np.empty((k1 - k0, 3))
     for a in range(k0, k1, _CHUNK):
         z = min(a + _CHUNK, k1)
-        spacings = np.diff(xp[a * _BLOCK:z * _BLOCK + 1]).reshape(-1, _BLOCK)
-        level[a - k0:z - k0] = spacings @ powers
+        run = xp[a * _BLOCK:z * _BLOCK + 1]
+        spacings = np.diff(run).reshape(-1, _BLOCK)
+        rows = level[a - k0:z - k0]
+        np.subtract(run[_BLOCK::_BLOCK], run[:-1:_BLOCK], out=rows[:, 0])
+        np.einsum("ij,j->i", spacings, t, out=rows[:, 1])
+        np.einsum("ij,j->i", spacings, t2, out=rows[:, 2])
     levels = [level]
     half = _BLOCK
     while level.shape[0] > 1:

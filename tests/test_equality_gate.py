@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +60,24 @@ def test_compare_fails_on_changed_fields_and_values(gate, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "field QuantileCov.method.kernel only in the first log, in 1 records" in out
     assert "'qor' against 'density'" in out
+
+
+def test_records_built_on_many_threads_line_up_between_runs(gate, tmp_path, capsys):
+    # the callers of this test finish in a different order on every run
+    test = ("tests/test_concurrent_two_sample.py::"
+            "test_callers_on_many_threads_share_the_worker")
+    root = os.path.dirname(os.path.dirname(SCRIPT))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(root, "src"),
+                                                    env.get("PYTHONPATH")) if p)
+    logs = []
+    for run in ("a", "b"):
+        log = str(tmp_path / f"{run}.jsonl")
+        done = subprocess.run([sys.executable, SCRIPT, "record", log, test], cwd=root, env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+        logs.append(log)
+    assert gate.compare(*logs) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("16 shared records, 0 only in")
+    assert out.splitlines()[-1] == "PASS"

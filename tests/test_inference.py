@@ -8,51 +8,73 @@ from scipy.special import ndtr
 
 from quantest.inference import (
     TestOptions,
-    lincomb_stats,
     p_value,
     q_test_one,
     q_test_two,
     wald_interval,
 )
 from quantest.measures import MeasureSpec, resolve_measure
-from quantest.qcov import qcov
-from quantest.quantiles import sample_quantile
+from quantest.qcov import _bridge_form, _qhat_rows, qcov
+from quantest.qdensity import QdMethod
+from quantest.quantiles import _padded_rows, sample_quantile
 
 Z975 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
-# lincomb_stats
+# the matrix route, b' Sigma b from a QuantileCov, as the oracle of _bridge_form
+
+
+def lincomb_stats(cov, xhat, b1, b2=None):
+    """Estimates and (co)variances of coefficient combinations, from the matrix.
+
+    Returns (est1, est2, v1, v2, v12); the entries for the second
+    combination are None when b2 is absent.  Coefficients are aligned
+    with cov.probs.
+    """
+    b1, m = np.asarray(b1, dtype=float), cov.matrix
+    if b2 is None:
+        return xhat @ b1, None, b1 @ m @ b1, None, None
+    b2 = np.asarray(b2, dtype=float)
+    return xhat @ b1, xhat @ b2, b1 @ m @ b1, b2 @ m @ b2, b1 @ m @ b2
+
+
+def bridge(x, ps, b1, b2):
+    """_bridge_form of b1 and b2 over the sorted grid ps, as the Wald tests sum it."""
+    grid = np.asarray(ps)
+    qhat = _qhat_rows(_padded_rows(x[None]), grid, QdMethod(), 8)[0][0]
+    return float(_bridge_form(grid, np.multiply(b1, qhat), np.multiply(b2, qhat), x.size))
 
 
 def test_unit_vector_recovers_variance_entry(norm100):
-    cov = qcov(norm100, [0.25, 0.5, 0.75])
-    xhat = np.zeros(3)
-    est1, est2, v1, v2, v12 = lincomb_stats(cov, xhat, [0.0, 1.0, 0.0])
+    ps = [0.25, 0.5, 0.75]
+    cov = qcov(norm100, ps)
+    e = [0.0, 1.0, 0.0]
+    est1, est2, v1, v2, v12 = lincomb_stats(cov, np.zeros(3), e)
     assert v1 == cov.matrix[1, 1]
     assert est2 is None and v2 is None and v12 is None
+    assert bridge(norm100, ps, e, e) == pytest.approx(v1, rel=1e-14)
 
 
 def test_contrast_expansion_by_hand(norm100):
-    cov = qcov(norm100, [0.25, 0.75])
+    ps = [0.25, 0.75]
+    cov = qcov(norm100, ps)
     m = cov.matrix
+    by_hand = m[0, 0] + m[1, 1] - 2.0 * m[0, 1]
     _, _, v1, _, _ = lincomb_stats(cov, np.zeros(2), [-1.0, 1.0])
-    assert v1 == pytest.approx(m[0, 0] + m[1, 1] - 2.0 * m[0, 1], rel=1e-12)
+    assert v1 == pytest.approx(by_hand, rel=1e-12)
+    assert bridge(norm100, ps, [-1.0, 1.0], [-1.0, 1.0]) == pytest.approx(by_hand, rel=1e-12)
 
 
 def test_identical_combinations_give_equal_terms(norm100):
-    cov = qcov(norm100, [0.3, 0.6])
+    ps = [0.3, 0.6]
+    cov = qcov(norm100, ps)
     b = [0.5, 2.0]
     est1, est2, v1, v2, v12 = lincomb_stats(cov, np.array([1.0, 2.0]), b, b)
     assert est1 == est2
     assert v1 == pytest.approx(v2, rel=1e-15)
     assert v12 == pytest.approx(v1, rel=1e-15)
-
-
-def test_dimension_mismatch(norm100):
-    cov = qcov(norm100, [0.5])
-    with pytest.raises(ValueError):
-        lincomb_stats(cov, np.zeros(1), [1.0, 2.0])
+    assert bridge(norm100, ps, b, b) == pytest.approx(v12, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

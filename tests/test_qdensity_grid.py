@@ -119,6 +119,47 @@ def test_grid_matches_literal_sum_at_a_million(regime):
     assert_literal(grid(xs, ps, bs), xs, ps, bs)
 
 
+def test_a_median_window_of_over_12500_spacings_matches_the_literal_sum(table_calls):
+    # the band path sums the whole window at once
+    rng = np.random.default_rng(17)
+    n = 10**5
+    xs = np.sort(rng.lognormal(0.0, 0.8, n))
+    ps = np.array([0.5])
+    bs = qor_bandwidths(ps, n, sigma=0.8)
+    assert 2 * n * bs[0] >= 12_500
+    assert_literal(grid(xs, ps, bs), xs, ps, bs)
+    assert not table_calls
+
+
+def test_a_table_over_several_chunks_matches_the_literal_sum(table_calls):
+    # more than 2^17 spacings: the table is built in chunks, each leaf's
+    # zeroth moment telescoped from its two end values
+    rng = np.random.default_rng(19)
+    n = 2**17 + 12_345
+    xs = np.sort(np.round(rng.lognormal(size=n), 3))  # ties: many zero spacings
+    p = (np.arange(1, 51) - 0.5) / 50
+    ps = np.concatenate([p / 2, 1.0 - p[::-1] / 2, [0.05, 0.93]])
+    bs = np.concatenate([qor_bandwidths(ps[:-2], n), [0.2, 0.3]])  # two reach D_0/D_n
+    assert_literal(grid(xs, ps, bs), xs, ps, bs)
+    assert table_calls == [ps.size]
+    assert n // qd._BLOCK > qd._CHUNK
+
+
+def test_stacked_rows_with_their_own_fitted_bandwidths_match_the_literal_sum(table_calls):
+    # fitted sigma gives each row its own bandwidths; the band goes in row chunks
+    rng = np.random.default_rng(23)
+    n, ps = 20_000, np.array([0.1, 0.25, 0.5, 0.75, 0.9])
+    rows = np.sort(rng.lognormal(0.0, rng.uniform(0.4, 1.5, (8, 1)), (8, n)), axis=1)
+    padded = np.pad(rows, ((0, 0), (1, 1)))
+    sigma, _ = qd._fit_sigma(padded)
+    bs = qd._bandwidths(qd._qor_lognormal(sigma[:, None], ps), ps, n)
+    got = qd._qdens_grid(padded, ps, bs)
+    assert rows.shape[0] * ps.size * 2 * n * bs.max() > qd._BAND_MAX
+    for xs, g, b in zip(rows, got, bs):
+        assert_literal(g, xs, ps, b)
+    assert not table_calls
+
+
 @pytest.mark.parametrize("p, b", [(0.05, 0.2), (0.93, 0.3), (0.5, 0.9), (0.01, 0.999)])
 def test_truncated_windows_keep_the_end_terms(regime, p, b):
     rng = np.random.default_rng(3)
