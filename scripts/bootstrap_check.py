@@ -16,15 +16,9 @@ import time
 
 import numpy as np
 
-from quantest import Distribution, InequalitySpec, bootstrap_se
+from quantest import Distribution, bootstrap_se
 from quantest.inference import q_test_one
 from quantest.measures import resolve_measure
-
-
-def build_measure(name: str, J: int):
-    if name in ("QRI", "G2"):
-        return InequalitySpec(kind=name, J=J)
-    return resolve_measure(name)
 
 
 def main(argv=None) -> int:
@@ -46,7 +40,7 @@ def main(argv=None) -> int:
     print(f"{'measure':10s} {'n':>6s} {'ratio mean':>11s} {'ratio sd':>9s} "
           f"{'min':>7s} {'max':>7s} {'secs':>6s}")
     for name in args.measures:
-        measure = build_measure(name, args.J)
+        measure = resolve_measure(name, J=args.J)
         for n in args.n:
             t0 = time.monotonic()
             streams = np.random.SeedSequence([args.seed, n]).spawn(args.trials)

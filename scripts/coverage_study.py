@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 
-from quantest import Distribution, InequalitySpec, SimConfig, coverage_sim
+from quantest import Distribution, SimConfig, coverage_sim
 from quantest.measures import resolve_measure
 
 # measure name -> distribution the study samples from (positive-support
@@ -28,12 +28,6 @@ DEFAULT_PLAN = {
     "QRI": "lognormal",
     "G2": "lognormal",
 }
-
-
-def build_measure(name: str, J: int):
-    if name in ("QRI", "G2"):
-        return InequalitySpec(kind=name, J=J)
-    return resolve_measure(name)
 
 
 def main(argv=None) -> int:
@@ -59,7 +53,7 @@ def main(argv=None) -> int:
           f"{'mc_se':>7s} {'width':>9s} {'secs':>6s}")
     for name in args.measures:
         dist_name = args.dist or DEFAULT_PLAN.get(name, "normal")
-        measure = build_measure(name, args.J)
+        measure = resolve_measure(name, J=args.J)
         for n in args.n:
             cfg = SimConfig(Distribution(dist_name), n=n, reps=args.reps,
                             measure=measure, level=args.level, seed=args.seed,

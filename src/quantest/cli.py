@@ -278,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_flags(qt, two_sample=True)
     qt.add_argument("--measure", default=None,
                     help="named measure (median, iqr, rCViqr, bowley, kelly, "
-                         "groenR, groenL, moors, lqw, rqw, qrXXYY)")
+                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2); "
+                         "QRI and G2 use a grid of 100 ratios")
     qt.add_argument("--u", default=None,
                     help="numerator probabilities, comma separated")
     qt.add_argument("--coef", default=None,
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--n", type=int, required=True, help="sample size")
     vc.add_argument("--reps", type=int, required=True, help="replications")
     vc.add_argument("--measure", default="median",
-                    help="measure name, or QRI / G2")
+                    help="named measure (median, iqr, rCViqr, bowley, kelly, "
+                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2)")
     vc.add_argument("--p", type=float, default=None,
                     help="tail parameter for parameterized measures")
     vc.add_argument("--J", type=int, default=100)
@@ -350,16 +352,19 @@ def build_parser() -> argparse.ArgumentParser:
                          "with back-transformation")
     vc.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: QUANTEST_SEED env var, else 0)")
+    _add_format(vc)
 
     vb = vsub.add_parser("bootstrap", help="bootstrap standard error of a measure")
     _add_data_flags(vb, two_sample=False)
     vb.add_argument("--measure", default="median",
-                    help="measure name, or QRI / G2")
+                    help="named measure (median, iqr, rCViqr, bowley, kelly, "
+                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2)")
     vb.add_argument("--p", type=float, default=None)
     vb.add_argument("--J", type=int, default=100)
     vb.add_argument("--B", type=int, default=2000, help="resamples (default 2000)")
     vb.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: QUANTEST_SEED env var, else 0)")
+    _add_format(vb)
 
     return parser
 
@@ -378,7 +383,7 @@ def _config_error(fn, *args, **kwargs):
         raise UsageError(str(exc)) from exc
 
 
-def _qtest_measure(args) -> MeasureSpec:
+def _qtest_measure(args):
     if (args.measure is None) == (args.u is None):
         raise UsageError("exactly one of --measure or --u must be given")
     if args.measure is not None:
@@ -404,12 +409,6 @@ def _qtest_measure(args) -> MeasureSpec:
     u2 = _parse_floats(args.u2, "--u2") if args.u2 is not None else None
     coef2 = _parse_floats(args.coef2, "--coef2") if args.coef2 is not None else None
     return _config_error(MeasureSpec.from_arrays, u, coef, u2, coef2)
-
-
-def _verify_measure(args):
-    if args.measure in ("QRI", "G2"):
-        return _config_error(InequalitySpec, kind=args.measure, J=args.J)
-    return _config_error(resolve_measure, args.measure, args.p)
 
 
 def _seed_from(args) -> int:
@@ -478,16 +477,18 @@ def _cmd_qcov(args) -> int:
     return 0
 
 
-def _print_tsv_and_json(fields: dict, extra_json: dict) -> None:
-    keys = list(fields)
-    print("\t".join(keys))
-    print("\t".join(f"{fields[k]:.6g}" if isinstance(fields[k], float)
-                    else str(fields[k]) for k in keys))
+def _print_tsv_and_json(fields: dict, extra_json: dict, fmt: str) -> None:
+    """The TSV header and row, then the JSON; with fmt "json" the JSON alone."""
+    if fmt == "text":
+        keys = list(fields)
+        print("\t".join(keys))
+        print("\t".join(f"{fields[k]:.6g}" if isinstance(fields[k], float)
+                        else str(fields[k]) for k in keys))
     print(json.dumps({**extra_json, **fields}, indent=2))
 
 
 def _cmd_verify_coverage(args) -> int:
-    measure = _verify_measure(args)
+    measure = _config_error(resolve_measure, args.measure, args.p, args.J)
     params = tuple(_parse_floats(args.params, "--params")) if args.params else ()
     dist = _config_error(Distribution, args.dist, params)
     seed = _seed_from(args)
@@ -500,12 +501,12 @@ def _cmd_verify_coverage(args) -> int:
         {"command": "verify coverage", "distribution": dist.name,
          "params": list(dist.params), "n": args.n, "reps": args.reps,
          "measure": args.measure, "level": args.level, "seed": seed,
-         "log_ratio": args.log_ratio, "rng": RNG_DESCRIPTION})
+         "log_ratio": args.log_ratio, "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
 
 def _cmd_verify_bootstrap(args) -> int:
-    measure = _verify_measure(args)
+    measure = _config_error(resolve_measure, args.measure, args.p, args.J)
     if args.B < 500:
         raise UsageError("need at least 500 bootstrap resamples")
     seed = _seed_from(args)
@@ -514,7 +515,7 @@ def _cmd_verify_bootstrap(args) -> int:
     _print_tsv_and_json(
         {"bootstrap_se": se, "B": args.B, "seed": seed},
         {"command": "verify bootstrap", "file": args.x, "n": int(x.size),
-         "measure": args.measure, "rng": RNG_DESCRIPTION})
+         "measure": args.measure, "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
 

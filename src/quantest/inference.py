@@ -178,9 +178,9 @@ def _working_stats(padded, spec, opts: TestOptions):
 
     padded is a stack of samples, one per row, each sorted between two
     zeros; spec is a MeasureSpec or an InequalitySpec.
-    Returns (raw_estimate, working_estimate, working_variance, floored),
-    each with one element or row per sample; floored lists the
-    probabilities of the first sample whose quantile density was floored.
+    Returns (working_estimate, working_variance), with one element per
+    sample, and floored, the probabilities of the first sample whose
+    quantile density was floored.
     The working scale is the log scale when log_transf is set.  A sample
     without an estimate raises the spec's error before the
     degenerate-sample check.
@@ -198,8 +198,8 @@ def _working_stats(padded, spec, opts: TestOptions):
         if np.count_nonzero(est <= 0.0):
             raise ValueError("log of non-positive ratio" if spec.is_ratio
                              else "log of nonpositive estimate")
-        return est, np.log(est), var / est**2, floored
-    return est, est, var, floored
+        return np.log(est), var / est**2, floored
+    return est, var, floored
 
 
 def _interval(working_est, working_var, opts: TestOptions):
@@ -239,8 +239,8 @@ def _finish(working_est, working_var, null_working, opts, scale, description,
 
 def _stats_one(x, spec, opts: TestOptions):
     """_working_stats of one sample, as floats, with its warnings."""
-    stats = _working_stats(_padded_one(x), spec, opts)
-    return (*(float(v[0]) for v in stats[:3]), _floored_warnings(stats[3]))
+    est, var, floored = _working_stats(_padded_one(x), spec, opts)
+    return float(est[0]), float(var[0]), _floored_warnings(floored)
 
 
 def _size(x) -> int:
@@ -280,7 +280,7 @@ def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     and back_transf merely reports the estimate, interval and null on the
     exponentiated scale.
     """
-    raw, working_est, working_var, warnings = _stats_one(x, spec, opts)
+    working_est, working_var, warnings = _stats_one(x, spec, opts)
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)
     scale = "log" if opts.log_transf else "identity"
@@ -304,7 +304,7 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     or arrays), x is estimated on a worker thread while y is estimated
     here; the results are bit-identical to estimating one after the other.
     """
-    (raw_x, wx, vx, warn_x), (raw_y, wy, vy, warn_y) = _stats_two(x, y, spec, opts)
+    (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)

@@ -13,7 +13,8 @@ bootstrap use that one function.
 
 The registry covers location, spread, relative spread, skewness, kurtosis
 and tail-weight measures built from quantiles, plus two-quantile ratios
-such as qr9010 (the 90/10 ratio).  Everything else can be expressed by
+such as qr9010 (the 90/10 ratio); resolve_measure also names the
+inequality indices QRI and G2.  Everything else can be expressed by
 passing probabilities and coefficients directly.
 """
 
@@ -35,8 +36,9 @@ class MeasureSpec:
     """Probabilities and coefficients defining a quantile measure.
 
     u/coef give the numerator combination; u2/coef2, when present, give
-    the denominator.  name/label/plural feed report rendering.  tail_p
-    records the tail parameter of parameterized measures.
+    the denominator.  name is the registry name; label/plural feed report
+    rendering.  tail_p records the tail parameter of parameterized
+    measures.
 
     _grid is the sorted set of all the probabilities, and _b1/_b2 the
     coefficients of the two combinations on it (_b2 None without a
@@ -220,16 +222,17 @@ _LOWER_TAIL = {"bowley", "groenR", "groenL", "lqw"}
 _QR_PATTERN = re.compile(r"^qr(\d{2})(\d{2})$")
 
 MEASURE_NAMES = ("median", "iqr", "rCViqr", "bowley", "kelly", "groenR",
-                 "groenL", "moors", "lqw", "rqw", "qrXXYY")
+                 "groenL", "moors", "lqw", "rqw", "qrXXYY", "QRI", "G2")
 
 
-def resolve_measure(name: str, p: float | None = None) -> MeasureSpec:
+def resolve_measure(name: str, p: float | None = None, J: int = 100):
     """Look up a named measure, applying the tail parameter where allowed.
 
     Defaults: p = 0.25 for bowley/groenR/groenL/lqw and p = 0.75 for rqw.
     kelly is Bowley's measure with the tail fixed at 0.1 and takes no
     parameter.  Names are case-sensitive.  qrXXYY parses two percent
-    fields, e.g. qr9010 for the 90th/10th percentile ratio.
+    fields, e.g. qr9010 for the 90th/10th percentile ratio.  QRI and G2
+    give an InequalitySpec on a grid of J ratios; no other measure reads J.
     """
     if name in _LOWER_TAIL:
         tail = 0.25 if p is None else float(p)
@@ -249,6 +252,10 @@ def resolve_measure(name: str, p: float | None = None) -> MeasureSpec:
         return _rqw(tail)
     if p is not None:
         raise ValueError(f"measure {name!r} takes no tail parameter")
+    if name in ("QRI", "G2"):
+        from .inequality import InequalitySpec  # inequality imports this module
+
+        return InequalitySpec(name, J)
     if name == "median":
         return _median()
     if name == "iqr":

@@ -129,7 +129,8 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     ps = np.atleast_1d(np.asarray(us, dtype=float))
     if ps.size == 0:
         raise ValueError("need at least one probability")
-    if np.any(ps <= 0.0) or np.any(ps >= 1.0):
+    # NaN fails the check too
+    if not np.all((ps > 0.0) & (ps < 1.0)):
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     uniq, inverse = np.unique(ps, return_inverse=True)

@@ -117,8 +117,6 @@ def _quantiles_sorted(sorted_values: np.ndarray, ps, quantile_type: int = 8) -> 
     p = np.asarray(ps, dtype=float)
     n = sorted_values.shape[-1]
     if n == 1:
-        if p.ndim == 0:
-            return sorted_values[..., 0] * np.ones_like(p)
         return sorted_values[..., 0:1] * np.ones_like(p)
     h = (n + a) * p + b
     h = np.clip(h, 1.0, float(n))
@@ -154,12 +152,7 @@ def sample_quantile(s, p: float, quantile_type: int = 8) -> float:
     to [1, n]; with k = floor(h) the result is
     ``sorted[k] + (h - k) (sorted[k+1] - sorted[k])`` in 1-based indexing.
     """
-    xp = _padded_one(s)
-    _check_type(quantile_type)
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    return float(_quantiles_sorted(xp[0, 1:-1], p, quantile_type))
+    return float(sample_quantiles(s, [float(p)], quantile_type)[0])
 
 
 def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
@@ -169,6 +162,7 @@ def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
     p = np.asarray(ps, dtype=float)
     if p.size == 0:
         return np.empty(0)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    # NaN fails the check too
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities outside [0, 1]")
     return _quantiles_sorted(xp[0, 1:-1], p, quantile_type)

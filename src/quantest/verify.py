@@ -205,7 +205,7 @@ def _replicate_intervals(cfg: SimConfig):
                        var_method=cfg.var_method)
 
     def intervals(values):
-        _, est, var, _ = _working_stats(_padded_rows(values), cfg.measure, opts)
+        est, var, _ = _working_stats(_padded_rows(values), cfg.measure, opts)
         return _interval(est, var, opts)[2:]
     return intervals
 

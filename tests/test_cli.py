@@ -201,6 +201,27 @@ def test_qineq_g2_and_null_override(tmp_path, capsys):
     assert got["null_value"] == 0.3
 
 
+@pytest.mark.parametrize("measure, two_sample", [("QRI", False), ("G2", True)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_qtest_index_prints_what_qineq_prints(tmp_path, capsys, measure, two_sample, fmt):
+    # qtest tests against --true-q; qineq's one-sample null defaults to 0.5
+    rng = np.random.default_rng(47)
+    files = []
+    for name in ("x.csv", "y.csv"):
+        f = tmp_path / name
+        f.write_text("v\n" + "\n".join(f"{v:.9g}" for v in rng.lognormal(size=250)))
+        files.append(str(f))
+    data = files if two_sample else files[:1]
+    null = [] if two_sample else ["--true-q", "0.5"]
+    code, via_qtest, _ = run(capsys, ["qtest", *data, "--measure", measure, *null,
+                                      "--format", fmt])
+    assert code == 0
+    code, via_qineq, _ = run(capsys, ["qineq", *data, "--measure", measure,
+                                      "--format", fmt])
+    assert code == 0
+    assert via_qtest == via_qineq
+
+
 def test_qineq_negative_data_is_computation_error(tmp_path, capsys):
     f = tmp_path / "neg.csv"
     f.write_text("v\n-1\n2\n3\n4\n5\n")
@@ -253,6 +274,12 @@ def test_qcov_bad_probability_is_usage_error(capsys):
     assert "error:" in err
 
 
+def test_qcov_nan_probability_is_usage_error(capsys):
+    code, _, err = run(capsys, ["qcov", BLADDER, "--u=nan,0.5"])
+    assert code == 2
+    assert "strictly inside (0, 1)" in err
+
+
 # ---------------------------------------------------------------------------
 # verify subcommands
 
@@ -298,6 +325,28 @@ def test_verify_bootstrap_output(tmp_path, capsys):
     assert got["B"] == 600
     assert got["n"] == 150
     assert got["bootstrap_se"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "coverage", "--dist", "lognormal", "--n", "50", "--reps", "100",
+     "--measure", "G2", "--J", "25"],
+    ["verify", "bootstrap", BLADDER, "--measure", "qr9010", "--B", "500"],
+])
+def test_verify_json_format_is_the_json_block_of_text(capsys, argv):
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out) == parse_tail_json(text)
+    assert text.splitlines()[2:] == out.splitlines()
+
+
+def test_verify_index_takes_no_tail_parameter(capsys):
+    code, _, err = run(capsys, ["verify", "coverage", "--dist", "lognormal",
+                                "--n", "50", "--reps", "100",
+                                "--measure", "QRI", "--p", "0.2"])
+    assert code == 2
+    assert "takes no tail parameter" in err
 
 
 def test_verify_bootstrap_b_too_small(tmp_path, capsys):

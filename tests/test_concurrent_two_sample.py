@@ -56,7 +56,7 @@ def ran_concurrently(threads, x, y) -> bool:
 
 def serial_stats(x, spec, opts):
     """(working estimate, working variance) of one sample from _working_stats."""
-    _, est, var, _ = _working_stats(_padded_rows(np.asarray(x, dtype=float)[None]), spec, opts)
+    est, var, _ = _working_stats(_padded_rows(np.asarray(x, dtype=float)[None]), spec, opts)
     return float(est[0]), float(var[0])
 
 

@@ -25,7 +25,7 @@ from conftest import require_house_fixtures
 def index_variance(x, spec, method=QdMethod()):
     """The delta-method variance that qineq_test takes its SE from."""
     opts = TestOptions(var_method=method)
-    return float(_working_stats(as_sample(x).padded[None], spec, opts)[2][0])
+    return float(_working_stats(as_sample(x).padded[None], spec, opts)[1][0])
 
 
 def lognormal_qri(sigma: float) -> float:

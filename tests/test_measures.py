@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from quantest.inequality import InequalitySpec
+from quantest.inference import q_test_one
 from quantest.measures import (
     MEASURE_NAMES,
     MeasureSpec,
@@ -69,6 +71,20 @@ def test_tail_parameter_errors():
         resolve_measure("median", 0.3)
     with pytest.raises(ValueError, match="tail parameter"):
         resolve_measure("kelly", 0.2)
+
+
+def test_inequality_indices_resolve_to_their_specs():
+    assert {"QRI", "G2"} <= set(MEASURE_NAMES)
+    assert resolve_measure("QRI") == InequalitySpec("QRI", 100)
+    spec = resolve_measure("G2", J=50)
+    want = InequalitySpec("G2", 50)
+    assert spec == want
+    assert np.array_equal(spec._grid, want._grid)
+    x = np.random.default_rng(8).lognormal(size=200)
+    # float reprs round-trip, so equal reprs mean the same bits
+    assert repr(q_test_one(x, spec)) == repr(q_test_one(x, want))
+    with pytest.raises(ValueError, match="takes no tail parameter"):
+        resolve_measure("QRI", 0.2)
 
 
 def test_quantile_ratio_pattern():

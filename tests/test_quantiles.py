@@ -158,6 +158,15 @@ def test_invalid_arguments():
         sample_quantile([1.0, 2.0], 0.5, quantile_type=10)
 
 
+def test_nan_probability_rejected():
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        sample_quantiles([1.0, 2.0, 3.0, 4.0], [math.nan])
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        sample_quantiles([1.0, 2.0, 3.0, 4.0], [0.5, math.nan])
+    with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+        sample_quantile([1.0, 2.0, 3.0, 4.0], math.nan)
+
+
 def test_sample_quantiles_vectorized_matches_scalar():
     rng = np.random.default_rng(5)
     x = rng.normal(size=17)
