@@ -8,7 +8,7 @@ harness, so a row is exactly reproducible from its seed.
 Examples:
     python3 scripts/coverage_study.py                      # quick desk run
     python3 scripts/coverage_study.py --reps 5000 --n 50 100 200
-    python3 scripts/coverage_study.py --measures median iqr QRI --log-ratio
+    python3 scripts/coverage_study.py --measures rCViqr qr9010 --dist lognormal --log-ratio
 """
 
 import argparse
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         for n in args.n:
             cfg = SimConfig(Distribution(dist_name), n=n, reps=args.reps,
                             measure=measure, level=args.level, seed=args.seed,
-                            log_ratio=args.log_ratio)
+                            log_ratio=args.log_ratio and measure.is_ratio)
             t0 = time.monotonic()
             coverage, width, mc_se = coverage_sim(cfg)
             print(f"{name:10s} {dist_name:12s} {n:6d} {coverage:9.4f} "

@@ -1,4 +1,6 @@
-"""Command-line front end: CSV ingestion, argument parsing, report rendering.
+"""Command-line front end: a thin shell over the library calls.
+
+--format json prints every field of the result dataclass, in field order.
 
 Subcommands:
   qtest   one- or two-sample test of a quantile measure
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -22,7 +25,7 @@ import numpy as np
 
 from .inequality import InequalitySpec, qineq_test
 from .inference import TestOptions, TestResult, q_test_one, q_test_two
-from .measures import MeasureSpec, resolve_measure
+from .measures import MEASURE_NAMES, MeasureSpec, resolve_measure
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
 from .verify import RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se, coverage_sim
@@ -30,13 +33,6 @@ from .verify import RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se, cove
 __all__ = ["main", "build_parser", "load_column", "render"]
 
 P_DISPLAY_FLOOR = 2.2e-16
-
-_ALT_FLAG_MAP = {
-    "two-sided": "two_sided",
-    "two_sided": "two_sided",
-    "less": "less",
-    "greater": "greater",
-}
 
 _ALT_PHRASE = {
     "two_sided": "not equal to",
@@ -135,22 +131,15 @@ def _fmt6(v: float) -> str:
     return f"{v:.6g}"
 
 
-def _result_dict(r: TestResult) -> dict:
-    return {
-        "description": r.description,
-        "data_name": r.data_name,
-        "estimate_label": r.estimate_label,
-        "estimate": r.estimate,
-        "se": r.se,
-        "statistic_Z": r.statistic_Z,
-        "p_value": r.p_value,
-        "conf_level": r.conf_level,
-        "conf_int": list(r.conf_int),
-        "null_value": r.null_value,
-        "alternative": r.alternative,
-        "scale": r.scale,
-        "warnings": list(r.warnings),
-    }
+def _plain(value):
+    """A dataclass, array or tuple as the dicts, lists and scalars of JSON."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _render_test_text(r: TestResult) -> str:
@@ -171,10 +160,6 @@ def _render_test_text(r: TestResult) -> str:
     for w in r.warnings:
         lines.append(f"Warning: {w}")
     return "\n".join(lines)
-
-
-def _method_dict(m: QdMethod) -> dict:
-    return {"kind": m.kind, "sigma": m.sigma}
 
 
 def _render_qcov_text(c: QuantileCov) -> str:
@@ -202,25 +187,10 @@ def _render_qcov_text(c: QuantileCov) -> str:
     return "\n".join(lines)
 
 
-def _render_qcov_json(c: QuantileCov) -> dict:
-    return {
-        "probs": list(c.probs),
-        "matrix": [list(row) for row in c.matrix],
-        "n": c.n,
-        "method": _method_dict(c.method),
-        "sigma": c.sigma,
-        "shift": c.shift,
-        "floored": list(c.floored),
-        "bandwidths": None if c.bandwidths is None else list(c.bandwidths),
-    }
-
-
 def render(result, fmt: str = "text") -> str:
-    """Render a TestResult or QuantileCov as text or JSON."""
+    """Render a TestResult or QuantileCov as text, or as JSON of its fields."""
     if fmt == "json":
-        obj = _render_qcov_json(result) if isinstance(result, QuantileCov) \
-            else _result_dict(result)
-        return json.dumps(obj, indent=2)
+        return json.dumps(_plain(result), indent=2)
     if isinstance(result, QuantileCov):
         return _render_qcov_text(result)
     return _render_test_text(result)
@@ -246,6 +216,9 @@ def _parse_floats(text: str, flag: str) -> list[float]:
     return out
 
 
+_MEASURE_HELP = f"named measure ({', '.join(MEASURE_NAMES)})"
+
+
 def _add_format(sp):
     sp.add_argument("--format", choices=["text", "json"], default="text",
                     help="output format (default text)")
@@ -260,11 +233,28 @@ def _add_data_flags(sp, two_sample: bool):
                     help="column name or 0-based index (default: first column)")
 
 
+def _add_test_flags(sp):
+    sp.add_argument("--alternative", choices=["greater", "less", "two-sided", "two_sided"],
+                    default="two-sided")
+    sp.add_argument("--level", type=float, default=0.95,
+                    help="confidence level (default 0.95)")
+
+
 def _add_var_flags(sp):
     sp.add_argument("--type", type=int, default=8, choices=range(4, 10),
                     metavar="{4..9}", help="quantile interpolation type (default 8)")
     sp.add_argument("--var-method", choices=["qor", "density"], default="qor",
                     help="quantile-density estimator behind the variances")
+
+
+def _add_verify_flags(sp):
+    sp.add_argument("--measure", default="median", help=_MEASURE_HELP)
+    sp.add_argument("--p", type=float, default=None,
+                    help="tail parameter for parameterized measures")
+    sp.add_argument("--J", type=int, default=100)
+    sp.add_argument("--seed", type=int, default=None,
+                    help="RNG seed (default: QUANTEST_SEED env var, else 0)")
+    _add_format(sp)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,11 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     qt = sub.add_parser("qtest", help="test a quantile measure")
+    qt.set_defaults(run=_cmd_qtest)
     _add_data_flags(qt, two_sample=True)
     qt.add_argument("--measure", default=None,
-                    help="named measure (median, iqr, rCViqr, bowley, kelly, "
-                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2); "
-                         "QRI and G2 use a grid of 100 ratios")
+                    help=f"{_MEASURE_HELP}; QRI and G2 use a grid of 100 ratios")
     qt.add_argument("--u", default=None,
                     help="numerator probabilities, comma separated")
     qt.add_argument("--coef", default=None,
@@ -294,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "denominator, sharing --u)")
     qt.add_argument("--p", type=float, default=None,
                     help="tail parameter of parameterized named measures")
-    qt.add_argument("--alternative", choices=sorted(_ALT_FLAG_MAP), default="two-sided")
-    qt.add_argument("--level", type=float, default=0.95,
-                    help="confidence level (default 0.95)")
+    _add_test_flags(qt)
     qt.add_argument("--true-q", type=float, default=0.0,
                     help="null value of the measure (default 0)")
     qt.add_argument("--log", action="store_true",
@@ -310,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(qt)
 
     qi = sub.add_parser("qineq", help="test an inequality index")
+    qi.set_defaults(run=_cmd_qineq)
     _add_data_flags(qi, two_sample=True)
     qi.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
                     help="inequality index (default QRI)")
@@ -317,12 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="quantile-ratio grid size (default 100)")
     qi.add_argument("--true-ineq", type=float, default=None,
                     help="null value (default: 0.5 one-sample, 0 two-sample)")
-    qi.add_argument("--alternative", choices=sorted(_ALT_FLAG_MAP), default="two-sided")
-    qi.add_argument("--level", type=float, default=0.95)
+    _add_test_flags(qi)
     _add_var_flags(qi)
     _add_format(qi)
 
     qc = sub.add_parser("qcov", help="covariance matrix of sample quantiles")
+    qc.set_defaults(run=_cmd_qcov)
     _add_data_flags(qc, two_sample=False)
     qc.add_argument("--u", required=True,
                     help="probabilities of the quantiles, comma separated")
@@ -333,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = ver.add_subparsers(dest="verify_command", required=True)
 
     vc = vsub.add_parser("coverage", help="confidence-interval coverage study")
+    vc.set_defaults(run=_cmd_verify_coverage)
     vc.add_argument("--dist", required=True,
                     choices=["normal", "lognormal", "uniform", "exponential"])
     vc.add_argument("--params", default=None,
@@ -340,31 +329,17 @@ def build_parser() -> argparse.ArgumentParser:
                          "(defaults: 0,1 / 0,1 / 0,1 / 1)")
     vc.add_argument("--n", type=int, required=True, help="sample size")
     vc.add_argument("--reps", type=int, required=True, help="replications")
-    vc.add_argument("--measure", default="median",
-                    help="named measure (median, iqr, rCViqr, bowley, kelly, "
-                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2)")
-    vc.add_argument("--p", type=float, default=None,
-                    help="tail parameter for parameterized measures")
-    vc.add_argument("--J", type=int, default=100)
     vc.add_argument("--level", type=float, default=0.95)
     vc.add_argument("--log-ratio", action="store_true",
                     help="build intervals for ratio measures on the log scale "
                          "with back-transformation")
-    vc.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: QUANTEST_SEED env var, else 0)")
-    _add_format(vc)
+    _add_verify_flags(vc)
 
     vb = vsub.add_parser("bootstrap", help="bootstrap standard error of a measure")
+    vb.set_defaults(run=_cmd_verify_bootstrap)
     _add_data_flags(vb, two_sample=False)
-    vb.add_argument("--measure", default="median",
-                    help="named measure (median, iqr, rCViqr, bowley, kelly, "
-                         "groenR, groenL, moors, lqw, rqw, qrXXYY, QRI, G2)")
-    vb.add_argument("--p", type=float, default=None)
-    vb.add_argument("--J", type=int, default=100)
     vb.add_argument("--B", type=int, default=2000, help="resamples (default 2000)")
-    vb.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: QUANTEST_SEED env var, else 0)")
-    _add_format(vb)
+    _add_verify_flags(vb)
 
     return parser
 
@@ -377,8 +352,6 @@ def _config_error(fn, *args, **kwargs):
     """Run a config-building call, converting ValueError to UsageError."""
     try:
         return fn(*args, **kwargs)
-    except UsageError:
-        raise
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
 
@@ -423,19 +396,17 @@ def _seed_from(args) -> int:
         raise UsageError(f"QUANTEST_SEED must be an integer, got {env!r}") from None
 
 
+def _test_options(args, **more) -> TestOptions:
+    """The TestOptions of the flags qtest and qineq share, plus more."""
+    return _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
+                         conf_level=args.level, quantile_type=args.type,
+                         var_method=QdMethod(kind=args.var_method), **more)
+
+
 def _cmd_qtest(args) -> int:
     spec = _qtest_measure(args)
-    opts = _config_error(
-        TestOptions,
-        alternative=_ALT_FLAG_MAP[args.alternative],
-        conf_level=args.level,
-        true_q=args.true_q,
-        log_transf=args.log,
-        back_transf=args.back,
-        min_q=args.min_q,
-        quantile_type=args.type,
-        var_method=QdMethod(kind=args.var_method),
-    )
+    opts = _test_options(args, true_q=args.true_q, log_transf=args.log,
+                         back_transf=args.back, min_q=args.min_q)
     x = _load(args.x, args.column)
     if args.y is None:
         result = q_test_one(x, spec, opts)
@@ -449,13 +420,7 @@ def _cmd_qtest(args) -> int:
 def _cmd_qineq(args) -> int:
     spec = _config_error(InequalitySpec, kind=args.measure, J=args.J,
                          true_ineq=args.true_ineq)
-    opts = _config_error(
-        TestOptions,
-        alternative=_ALT_FLAG_MAP[args.alternative],
-        conf_level=args.level,
-        quantile_type=args.type,
-        var_method=QdMethod(kind=args.var_method),
-    )
+    opts = _test_options(args)
     x = _load(args.x, args.column)
     y = _load(args.y, args.column) if args.y is not None else None
     result = qineq_test(x, y, spec, opts)
@@ -526,15 +491,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        if args.command == "qtest":
-            return _cmd_qtest(args)
-        if args.command == "qineq":
-            return _cmd_qineq(args)
-        if args.command == "qcov":
-            return _cmd_qcov(args)
-        if args.verify_command == "coverage":
-            return _cmd_verify_coverage(args)
-        return _cmd_verify_bootstrap(args)
+        return args.run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -100,6 +100,7 @@ class TestOptions:
             raise ValueError(f"alternative must be one of {_ALTERNATIVES}")
         if not 0.0 < self.conf_level < 1.0:
             raise ValueError("conf_level must lie in (0, 1)")
+        _check_type(self.quantile_type)
         if self.back_transf and not self.log_transf:
             raise ValueError("back_transf requires log_transf")
 
@@ -185,7 +186,6 @@ def _working_stats(padded, spec, opts: TestOptions):
     without an estimate raises the spec's error before the
     degenerate-sample check.
     """
-    _check_type(opts.quantile_type)
     est, grad = spec._estimate(padded[:, 1:-1], opts.quantile_type)
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
@@ -218,7 +218,7 @@ def _interval(working_est, working_var, opts: TestOptions):
     return se, estimate, np.maximum(lo, opts.min_q), hi
 
 
-def _finish(working_est, working_var, null_working, opts, scale, description,
+def _finish(working_est, working_var, null_working, opts, description,
             estimate_label, null_value, warnings, data_name):
     se, estimate, lo, hi = (float(v) for v in _interval(working_est, working_var, opts))
     if se > 0.0:
@@ -229,6 +229,8 @@ def _finish(working_est, working_var, null_working, opts, scale, description,
     p = p_value(z, opts.alternative)
     if opts.back_transf:
         scale = "back_transformed_ratio"
+    else:
+        scale = "log" if opts.log_transf else "identity"
     return TestResult(estimate=estimate, se=se, statistic_Z=z, p_value=p,
                       conf_int=(lo, hi), null_value=null_value,
                       alternative=opts.alternative, scale=scale,
@@ -283,11 +285,10 @@ def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     working_est, working_var, warnings = _stats_one(x, spec, opts)
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)
-    scale = "log" if opts.log_transf else "identity"
     null_value = math.exp(opts.true_q) if opts.back_transf else opts.true_q
     label = spec.label or "estimate"
     description = f"One sample test of the {label}"
-    return _finish(working_est, working_var, opts.true_q, opts, scale,
+    return _finish(working_est, working_var, opts.true_q, opts,
                    description, label, null_value, warnings, "x")
 
 
@@ -326,7 +327,6 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
         null_working = opts.true_q
         null_value = opts.true_q
         label = f"difference in {spec.plural}"
-    scale = "log" if opts.log_transf else "identity"
     description = f"Two sample test of the {spec.label or 'measure'}"
-    return _finish(working_est, working_var, null_working, opts, scale,
+    return _finish(working_est, working_var, null_working, opts,
                    description, label, null_value, warnings, "x and y")

@@ -116,11 +116,12 @@ class Distribution:
 class SimConfig:
     """Configuration of one coverage study.
 
-    log_ratio switches ratio measures to the log-scale interval with
+    log_ratio switches a ratio measure to the log-scale interval with
     back-transformation (the recommended reporting practice for ratios;
-    slightly more conservative).  The default False verifies the interval
-    the package constructs with default options.  var_method is the
-    quantile-density method of every replicate's variance.
+    slightly more conservative); with any other measure it is a
+    ValueError.  The default False verifies the interval the package
+    constructs with default options.  var_method is the quantile-density
+    method of every replicate's variance.
     """
 
     distribution: Distribution
@@ -139,6 +140,10 @@ class SimConfig:
             raise ValueError("need n of at least 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        if self.log_ratio:
+            _check_spec(self.measure)
+            if not self.measure.is_ratio:
+                raise ValueError("log_ratio applies only to ratio measures")
 
 
 @functools.cache
@@ -200,9 +205,8 @@ def _replicate_intervals(cfg: SimConfig):
     The function takes a stack of samples, one per row, and returns the
     lower and upper bounds of the interval that q_test_one builds for each.
     """
-    use_log = cfg.log_ratio and cfg.measure.is_ratio
-    opts = TestOptions(conf_level=cfg.level, log_transf=use_log, back_transf=use_log,
-                       var_method=cfg.var_method)
+    opts = TestOptions(conf_level=cfg.level, log_transf=cfg.log_ratio,
+                       back_transf=cfg.log_ratio, var_method=cfg.var_method)
 
     def intervals(values):
         est, var, _ = _working_stats(_padded_rows(values), cfg.measure, opts)

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, rendering, exit codes, file handling."""
 
+import dataclasses
 import json
 import math
 
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 
 from quantest.cli import UsageError, load_column, main, render
-from quantest.inference import q_test_one
+from quantest.inequality import InequalitySpec, qineq_test
+from quantest.inference import TestOptions, q_test_one, q_test_two
 from quantest.measures import resolve_measure
 from quantest.qcov import qcov
+from quantest.qdensity import QdMethod
 from conftest import data_path
 
 BLADDER = str(data_path("bladder_remission.csv"))
+NORM100 = str(data_path("norm100_seed1234.csv"))
 
 
 def run(capsys, argv):
@@ -167,6 +171,27 @@ def test_alternative_and_level_flags(capsys):
     assert "true median is greater than 5" in out
     assert "90 percent confidence interval:" in out
     assert "Inf" in out
+
+
+@pytest.mark.parametrize("argv, call", [
+    (["qtest", BLADDER, "--measure", "median"],
+     lambda x, y: q_test_one(x, resolve_measure("median"))),
+    (["qtest", BLADDER, NORM100, "--measure", "rCViqr", "--level", "0.9"],
+     lambda x, y: q_test_two(x, y, resolve_measure("rCViqr"), TestOptions(conf_level=0.9))),
+    (["qineq", BLADDER, "--J", "25"],
+     lambda x, y: qineq_test(x, spec=InequalitySpec("QRI", 25))),
+    (["qcov", BLADDER, "--u", "0.75,0.25,0.5"],
+     lambda x, y: qcov(x, [0.75, 0.25, 0.5])),
+    (["qcov", BLADDER, "--u", "0.75,0.25,0.5", "--var-method", "density"],
+     lambda x, y: qcov(x, [0.75, 0.25, 0.5], method=QdMethod(kind="density"))),
+], ids=["qtest", "qtest_two", "qineq", "qcov_qor", "qcov_density"])
+def test_json_prints_every_field_of_the_result(capsys, bladder, norm100, argv, call):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    got = json.loads(out)
+    want = call(bladder, norm100)
+    assert list(got) == [f.name for f in dataclasses.fields(want)]
+    np.testing.assert_equal(got, dataclasses.asdict(want))
 
 
 def test_render_function_json_mode(bladder):
@@ -406,6 +431,8 @@ def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
     ["qtest", BLADDER, "--u", "0.25,0.75", "--coef-row", "1,1"],  # one row only
     ["qtest", "/nonexistent/file.csv", "--measure", "median"],
     ["qtest", BLADDER, "--measure", "median", "--level", "1.5"],
+    ["verify", "coverage", "--dist", "lognormal", "--n", "50", "--reps", "100",
+     "--measure", "median", "--log-ratio"],                 # log scale of no ratio
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -421,8 +448,11 @@ def test_argparse_errors_exit_2(capsys):
 
 
 def test_help_exits_zero(capsys):
-    assert run(capsys, ["--help"])[0] == 0
-    assert run(capsys, ["qtest", "--help"])[0] == 0
+    for command in ([], ["qtest"], ["qineq"], ["qcov"], ["verify"],
+                    ["verify", "coverage"], ["verify", "bootstrap"]):
+        code, out, _ = run(capsys, command + ["--help"])
+        assert code == 0
+        assert out.startswith(f"usage: {' '.join(['quantest'] + command)} ")
 
 
 def test_computation_errors_exit_1(tmp_path, capsys):

@@ -269,6 +269,8 @@ def test_options_validation():
         TestOptions(conf_level=1.0)
     with pytest.raises(ValueError):
         TestOptions(back_transf=True)
+    with pytest.raises(ValueError, match="unsupported quantile type 99"):
+        TestOptions(quantile_type=99)
 
 
 # ---------------------------------------------------------------------------

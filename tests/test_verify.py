@@ -137,6 +137,14 @@ def test_sim_config_validation():
         SimConfig(d, n=1, reps=100, measure=m)
     with pytest.raises(ValueError, match="level"):
         SimConfig(d, n=100, reps=100, measure=m, level=0.0)
+    for measure in (m, resolve_measure("iqr"), InequalitySpec("QRI"), InequalitySpec("G2")):
+        with pytest.raises(ValueError, match="log_ratio applies only to ratio measures"):
+            SimConfig(d, n=100, reps=100, measure=measure, log_ratio=True)
+    # a measure without _estimate is a TypeError, with log_ratio or without
+    with pytest.raises(TypeError, match="MeasureSpec or InequalitySpec"):
+        SimConfig(d, n=100, reps=100, measure="rCViqr", log_ratio=True)
+    with pytest.raises(TypeError, match="MeasureSpec or InequalitySpec"):
+        coverage_sim(SimConfig(d, n=100, reps=100, measure="rCViqr"))
 
 
 def test_coverage_at_level_half_is_about_half():
