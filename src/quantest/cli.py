@@ -1,6 +1,8 @@
 """Command-line front end: a thin shell over the library calls.
 
 --format json prints every field of the result dataclass, in field order.
+Each call builds the arguments of only the command it runs; the other
+commands are registered by name and help alone.
 
 Subcommands:
   qtest   one- or two-sample test of a quantile measure
@@ -53,8 +55,8 @@ def load_column(path: str, selector: str | None = None):
     """Read one numeric column of a headered CSV file.
 
     selector is a column name, or a 0-based index when no header matches;
-    None means the first column.  Rows whose cell is missing or
-    non-numeric are skipped and counted.  Returns (values, skipped,
+    None means the first column.  Rows whose cell is missing, non-numeric
+    or not finite are skipped and counted.  Returns (values, skipped,
     column_name).
     """
     try:
@@ -86,19 +88,18 @@ def load_column(path: str, selector: str | None = None):
         values = []
         skipped = 0
         for row in reader:
-            cell = row[idx].strip() if idx < len(row) else ""
-            try:
-                v = float(cell)
-            except ValueError:
+            try:  # float() ignores surrounding whitespace
+                values.append(float(row[idx]))
+            except (ValueError, IndexError):
                 skipped += 1
-                continue
-            if not math.isfinite(v):
-                skipped += 1
-                continue
-            values.append(v)
-    if not values:
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        skipped += values.size - int(np.count_nonzero(finite))
+        values = values[finite]
+    if not values.size:
         raise UsageError(f"no usable numeric rows in column {name!r} of {path}")
-    return np.asarray(values), skipped, name
+    return values, skipped, name
 
 
 def _load(path: str, selector: str | None):
@@ -257,91 +258,78 @@ def _add_verify_flags(sp):
     _add_format(sp)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quantest",
-        description="Estimation, hypothesis tests and confidence intervals "
-                    "for quantile-based measures.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    qt = sub.add_parser("qtest", help="test a quantile measure")
-    qt.set_defaults(run=_cmd_qtest)
-    _add_data_flags(qt, two_sample=True)
-    qt.add_argument("--measure", default=None,
+def _qtest_flags(sp):
+    _add_data_flags(sp, two_sample=True)
+    sp.add_argument("--measure", default=None,
                     help=f"{_MEASURE_HELP}; QRI and G2 use a grid of 100 ratios")
-    qt.add_argument("--u", default=None,
+    sp.add_argument("--u", default=None,
                     help="numerator probabilities, comma separated")
-    qt.add_argument("--coef", default=None,
+    sp.add_argument("--coef", default=None,
                     help="numerator coefficients (default: all ones); write "
                          "--coef=-1,1 when the list starts with a minus sign")
-    qt.add_argument("--u2", default=None,
+    sp.add_argument("--u2", default=None,
                     help="denominator probabilities (makes the measure a ratio)")
-    qt.add_argument("--coef2", default=None,
+    sp.add_argument("--coef2", default=None,
                     help="denominator coefficients (with --u2, or reusing --u)")
-    qt.add_argument("--coef-row", action="append", default=None, metavar="ROW",
+    sp.add_argument("--coef-row", action="append", default=None, metavar="ROW",
                     help="coefficient matrix row (give twice: numerator then "
                          "denominator, sharing --u)")
-    qt.add_argument("--p", type=float, default=None,
+    sp.add_argument("--p", type=float, default=None,
                     help="tail parameter of parameterized named measures")
-    _add_test_flags(qt)
-    qt.add_argument("--true-q", type=float, default=0.0,
+    _add_test_flags(sp)
+    sp.add_argument("--true-q", type=float, default=0.0,
                     help="null value of the measure (default 0)")
-    qt.add_argument("--log", action="store_true",
+    sp.add_argument("--log", action="store_true",
                     help="test on the log scale (log measure, or log ratio of "
                          "the two samples' measures)")
-    qt.add_argument("--back", action="store_true",
+    sp.add_argument("--back", action="store_true",
                     help="report log-scale results back on the original scale")
-    qt.add_argument("--min-q", type=float, default=-math.inf,
+    sp.add_argument("--min-q", type=float, default=-math.inf,
                     help="lower bound to clamp the reported interval at")
-    _add_var_flags(qt)
-    _add_format(qt)
+    _add_var_flags(sp)
+    _add_format(sp)
 
-    qi = sub.add_parser("qineq", help="test an inequality index")
-    qi.set_defaults(run=_cmd_qineq)
-    _add_data_flags(qi, two_sample=True)
-    qi.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
+
+def _qineq_flags(sp):
+    _add_data_flags(sp, two_sample=True)
+    sp.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
                     help="inequality index (default QRI)")
-    qi.add_argument("--J", type=int, default=100,
+    sp.add_argument("--J", type=int, default=100,
                     help="quantile-ratio grid size (default 100)")
-    qi.add_argument("--true-ineq", type=float, default=None,
+    sp.add_argument("--true-ineq", type=float, default=None,
                     help="null value (default: 0.5 one-sample, 0 two-sample)")
-    _add_test_flags(qi)
-    _add_var_flags(qi)
-    _add_format(qi)
+    _add_test_flags(sp)
+    _add_var_flags(sp)
+    _add_format(sp)
 
-    qc = sub.add_parser("qcov", help="covariance matrix of sample quantiles")
-    qc.set_defaults(run=_cmd_qcov)
-    _add_data_flags(qc, two_sample=False)
-    qc.add_argument("--u", required=True,
+
+def _qcov_flags(sp):
+    _add_data_flags(sp, two_sample=False)
+    sp.add_argument("--u", required=True,
                     help="probabilities of the quantiles, comma separated")
-    _add_var_flags(qc)
-    _add_format(qc)
+    _add_var_flags(sp)
+    _add_format(sp)
 
-    ver = sub.add_parser("verify", help="Monte Carlo / bootstrap verification")
-    vsub = ver.add_subparsers(dest="verify_command", required=True)
 
-    vc = vsub.add_parser("coverage", help="confidence-interval coverage study")
-    vc.set_defaults(run=_cmd_verify_coverage)
-    vc.add_argument("--dist", required=True,
+def _coverage_flags(sp):
+    sp.add_argument("--dist", required=True,
                     choices=["normal", "lognormal", "uniform", "exponential"])
-    vc.add_argument("--params", default=None,
+    sp.add_argument("--params", default=None,
                     help="distribution parameters, comma separated "
                          "(defaults: 0,1 / 0,1 / 0,1 / 1)")
-    vc.add_argument("--n", type=int, required=True, help="sample size")
-    vc.add_argument("--reps", type=int, required=True, help="replications")
-    vc.add_argument("--level", type=float, default=0.95)
-    vc.add_argument("--log-ratio", action="store_true",
+    sp.add_argument("--n", type=int, required=True, help="sample size")
+    sp.add_argument("--reps", type=int, required=True, help="replications")
+    sp.add_argument("--level", type=float, default=0.95)
+    sp.add_argument("--log-ratio", action="store_true",
                     help="build intervals for ratio measures on the log scale "
                          "with back-transformation")
-    _add_verify_flags(vc)
+    _add_verify_flags(sp)
 
-    vb = vsub.add_parser("bootstrap", help="bootstrap standard error of a measure")
-    vb.set_defaults(run=_cmd_verify_bootstrap)
-    _add_data_flags(vb, two_sample=False)
-    vb.add_argument("--B", type=int, default=2000, help="resamples (default 2000)")
-    _add_verify_flags(vb)
 
-    return parser
+def _bootstrap_flags(sp):
+    _add_data_flags(sp, two_sample=False)
+    sp.add_argument("--B", type=int, default=2000, help="resamples (default 2000)")
+    _add_verify_flags(sp)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +472,68 @@ def _cmd_verify_bootstrap(args) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# commands
+
+# (name, help, add-arguments function, run); a command with commands of its
+# own has no add-arguments function, and its run is their table
+_VERIFY_COMMANDS = (
+    ("coverage", "confidence-interval coverage study", _coverage_flags,
+     _cmd_verify_coverage),
+    ("bootstrap", "bootstrap standard error of a measure", _bootstrap_flags,
+     _cmd_verify_bootstrap),
+)
+_COMMANDS = (
+    ("qtest", "test a quantile measure", _qtest_flags, _cmd_qtest),
+    ("qineq", "test an inequality index", _qineq_flags, _cmd_qineq),
+    ("qcov", "covariance matrix of sample quantiles", _qcov_flags, _cmd_qcov),
+    ("verify", "Monte Carlo / bootstrap verification", None, _VERIFY_COMMANDS),
+)
+
+
+def _add_commands(parser, dest, commands, argv):
+    """Register every command of the table on parser, by name and help.
+
+    Only the command argv[0] names gets its arguments, or every command
+    when argv[0] names none; the others get not even -h.  No parser above
+    a command takes an option but -h, so a command named by argv[0] is
+    the one argparse chooses, and argparse reads a command's arguments
+    only once it is chosen: the output is that of the whole parser.
+    """
+    chosen = argv[0] if argv and argv[0] in [c[0] for c in commands] else None
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, help_text, add_arguments, run in commands:
+        if chosen not in (None, name):
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        sp = sub.add_parser(name, help=help_text)
+        if add_arguments is None:
+            _add_commands(sp, f"{name}_command", run, argv[1:] if chosen else [])
+        else:
+            sp.set_defaults(run=run)
+            add_arguments(sp)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The quantest parser, with the arguments of only the command argv names.
+
+    Every command is registered by name and help, so the top-level help,
+    usage line and invalid-choice errors do not depend on argv; the
+    arguments of a command (and of a verify subcommand) are built only
+    when argv names it, or for every command when argv is None or names
+    none.
+    """
+    parser = argparse.ArgumentParser(
+        prog="quantest",
+        description="Estimation, hypothesis tests and confidence intervals "
+                    "for quantile-based measures.")
+    _add_commands(parser, "command", _COMMANDS, list(argv or ()))
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

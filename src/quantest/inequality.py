@@ -24,6 +24,7 @@ measure; the covariance matrix is never built.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,8 @@ class InequalitySpec:
             raise ValueError("kind must be 'QRI' or 'G2'")
         if self.J < 2:
             raise ValueError("J must be at least 2")
+        if self.true_ineq is not None and math.isnan(self.true_ineq):
+            raise ValueError("true_ineq must not be NaN")
         p = (np.arange(1, self.J + 1) - 0.5) / self.J
         # p/2 ascends below 1/2 and 1 - p/2 descends above it, so the grid
         # with the upper half reversed is sorted

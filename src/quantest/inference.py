@@ -101,6 +101,10 @@ class TestOptions:
         if not 0.0 < self.conf_level < 1.0:
             raise ValueError("conf_level must lie in (0, 1)")
         _check_type(self.quantile_type)
+        if math.isnan(self.true_q):
+            raise ValueError("true_q must not be NaN")
+        if math.isnan(self.min_q):
+            raise ValueError("min_q must not be NaN")
         if self.back_transf and not self.log_transf:
             raise ValueError("back_transf requires log_transf")
 

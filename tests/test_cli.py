@@ -1,5 +1,6 @@
 """Command-line interface: parsing, rendering, exit codes, file handling."""
 
+import argparse
 import dataclasses
 import json
 import math
@@ -7,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from quantest import cli
 from quantest.cli import UsageError, load_column, main, render
 from quantest.inequality import InequalitySpec, qineq_test
 from quantest.inference import TestOptions, q_test_one, q_test_two
@@ -66,6 +68,19 @@ def test_load_column_skips_bad_cells(tmp_path):
     values, skipped, _ = load_column(str(f), "a")
     np.testing.assert_array_equal(values, [1.0, 4.0])
     assert skipped == 3  # blank row, non-numeric, non-finite
+
+
+def test_load_column_skip_rules(tmp_path):
+    kept = ["0.1", " 2.5 ", "\t-3e-300\t", "-0.0", "1_000", "7"]
+    bad = ["nan", "inf", "-inf", "1e999", "", "text", None]  # None: a short row
+    rows = [f"{i},{cell}" if cell is not None else f"{i}"
+            for i, cell in enumerate(kept[:3] + bad + kept[3:])]
+    f = tmp_path / "d.csv"
+    f.write_text("i,v\n" + "\n".join(rows) + "\n")
+    values, skipped, name = load_column(str(f), "v")
+    assert (name, skipped) == ("v", len(bad))
+    assert values.dtype == np.float64
+    assert values.tobytes() == np.array([float(c) for c in kept]).tobytes()
 
 
 def test_load_column_errors(tmp_path):
@@ -433,6 +448,9 @@ def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
     ["qtest", BLADDER, "--measure", "median", "--level", "1.5"],
     ["verify", "coverage", "--dist", "lognormal", "--n", "50", "--reps", "100",
      "--measure", "median", "--log-ratio"],                 # log scale of no ratio
+    ["qtest", BLADDER, "--measure", "median", "--true-q", "nan"],
+    ["qtest", BLADDER, "--measure", "median", "--min-q", "nan"],
+    ["qineq", BLADDER, "--true-ineq", "nan"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
@@ -461,3 +479,43 @@ def test_computation_errors_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, ["qtest", str(f), "--measure", "median"])
     assert code == 1
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["nosuchcommand"],
+    ["qtest", "--help"], ["qineq", "--help"], ["qcov", "--help"], ["verify", "--help"],
+    ["verify", "coverage", "--help"], ["verify", "bootstrap", "--help"],
+    ["verify"], ["qcov", NORM100], ["verify", "coverage", "--dist", "normal"],
+    ["qtest", BLADDER, "--measure", "median", "--bogus"],
+    ["--bogus", "qtest", BLADDER, "--measure", "median"],
+    ["qtest", BLADDER, "--measure", "median"],
+    ["qineq", BLADDER, "--measure", "G2", "--J", "25"],
+    ["qcov", NORM100, "--u=0.1,0.5,0.9", "--format", "json"],
+    ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100"],
+    ["verify", "bootstrap", BLADDER, "--B", "500"],
+])
+def test_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
+    got = run(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert got == run(capsys, argv)
+
+
+def _commands(parser):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _dests(parser):
+    return [a.dest for a in parser._actions]
+
+
+def test_build_parser_adds_only_the_named_commands_arguments():
+    full = _commands(cli.build_parser())
+    named = _commands(cli.build_parser(["qtest", BLADDER, "--measure", "median"]))
+    assert list(named) == list(full) == ["qtest", "qineq", "qcov", "verify"]
+    assert _dests(named["qtest"]) == _dests(full["qtest"])
+    assert _dests(named["qineq"]) == _dests(named["qcov"]) == _dests(named["verify"]) == []
+    verify = _commands(_commands(cli.build_parser(["verify", "bootstrap", BLADDER]))["verify"])
+    assert _dests(verify["bootstrap"]) == _dests(_commands(full["verify"])["bootstrap"])
+    assert _dests(verify["coverage"]) == []

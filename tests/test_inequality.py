@@ -219,6 +219,8 @@ def test_spec_validation():
         InequalitySpec(kind="gini")
     with pytest.raises(ValueError, match="J"):
         InequalitySpec(J=1)
+    with pytest.raises(ValueError, match="true_ineq must not be NaN"):
+        InequalitySpec(true_ineq=math.nan)
 
 
 def test_one_sample_default_null_is_half():

@@ -271,6 +271,11 @@ def test_options_validation():
         TestOptions(back_transf=True)
     with pytest.raises(ValueError, match="unsupported quantile type 99"):
         TestOptions(quantile_type=99)
+    # a NaN null would make Z and p NaN, and a NaN clamp the lower bound
+    with pytest.raises(ValueError, match="true_q must not be NaN"):
+        TestOptions(true_q=math.nan)
+    with pytest.raises(ValueError, match="min_q must not be NaN"):
+        TestOptions(min_q=math.nan)
 
 
 # ---------------------------------------------------------------------------
