@@ -30,8 +30,6 @@ from .measures import (
 )
 from .qcov import QuantileCov, qcov
 from .qdensity import (
-    EPANECHNIKOV,
-    Kernel,
     QdMethod,
     fit_lognormal_sigma,
     optimal_bandwidth,
@@ -39,7 +37,7 @@ from .qdensity import (
     qdens_kernel,
     qor_lognormal,
 )
-from .quantiles import Sample, as_sample, sample_quantile, sample_quantiles
+from .quantiles import sample_quantile, sample_quantiles
 from .verify import (
     Distribution,
     SimConfig,
@@ -51,12 +49,8 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sample",
-    "as_sample",
     "sample_quantile",
     "sample_quantiles",
-    "Kernel",
-    "EPANECHNIKOV",
     "QdMethod",
     "qor_lognormal",
     "fit_lognormal_sigma",

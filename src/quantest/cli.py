@@ -252,7 +252,8 @@ def _add_verify_flags(sp):
     sp.add_argument("--measure", default="median", help=_MEASURE_HELP)
     sp.add_argument("--p", type=float, default=None,
                     help="tail parameter for parameterized measures")
-    sp.add_argument("--J", type=int, default=100)
+    sp.add_argument("--J", type=int, default=None,
+                    help="quantile-ratio grid size of QRI and G2 (default 100)")
     sp.add_argument("--seed", type=int, default=None,
                     help="RNG seed (default: QUANTEST_SEED env var, else 0)")
     _add_format(sp)
@@ -372,6 +373,16 @@ def _qtest_measure(args):
     return _config_error(MeasureSpec.from_arrays, u, coef, u2, coef2)
 
 
+def _verify_measure(args):
+    """The measure of a verify subcommand; --J is read only by QRI and G2."""
+    if args.J is None:
+        return _config_error(resolve_measure, args.measure, args.p)
+    measure = _config_error(resolve_measure, args.measure, args.p, args.J)
+    if not isinstance(measure, InequalitySpec):
+        raise UsageError("--J applies only to QRI and G2")
+    return measure
+
+
 def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -441,7 +452,7 @@ def _print_tsv_and_json(fields: dict, extra_json: dict, fmt: str) -> None:
 
 
 def _cmd_verify_coverage(args) -> int:
-    measure = _config_error(resolve_measure, args.measure, args.p, args.J)
+    measure = _verify_measure(args)
     params = tuple(_parse_floats(args.params, "--params")) if args.params else ()
     dist = _config_error(Distribution, args.dist, params)
     seed = _seed_from(args)
@@ -459,7 +470,7 @@ def _cmd_verify_coverage(args) -> int:
 
 
 def _cmd_verify_bootstrap(args) -> int:
-    measure = _config_error(resolve_measure, args.measure, args.p, args.J)
+    measure = _verify_measure(args)
     if args.B < 500:
         raise UsageError("need at least 500 bootstrap resamples")
     seed = _seed_from(args)

@@ -34,7 +34,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .qcov import _bridge_form, _qhat_rows
 from .qdensity import QdMethod
-from .quantiles import Sample, _check_type, _padded_one
+from .quantiles import _check_type, _padded_one
 
 __all__ = [
     "TestOptions",
@@ -250,12 +250,10 @@ def _stats_one(x, spec, opts: TestOptions):
 
 
 def _size(x) -> int:
-    """The observations in a Sample or an array; 0 for other data.
+    """The observations in an array; 0 for other data.
 
     Converting a list holds the GIL, so lists are not worth a thread.
     """
-    if isinstance(x, Sample):
-        return x.n
     return x.size if isinstance(x, np.ndarray) else 0
 
 

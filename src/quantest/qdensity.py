@@ -60,8 +60,6 @@ from ._normal import ndtri
 from .quantiles import _check_type, _padded_one, _quantiles_sorted
 
 __all__ = [
-    "Kernel",
-    "EPANECHNIKOV",
     "QdMethod",
     "qor_lognormal",
     "fit_lognormal_sigma",
@@ -78,31 +76,9 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(1.0 - u * u, 0.0)
 
 
-@dataclass(frozen=True)
-class Kernel:
-    """Symmetric density K with the constants the bandwidth rule needs.
-
-    roughness is R(K) = integral of K^2, second_moment is mu2(K), and
-    support is the radius (in units of the bandwidth) at and beyond which
-    fn returns zero.
-    """
-
-    name: str
-    fn: callable
-    roughness: float
-    second_moment: float
-    support: float
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return self.fn(np.asarray(u, dtype=float))
-
-    @property
-    def bandwidth_constant(self) -> float:
-        return (self.roughness / self.second_moment**2) ** 0.2
-
-
-EPANECHNIKOV = Kernel("epanechnikov", _epanechnikov, roughness=0.6,
-                      second_moment=0.2, support=1.0)
+# (R(K) / mu2(K)^2)^(1/5) of the Epanechnikov kernel, R(K) = 0.6 and
+# mu2(K) = 0.2; 15 ** 0.2 is one ulp away from it
+_BANDWIDTH_CONSTANT = (0.6 / 0.2**2) ** 0.2
 
 
 @dataclass(frozen=True)
@@ -219,7 +195,7 @@ def optimal_bandwidth(qor_value: float, p: float, n: int) -> float:
 
 
 def _bandwidths(qor, p, n: int):
-    b = EPANECHNIKOV.bandwidth_constant * np.abs(qor) ** 0.4 * n ** -0.2
+    b = _BANDWIDTH_CONSTANT * np.abs(qor) ** 0.4 * n ** -0.2
     return np.maximum(np.minimum(b, np.minimum(p, 1.0 - p)), 1.0 / n)
 
 
@@ -246,7 +222,7 @@ _CHUNK = 2048
 def _qdens_grid(xp: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
-    xp is a stack of samples sorted between two zeros (Sample.padded), one
+    xp is a stack of samples sorted between two zeros (_padded_rows), one
     per row; the result has one row of estimates per row of xp.  b holds
     one bandwidth per probability, shared by every row, or one row of them
     per row of xp; every b lies in (0, 1).  Shared bandwidths give every

@@ -8,11 +8,9 @@ median-unbiased estimates regardless of the underlying distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-__all__ = ["Sample", "as_sample", "sample_quantile", "sample_quantiles"]
+__all__ = ["sample_quantile", "sample_quantiles"]
 
 # h(p) = slope(n) * p + offset, with slope expressed as n + a and offset b.
 _PLOTTING_CONSTANTS = {
@@ -25,50 +23,11 @@ _PLOTTING_CONSTANTS = {
 }
 
 
-@dataclass(frozen=True)
-class Sample:
-    """Immutable collection of finite observations with a cached sort.
-
-    Construct through :func:`as_sample` (or ``Sample.from_values``), which
-    validates the data.  NaN and infinite entries are rejected outright
-    rather than dropped, so a constructed Sample is always safe input for
-    the variance machinery downstream.  ``padded`` holds the order
-    statistics between two zeros, X_(0) = X_(n+1) = 0, and ``sorted`` is
-    the view of it without them; the kernel quantile density takes the
-    spacings of the padded sample.
-    """
-
-    values: np.ndarray
-    sorted: np.ndarray
-    padded: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_values(cls, values) -> "Sample":
-        arr = np.asarray(values, dtype=float).ravel()
-        padded = _padded_one(arr)[0]
-        srt = padded[1:-1]
-        # bootstrap_se resamples in input order, so a Sample keeps a copy
-        arr = arr.copy()
-        arr.setflags(write=False)
-        srt.setflags(write=False)
-        padded.setflags(write=False)
-        return cls(values=arr, sorted=srt, padded=padded)
-
-    @property
-    def n(self) -> int:
-        return self.values.size
-
-    def min(self) -> float:
-        return float(self.sorted[0])
-
-    def max(self) -> float:
-        return float(self.sorted[-1])
-
-
 def _padded_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of finite values sorted between two zeros, as Sample.padded.
+    """Each row of finite values sorted between two zeros, X_(0) = X_(n+1) = 0.
 
-    Non-finite values raise a ValueError, as in Sample.from_values.
+    The kernel quantile density takes the spacings of these padded rows.
+    Non-finite values raise a ValueError rather than being dropped.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("sample contains non-finite values")
@@ -79,25 +38,14 @@ def _padded_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def _padded_one(x) -> np.ndarray:
-    """A stack of one: x as Sample.padded with a leading axis, validated.
+    """A stack of one: array-like x sorted between two zeros, validated.
 
-    A Sample passes its own padded array; other data are sorted straight
-    into a new one, without the copy of the values a Sample keeps.  Empty
-    and non-finite data raise a ValueError, as in Sample.from_values.
+    Empty and non-finite data raise a ValueError.
     """
-    if isinstance(x, Sample):
-        return x.padded[None]
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
     return _padded_rows(arr[None])
-
-
-def as_sample(x) -> Sample:
-    """Coerce array-like data (or pass through a Sample) with validation."""
-    if isinstance(x, Sample):
-        return x
-    return Sample.from_values(x)
 
 
 def _check_type(quantile_type: int) -> None:
@@ -139,8 +87,8 @@ def sample_quantile(s, p: float, quantile_type: int = 8) -> float:
 
     Parameters
     ----------
-    s : Sample or array-like
-        Observations.
+    s : array-like
+        Observations, all finite.
     p : float
         Probability in the closed interval [0, 1].  Values outside [0, 1]
         raise a ValueError; the endpoints clamp to the sample minimum and

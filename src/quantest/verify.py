@@ -37,7 +37,7 @@ from ._normal import ndtri
 from .inequality import InequalitySpec
 from .inference import TestOptions, _interval, _working_stats
 from .qdensity import _BAND_MAX, QdMethod
-from .quantiles import _padded_rows, as_sample
+from .quantiles import _padded_one, _padded_rows
 
 __all__ = [
     "Distribution",
@@ -80,6 +80,8 @@ class Distribution:
         params = tuple(float(v) for v in self.params) or _DEFAULT_PARAMS[self.name]
         if len(params) != want:
             raise ValueError(f"{self.name} takes {want} parameter(s)")
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"{self.name} parameters must be finite")
         object.__setattr__(self, "params", params)
         if self.name in ("normal", "lognormal") and params[1] <= 0:
             raise ValueError("scale parameter must be positive")
@@ -323,18 +325,20 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     _RankRows).  sorted[rank] is monotone in the rank, so the estimates
     equal those from sorting the resampled values.
     """
-    s = as_sample(s)
+    values = np.asarray(s, dtype=float).ravel()
+    srt = _padded_one(values)[0, 1:-1]
     if B < 500:
         raise ValueError("need at least 500 bootstrap resamples")
     _check_spec(measure)
+    n = values.size
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rank = np.empty(s.n, dtype=np.int16 if s.n <= 2**15 else np.int32)
-    rank[np.argsort(s.values, kind="stable")] = np.arange(s.n)
+    rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
+    rank[np.argsort(values, kind="stable")] = np.arange(n)
     est = np.empty(B)
-    step = max(1, _BOOT_BLOCK // s.n)
+    step = max(1, _BOOT_BLOCK // n)
     for start in range(0, B, step):
-        ranks = rank.take(rng.integers(0, s.n, size=(min(step, B - start), s.n)))
-        rows = _RankRows(s.sorted, ranks)
+        ranks = rank.take(rng.integers(0, n, size=(min(step, B - start), n)))
+        rows = _RankRows(srt, ranks)
         est[start:start + len(ranks)] = measure._estimate(rows, 8, gradient=False)[0]
     ok = np.isfinite(est)
     if (B - int(ok.sum())) > 0.05 * B:

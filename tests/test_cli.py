@@ -389,6 +389,29 @@ def test_verify_index_takes_no_tail_parameter(capsys):
     assert "takes no tail parameter" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100", "--J", "0"],
+    ["verify", "bootstrap", BLADDER, "--J", "5"],
+    ["verify", "bootstrap", BLADDER, "--measure", "iqr", "--J", "100"],
+])
+def test_verify_grid_size_only_with_an_inequality_index(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "--J applies only to QRI and G2" in err
+
+
+@pytest.mark.parametrize("dist, params", [
+    ("normal", "nan,1"), ("normal", "0,inf"), ("exponential", "inf"),
+])
+def test_verify_nonfinite_distribution_parameters_are_usage_errors(capsys, dist, params):
+    code, out, err = run(capsys, ["verify", "coverage", "--dist", dist, "--params", params,
+                                  "--n", "50", "--reps", "100"])
+    assert code == 2
+    assert out == ""
+    assert "parameters must be finite" in err
+
+
 def test_verify_bootstrap_b_too_small(tmp_path, capsys):
     f = tmp_path / "d.csv"
     f.write_text("a\n1\n2\n3\n")

@@ -22,7 +22,7 @@ from quantest.inequality import InequalitySpec, qineq_test
 from quantest.inference import TestOptions, _working_stats, q_test_two
 from quantest.measures import resolve_measure
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _padded_rows, as_sample
+from quantest.quantiles import _padded_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GATE = inference._CONCURRENT_SIZE
@@ -88,15 +88,6 @@ def test_concurrent_two_sample_equals_the_serial_composition(case, threads, monk
     assert r.estimate == (math.exp(wx - wy) if opts.back_transf else wx - wy)
     assert dataclasses.astuple(r) == dataclasses.astuple(serial_result(x, y, spec, opts,
                                                                        monkeypatch))
-
-
-def test_concurrent_two_sample_takes_a_sample(threads, monkeypatch):
-    spec = resolve_measure("qr9010")
-    opts = TestOptions(log_transf=True)
-    x = as_sample(X_BIG)
-    r = q_test_two(x, Y_EQ, spec, opts)
-    assert ran_concurrently(threads, x, Y_EQ)
-    assert r == serial_result(X_BIG, Y_EQ, spec, opts, monkeypatch)
 
 
 @pytest.mark.parametrize("spec", [InequalitySpec(), InequalitySpec(kind="G2", J=40)],

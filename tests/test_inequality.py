@@ -18,14 +18,14 @@ from quantest.inference import TestOptions, _working_stats
 from quantest.measures import resolve_measure
 from quantest.qcov import qcov
 from quantest.qdensity import QdMethod
-from quantest.quantiles import as_sample, sample_quantiles
+from quantest.quantiles import _padded_one, sample_quantiles
 from conftest import require_house_fixtures
 
 
 def index_variance(x, spec, method=QdMethod()):
     """The delta-method variance that qineq_test takes its SE from."""
     opts = TestOptions(var_method=method)
-    return float(_working_stats(as_sample(x).padded[None], spec, opts)[1][0])
+    return float(_working_stats(_padded_one(x), spec, opts)[1][0])
 
 
 def lognormal_qri(sigma: float) -> float:
@@ -155,11 +155,10 @@ def test_variance_matches_finite_difference_gradient(kind):
     rng = np.random.default_rng(8)
     x = rng.lognormal(size=400)
     spec = InequalitySpec(kind=kind, J=2)
-    s = as_sample(x)
     p = np.array([0.25, 0.75])
     grid = np.concatenate([p / 2.0, 1.0 - p / 2.0])
-    q = sample_quantiles(s, grid)
-    cov = qcov(s, grid)
+    q = sample_quantiles(x, grid)
+    cov = qcov(x, grid)
 
     def f(qv):
         return _index_from_quantiles(kind, 2, qv[:2], qv[2:])

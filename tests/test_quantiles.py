@@ -1,4 +1,4 @@
-"""Sample container and interpolated sample quantiles."""
+"""The padded sorted stack and interpolated sample quantiles."""
 
 import math
 
@@ -8,11 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantest.quantiles import (
-    Sample,
     _padded_one,
     _padded_rows,
     _quantiles_sorted,
-    as_sample,
     sample_quantile,
     sample_quantiles,
 )
@@ -49,46 +47,20 @@ def reference_quantile(values, p, qtype=8):
 
 
 # ---------------------------------------------------------------------------
-# Sample container
-
-
-def test_sample_from_values_sorts_and_freezes():
-    s = as_sample([3.0, 1.0, 2.0])
-    assert s.n == 3
-    assert list(s.sorted) == [1.0, 2.0, 3.0]
-    assert list(s.values) == [3.0, 1.0, 2.0]
-    assert s.min() == 1.0 and s.max() == 3.0
-    with pytest.raises(ValueError):
-        s.sorted[0] = 99.0
-
-
-def test_sample_rejects_empty_and_nonfinite():
-    with pytest.raises(ValueError):
-        as_sample([])
-    with pytest.raises(ValueError):
-        as_sample([1.0, float("nan")])
-    with pytest.raises(ValueError):
-        as_sample([1.0, float("inf")])
-
-
-def test_as_sample_passthrough():
-    s = as_sample([1.0, 2.0])
-    assert as_sample(s) is s
+# the padded sorted stack
 
 
 def test_padded_one_is_a_stack_of_one_without_a_sample():
-    s = as_sample([3.0, 1.0, 2.0])
-    assert np.shares_memory(_padded_one(s), s.padded)
-    for data in ([3.0, 1.0, 2.0], np.array([[3.0, 1.0], [2.0, 5.0]]), 4.0):
+    for data, padded in (([3.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 0.0]),
+                         (np.array([[3.0, 1.0], [2.0, 5.0]]), [0.0, 1.0, 2.0, 3.0, 5.0, 0.0]),
+                         (4.0, [0.0, 4.0, 0.0])):
         got = _padded_one(data)
+        np.testing.assert_array_equal(got, [padded])
         np.testing.assert_array_equal(got, _padded_rows(np.ravel(data)[None]))
-        np.testing.assert_array_equal(got[0], as_sample(data).padded)
     for bad, message in (([], "empty sample"), ([1.0, np.nan], "non-finite"),
                          ([1.0, np.inf], "non-finite")):
         with pytest.raises(ValueError, match=message):
             _padded_one(bad)
-        with pytest.raises(ValueError, match=message):
-            as_sample(bad)
 
 
 # ---------------------------------------------------------------------------

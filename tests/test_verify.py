@@ -11,7 +11,7 @@ from quantest.inequality import InequalitySpec
 from quantest.inference import TestOptions, q_test_one
 from quantest.measures import MeasureSpec, resolve_measure
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _quantiles_sorted, as_sample
+from quantest.quantiles import _quantiles_sorted
 from quantest.verify import (
     Distribution,
     RNG_DESCRIPTION,
@@ -59,6 +59,16 @@ def test_distribution_validation():
         Distribution("uniform", (3.0, 3.0))
     with pytest.raises(ValueError, match="rate"):
         Distribution("exponential", (0.0,))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("normal", (math.nan, 1.0)), ("normal", (0.0, math.inf)),
+    ("lognormal", (-math.inf, 1.0)), ("uniform", (0.0, math.nan)),
+    ("exponential", (math.inf,)),
+])
+def test_distribution_rejects_nonfinite_parameters(name, params):
+    with pytest.raises(ValueError, match="must be finite"):
+        Distribution(name, params)
 
 
 def test_distribution_sampling_matches_quantiles():
@@ -196,6 +206,15 @@ def test_rng_description_names_the_generator():
 def test_bootstrap_requires_enough_resamples():
     with pytest.raises(ValueError, match="at least 500"):
         bootstrap_se(np.arange(1.0, 50.0), resolve_measure("median"), B=100)
+
+
+@pytest.mark.parametrize("x, message", [
+    ([], "empty sample"), ([1.0, 2.0, math.nan], "non-finite"),
+    ([1.0, math.inf, 2.0], "non-finite"),
+])
+def test_bootstrap_rejects_empty_and_nonfinite_data(x, message):
+    with pytest.raises(ValueError, match=message):
+        bootstrap_se(x, resolve_measure("median"), B=500)
 
 
 def test_bootstrap_fails_cleanly_on_degenerate_denominator():
@@ -373,9 +392,9 @@ def test_study_raises_the_first_failing_replicates_error(monkeypatch, measure, l
 
 def float_sort_bootstrap(x, measure, B, seed):
     """bootstrap_se by gathering and sorting B x n resampled values."""
-    s = as_sample(x)
+    x = np.asarray(x, dtype=float)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rows = s.values[rng.integers(0, s.n, size=(B, s.n))]
+    rows = x[rng.integers(0, x.size, size=(B, x.size))]
     rows.sort(axis=1)
     if isinstance(measure, MeasureSpec):
         # each combination as products summed along the row, over the
