@@ -20,7 +20,6 @@ import csv
 import dataclasses
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -254,8 +253,7 @@ def _add_verify_flags(sp):
                     help="tail parameter for parameterized measures")
     sp.add_argument("--J", type=int, default=None,
                     help="quantile-ratio grid size of QRI and G2 (default 100)")
-    sp.add_argument("--seed", type=int, default=None,
-                    help="RNG seed (default: QUANTEST_SEED env var, else 0)")
+    sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     _add_format(sp)
 
 
@@ -383,18 +381,6 @@ def _verify_measure(args):
     return measure
 
 
-def _seed_from(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QUANTEST_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"QUANTEST_SEED must be an integer, got {env!r}") from None
-
-
 def _test_options(args, **more) -> TestOptions:
     """The TestOptions of the flags qtest and qineq share, plus more."""
     return _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
@@ -455,16 +441,15 @@ def _cmd_verify_coverage(args) -> int:
     measure = _verify_measure(args)
     params = tuple(_parse_floats(args.params, "--params")) if args.params else ()
     dist = _config_error(Distribution, args.dist, params)
-    seed = _seed_from(args)
     cfg = _config_error(SimConfig, distribution=dist, n=args.n, reps=args.reps,
-                        measure=measure, level=args.level, seed=seed,
+                        measure=measure, level=args.level, seed=args.seed,
                         log_ratio=args.log_ratio)
     coverage, avg_width, mc_se = coverage_sim(cfg)
     _print_tsv_and_json(
         {"coverage": coverage, "avg_width": avg_width, "mc_se": mc_se},
         {"command": "verify coverage", "distribution": dist.name,
          "params": list(dist.params), "n": args.n, "reps": args.reps,
-         "measure": args.measure, "level": args.level, "seed": seed,
+         "measure": args.measure, "level": args.level, "seed": args.seed,
          "log_ratio": args.log_ratio, "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
@@ -473,11 +458,10 @@ def _cmd_verify_bootstrap(args) -> int:
     measure = _verify_measure(args)
     if args.B < 500:
         raise UsageError("need at least 500 bootstrap resamples")
-    seed = _seed_from(args)
     x = _load(args.x, args.column)
-    se = bootstrap_se(x, measure, B=args.B, seed=seed)
+    se = bootstrap_se(x, measure, B=args.B, seed=args.seed)
     _print_tsv_and_json(
-        {"bootstrap_se": se, "B": args.B, "seed": seed},
+        {"bootstrap_se": se, "B": args.B, "seed": args.seed},
         {"command": "verify bootstrap", "file": args.x, "n": int(x.size),
          "measure": args.measure, "rng": RNG_DESCRIPTION}, args.format)
     return 0

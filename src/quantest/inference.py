@@ -34,7 +34,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .qcov import _bridge_form, _qhat_rows
 from .qdensity import QdMethod
-from .quantiles import _check_type, _padded_one
+from .quantiles import _check_type, _sorted_one
 
 __all__ = [
     "TestOptions",
@@ -178,25 +178,34 @@ def _floored_warnings(floored) -> list:
             + ", ".join(f"{p:g}" for p in floored)]
 
 
-def _working_stats(padded, spec, opts: TestOptions):
+def _working_stats(xs, spec, opts: TestOptions):
     """Each sample's estimate and variance on the working scale.
 
-    padded is a stack of samples, one per row, each sorted between two
-    zeros; spec is a MeasureSpec or an InequalitySpec.
+    xs is a stack of sorted samples, one per row, unpadded: only the
+    kernel's band gather (qdensity._band_sums) reads the zeros
+    X_(0) = X_(n+1) = 0.  spec is a MeasureSpec or an InequalitySpec.
     Returns (working_estimate, working_variance), with one element per
     sample, and floored, the probabilities of the first sample whose
     quantile density was floored.
     The working scale is the log scale when log_transf is set.  A sample
     without an estimate raises the spec's error before the
-    degenerate-sample check.
+    degenerate-sample check.  A variance that is not finite (a quantile
+    density so large that its square overflows) raises a ValueError that
+    names the grid probability of the sample's largest estimate.
     """
-    est, grad = spec._estimate(padded[:, 1:-1], opts.quantile_type)
+    est, grad = spec._estimate(xs, opts.quantile_type)
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
     grid = spec._grid
-    qhat, floored, *_ = _qhat_rows(padded, grid, opts.var_method, opts.quantile_type)
+    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type)
     a = grad * qhat
-    var = _bridge_form(grid, a, a, padded.shape[1] - 2)
+    with np.errstate(over="ignore"):
+        var = _bridge_form(grid, a, a, xs.shape[1])
+    bad = ~np.isfinite(var)
+    if np.count_nonzero(bad):
+        q = qhat[np.argmax(bad)]
+        raise ValueError(f"variance is not finite: the quantile-density estimate "
+                         f"reaches {q.max():.3g} at p = {grid[np.argmax(q)]:g}")
     floored = grid[floored[0]]
     if opts.log_transf:
         if np.count_nonzero(est <= 0.0):
@@ -245,7 +254,7 @@ def _finish(working_est, working_var, null_working, opts, description,
 
 def _stats_one(x, spec, opts: TestOptions):
     """_working_stats of one sample, as floats, with its warnings."""
-    est, var, floored = _working_stats(_padded_one(x), spec, opts)
+    est, var, floored = _working_stats(_sorted_one(x), spec, opts)
     return float(est[0]), float(var[0]), _floored_warnings(floored)
 
 
@@ -303,9 +312,9 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     null true_q is interpreted on the ratio scale, and a true_q left at 0
     is reset to 1 (equal measures).
 
-    When x and y hold at least 2^18 observations between them (as Samples
-    or arrays), x is estimated on a worker thread while y is estimated
-    here; the results are bit-identical to estimating one after the other.
+    When x and y hold at least 2^18 observations between them, x is
+    estimated on a worker thread while y is estimated here; the results
+    are bit-identical to estimating one after the other.
     """
     (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantiles import _check_type, _padded_one, _quantiles_sorted
+from .quantiles import _check_type, _quantiles_sorted, _sorted_one
 
 __all__ = ["MeasureSpec", "resolve_measure", "estimate_measure", "MEASURE_NAMES"]
 
@@ -284,9 +284,9 @@ def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
     spec may also be an InequalitySpec; the error for a sample without an
     estimate is the spec's.
     """
-    xp = _padded_one(x)
+    xs = _sorted_one(x)
     _check_type(quantile_type)
-    est = float(spec._estimate(xp[:, 1:-1], quantile_type, gradient=False)[0][0])
+    est = float(spec._estimate(xs, quantile_type, gradient=False)[0][0])
     if math.isnan(est):
         raise ValueError(spec._nan_message)
     return est

@@ -25,7 +25,7 @@ from .qdensity import (
     _qdens_grid,
     _qor_lognormal,
 )
-from .quantiles import _check_type, _padded_one
+from .quantiles import _check_type, _sorted_one
 
 __all__ = ["QuantileCov", "qcov"]
 
@@ -60,32 +60,32 @@ class QuantileCov:
             self.bandwidths.setflags(write=False)
 
 
-def _qhat_rows(padded, grid: np.ndarray, method: QdMethod, quantile_type: int):
+def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int):
     """Floored quantile-density estimates of each sample of a stack.
 
-    padded is a stack of samples sorted between two zeros, one per row;
-    grid is sorted and unique.  Returns the estimates at grid (one row per
-    sample), a mask of the floored estimates, the bandwidths at grid and
-    the lognormal sigma and shift, each None where the method has none.
+    xs is a stack of sorted samples, one per row; grid is sorted and
+    unique.  Returns the estimates at grid (one row per sample), a mask
+    of the floored estimates, the bandwidths at grid and the lognormal
+    sigma and shift, each None where the method has none.
     The bandwidths are shared by every row unless sigma is fitted; sigma
     and shift are then one per row.
     """
-    lo, hi = padded[:, 1], padded[:, -2]
+    lo, hi = xs[:, 0], xs[:, -1]
     if np.count_nonzero(hi == lo):
         raise ValueError("degenerate sample")
     b = sigma = shift = None
     if method.kind == "density":
-        qhat = _inversion_grid(padded, grid, quantile_type)
+        qhat = _inversion_grid(xs, grid, quantile_type)
     else:
         if method.sigma is None:
-            sigma, shift = _fit_sigma(padded)
+            sigma, shift = _fit_sigma(xs)
             row_sigma = sigma[:, None]
         else:
             sigma = row_sigma = method.sigma
         # one probability costs less as a NumPy scalar than as an array
         ps = grid[0] if grid.size == 1 else grid
-        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, padded.shape[1] - 2))
-        qhat = _qdens_grid(padded, grid, b)
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, xs.shape[1]))
+        qhat = _qdens_grid(xs, grid, b)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to
@@ -123,8 +123,8 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     output, which preserves the caller's ordering.  Entry (i, j) with
     p_i <= p_j is p_i (1 - p_j) q_hat(p_i) q_hat(p_j) / n.
     """
-    xp = _padded_one(x)
-    n = xp.shape[1] - 2
+    xs = _sorted_one(x)
+    n = xs.shape[1]
     _check_type(quantile_type)
     ps = np.atleast_1d(np.asarray(us, dtype=float))
     if ps.size == 0:
@@ -134,7 +134,7 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, floored, b, sigma, shift = _qhat_rows(xp, uniq, method, quantile_type)
+    qhat, floored, b, sigma, shift = _qhat_rows(xs, uniq, method, quantile_type)
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
     # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order

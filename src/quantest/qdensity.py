@@ -31,7 +31,9 @@ it into a sum over the spacings D_j = X_(j+1) - X_(j),
 
     q_hat(p) = sum_{j=0}^{n} D_j K_b(p - j/n),
 
-whose interior terms are all nonnegative.  A small band (the grid size
+whose interior terms are all nonnegative.  The stacks hold the sorted
+samples alone: only _band_sums knows the pad, and it places the end
+terms D_0 = X_(1) and D_n = -X_(n).  A small band (the grid size
 times the widest kernel window up to 2^17 spacings) is gathered and
 summed directly.  On a larger grid, K_b(p - j/n) is
 quadratic in j inside the window, so each p needs only the window sums
@@ -57,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .quantiles import _check_type, _padded_one, _quantiles_sorted
+from .quantiles import _check_type, _quantiles_sorted, _sorted_one
 
 __all__ = [
     "QdMethod",
@@ -144,28 +146,28 @@ def fit_lognormal_sigma(s) -> tuple[float, float]:
     of the logs of the shifted order statistics.  Shifting is legitimate
     preprocessing here because q(p) is invariant to location.
     """
-    xp = _padded_one(s)
-    if xp.shape[1] - 2 < 2:
+    xs = _sorted_one(s)
+    if xs.shape[1] < 2:
         raise ValueError("need at least two observations to fit sigma")
-    if xp[0, -2] == xp[0, 1]:
+    if xs[0, -1] == xs[0, 0]:
         raise ValueError("degenerate sample")
-    sigma, shift = _fit_sigma(xp)
+    sigma, shift = _fit_sigma(xs)
     return float(sigma[0]), float(shift[0])
 
 
-def _fit_sigma(xp: np.ndarray):
-    """fit_lognormal_sigma of each row of a stack of padded samples.
+def _fit_sigma(xs: np.ndarray):
+    """fit_lognormal_sigma of each row of a stack of sorted samples.
 
     The logs go into one buffer, which the standard deviation then
     works in.
     """
-    lo, hi = xp[:, 1], xp[:, -2]
-    shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / (xp.shape[1] - 2))
+    lo, hi = xs[:, 0], xs[:, -1]
+    shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / xs.shape[1])
     if np.count_nonzero(shift):
-        logs = np.add(xp[:, 1:-1], shift[:, None])
+        logs = np.add(xs, shift[:, None])
         np.log(logs, out=logs)
     else:
-        logs = np.log(xp[:, 1:-1])
+        logs = np.log(xs)
     return _std_rows(logs, logs), shift
 
 
@@ -204,11 +206,11 @@ def qdens_kernel(s, p: float, b: float) -> float:
 
     A stack of one sample and a grid of one probability.
     """
-    xp = _padded_one(s)
+    xs = _sorted_one(s)
     p = _check_p(p)
     if not 0.0 < b < 1.0:
         raise ValueError("bandwidth must lie in (0, 1)")
-    return float(_qdens_grid(xp, np.array([p]), np.array([float(b)]))[0, 0])
+    return float(_qdens_grid(xs, np.array([p]), np.array([float(b)]))[0, 0])
 
 
 # spacings per leaf block of the moment table
@@ -219,73 +221,80 @@ _BAND_MAX = 2 ** 17
 _CHUNK = 2048
 
 
-def _qdens_grid(xp: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
-    xp is a stack of samples sorted between two zeros (_padded_rows), one
-    per row; the result has one row of estimates per row of xp.  b holds
-    one bandwidth per probability, shared by every row, or one row of them
-    per row of xp; every b lies in (0, 1).  Shared bandwidths give every
-    row the same windows and kernel weights.  The table path handles one
-    row at a time.
+    xs is a stack of sorted samples (_sorted_rows), one per row, without
+    the zero pad, which _band_sums supplies; the result has one row of
+    estimates per row of xs.  b holds one bandwidth per probability,
+    shared by every row, or one row of them per row of xs; every b lies
+    in (0, 1).  Shared bandwidths give every row the same windows and
+    kernel weights.  The table path handles one row at a time.
     """
-    n = xp.shape[1] - 2
+    n = xs.shape[1]
     c = n * p  # window centres and half-widths, in spacings
     h = n * b
     reach = h.max()  # the widest kernel window's radius
     width = int(2.0 * reach) + 2
     if p.size * width > _BAND_MAX:
-        hs = np.broadcast_to(h, (xp.shape[0], p.size))
-        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(xp, hs)])
+        hs = np.broadcast_to(h, (xs.shape[0], p.size))
+        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(xs, hs)])
     else:
         lo = (c - reach).astype(np.intp)
         if width > n + 1:  # windows wider than the sample: take all of it
             lo, width = np.maximum(lo, 0), n + 1
-        q = _band_sums(xp, lo, c, h, width)
+        q = _band_sums(xs, lo, c, h, width)
     return q / b
 
 
-def _band_sums(xp, lo, c, h, width: int) -> np.ndarray:
+def _band_sums(xs, lo, c, h, width: int) -> np.ndarray:
     """sum_j D_j K((j - c)/h) over j = lo .. lo + width - 1, per row and window.
 
-    xp is a stack of padded samples, one per row.  lo and c give one
+    xs is a stack of sorted samples, one per row.  lo and c give one
     window per probability, the same for every row; h is one half-width
-    per probability or a row of them per row of xp.  The spacings
-    D_j = xp[j+1] - xp[j] are gathered with the indices clipped to xp, so
-    those outside 0 .. n are zero; the window must hold every j where the
-    Epanechnikov K is nonzero.  Rows, and then windows, go in chunks of at
-    most _BAND_MAX gathered spacings.  Each window is summed by einsum in a
-    fixed order, with no BLAS call, so the bits do not depend on the BLAS
-    thread count.
+    per probability or a row of them per row of xs.  Only this code knows
+    the zero pad X_(0) = X_(n+1) = 0: X_(j) is gathered from xs[j - 1]
+    with the index clipped to the row, so every spacing outside 1 .. n-1
+    is zero, and then D_0 = X_(1) and D_n = -X_(n), exactly the padded
+    spacings, are set in the windows that hold j = 0 or j = n.  The
+    window must hold every j where the Epanechnikov K is nonzero.  Rows,
+    and then windows, go in chunks of at most _BAND_MAX gathered
+    spacings.  Each window is summed by einsum in a fixed order, with no
+    BLAS call, so the bits do not depend on the BLAS thread count.
     """
-    rows, d = xp.shape[0], lo.size
+    (rows, n), d = xs.shape, lo.size
     if rows * d * width > _BAND_MAX:
         if rows > 1:
             step = max(1, _BAND_MAX // (d * width))
-            return np.concatenate([_band_sums(xp[i:i + step], lo, c,
+            return np.concatenate([_band_sums(xs[i:i + step], lo, c,
                                               h if h.ndim == 1 else h[i:i + step], width)
                                    for i in range(0, rows, step)])
         step = max(1, _BAND_MAX // width)
         if d > step:
-            return np.concatenate([_band_sums(xp, lo[i:i + step], c[i:i + step],
+            return np.concatenate([_band_sums(xs, lo[i:i + step], c[i:i + step],
                                               h[..., i:i + step], width)
                                    for i in range(0, d, step)], axis=1)
-    j = lo[:, None] + np.arange(width + 1)
-    x = xp.take(j, axis=1, mode="clip")
-    w = _epanechnikov((j[:, :-1] - c[:, None]) / h[..., None])
-    return np.einsum("...j,...j->...", np.diff(x), w)
+    i = lo[:, None] + np.arange(-1, width)  # X_(j) is xs[j - 1], j = lo .. lo + width
+    dx = np.diff(xs.take(i, axis=1, mode="clip"))
+    if lo.min() <= 0 or lo.max() + width > n:  # some window holds j = 0 or j = n
+        ends = np.subtract.outer((0, n), lo)  # their places in each window
+        end, window = np.nonzero((ends >= 0) & (ends < width))
+        dx[:, window, ends[end, window]] = np.where(end == 0, xs[:, :1], -xs[:, -1:])
+    w = _epanechnikov((i[:, 1:] - c[:, None]) / h[..., None])
+    return np.einsum("...j,...j->...", dx, w)
 
 
-def _table_sums(xp, c, h) -> np.ndarray:
+def _table_sums(xs, c, h) -> np.ndarray:
     """The Epanechnikov sums of _band_sums, with full blocks from the table.
 
-    K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2) inside the window, so the
-    full blocks of a window contribute 0.75 (S0 - S2/h^2) with S0 the sum
-    of D_j and S2 the sum of D_j (j - c)^2.  Blocks hold only spacings
-    inside their window, where that quadratic is nonnegative, and none of
-    the padded end spacings D_0 and D_n.
+    xs is one sorted sample.  K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2)
+    inside the window, so the full blocks of a window contribute
+    0.75 (S0 - S2/h^2) with S0 the sum of D_j and S2 the sum of
+    D_j (j - c)^2.  Blocks hold only spacings inside their window, where
+    that quadratic is nonnegative, and never the end terms D_0 and D_n:
+    those come from _band_sums.
     """
-    n = xp.size - 2
+    n = xs.size
     lo = np.maximum(np.ceil(c - h), 1.0).astype(np.intp)
     hi = np.minimum(np.floor(c + h), n - 1.0).astype(np.intp)
     kl = -(-lo // _BLOCK)  # first block inside the window
@@ -295,8 +304,8 @@ def _table_sums(xp, c, h) -> np.ndarray:
     # the block before kl and the block from kr on hold the ragged window
     # ends and, where the window reaches them, D_0 and D_n; K is zero on
     # the rest of these two bands
-    out = (_band_sums(xp[None], (kl - 1) * _BLOCK, c, h, _BLOCK)
-           + _band_sums(xp[None], kr * _BLOCK, c, h, _BLOCK))[0]
+    out = (_band_sums(xs[None], (kl - 1) * _BLOCK, c, h, _BLOCK)
+           + _band_sums(xs[None], kr * _BLOCK, c, h, _BLOCK))[0]
     if not full.any():
         return out
 
@@ -304,7 +313,7 @@ def _table_sums(xp, c, h) -> np.ndarray:
     k0, k1 = int(kl[full].min()), int(kr[full].max())
     left, right = kl - k0, kr - k0
     sums = np.zeros((2, c.size))
-    for level, table in enumerate(_moment_table(xp, k0, k1)):
+    for level, table in enumerate(_moment_table(xs, k0, k1)):
         size = _BLOCK << level
         take = (left & 1).astype(bool) & (left < right)
         _add_runs(sums, table, left, take, (k0 * _BLOCK + left * size) - c)
@@ -328,14 +337,16 @@ def _add_runs(sums, table, node, take, e):
     sums[1] += np.where(take, m[:, 2] + e * (2.0 * m[:, 1] + e * m[:, 0]), 0.0)
 
 
-def _moment_table(xp, k0: int, k1: int) -> list:
+def _moment_table(xs, k0: int, k1: int) -> list:
     """Spacing moments of dyadic runs of the blocks k0 .. k1-1.
 
     Level l row i holds sum D_j t^q (q = 0, 1, 2) over the 2^l blocks
     from block k0 + i 2^l on, with t the offset of spacing j from the
-    run's start.  Block k holds the spacings D_j = xp[j+1] - xp[j] with
-    j in [64k, 64k + 64).  A leaf's zeroth moment telescopes to
-    xp[64k + 64] - xp[64k], one rounding; the other two are einsum
+    run's start.  Block k holds the spacings D_j = X_(j+1) - X_(j) with
+    j in [64k, 64k + 64), X_(j) = xs[j - 1].  The blocks hold spacings
+    1 .. n-1 only (k0 >= 1), so they never reach the zero pad, which only
+    _band_sums knows.  A leaf's zeroth moment telescopes to
+    X_(64k + 64) - X_(64k), one rounding; the other two are einsum
     reductions.  None is a BLAS call, so the bits do not depend on the BLAS
     thread count.
     """
@@ -344,7 +355,7 @@ def _moment_table(xp, k0: int, k1: int) -> list:
     level = np.empty((k1 - k0, 3))
     for a in range(k0, k1, _CHUNK):
         z = min(a + _CHUNK, k1)
-        run = xp[a * _BLOCK:z * _BLOCK + 1]
+        run = xs[a * _BLOCK - 1:z * _BLOCK]
         spacings = np.diff(run).reshape(-1, _BLOCK)
         rows = level[a - k0:z - k0]
         np.subtract(run[_BLOCK::_BLOCK], run[:-1:_BLOCK], out=rows[:, 0])
@@ -363,8 +374,8 @@ def _moment_table(xp, k0: int, k1: int) -> list:
     return levels
 
 
-def _inversion_grid(xp: np.ndarray, p: np.ndarray, quantile_type: int) -> np.ndarray:
-    """1/f_hat(x_p) at the probabilities p for each row of a padded stack xp.
+def _inversion_grid(rows: np.ndarray, p: np.ndarray, quantile_type: int) -> np.ndarray:
+    """1/f_hat(x_p) at the probabilities p for each row of a sorted stack.
 
     f_hat is the row's Gaussian kernel density estimate, summed over the
     whole row, with the Silverman bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5)
@@ -372,7 +383,6 @@ def _inversion_grid(xp: np.ndarray, p: np.ndarray, quantile_type: int) -> np.nda
     the row's sample quantile of quantile_type.  One (rows, n) buffer
     holds every temporary of the sums.
     """
-    rows = xp[:, 1:-1]
     u = np.empty(rows.shape)
     sd = _std_rows(rows, u)
     lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
@@ -401,9 +411,9 @@ def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
     bandwidth 0.9 min(sd, IQR/1.349) n^(-1/5); x_p is the type-8 sample
     quantile by default.
     """
-    xp = _padded_one(s)
+    xs = _sorted_one(s)
     _check_type(quantile_type)
     p = np.array([_check_p(p)])
-    if xp.shape[1] - 2 < 2:
+    if xs.shape[1] < 2:
         raise ValueError("need at least two observations")
-    return float(_inversion_grid(xp, p, quantile_type)[0, 0])
+    return float(_inversion_grid(xs, p, quantile_type)[0, 0])

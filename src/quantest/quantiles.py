@@ -23,29 +23,25 @@ _PLOTTING_CONSTANTS = {
 }
 
 
-def _padded_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of finite values sorted between two zeros, X_(0) = X_(n+1) = 0.
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of finite values sorted, a stack of samples.
 
-    The kernel quantile density takes the spacings of these padded rows.
     Non-finite values raise a ValueError rather than being dropped.
     """
     if not np.all(np.isfinite(rows)):
         raise ValueError("sample contains non-finite values")
-    padded = np.zeros(rows.shape[:-1] + (rows.shape[-1] + 2,))
-    padded[..., 1:-1] = rows
-    padded[..., 1:-1].sort(axis=-1)
-    return padded
+    return np.sort(rows, axis=-1)
 
 
-def _padded_one(x) -> np.ndarray:
-    """A stack of one: array-like x sorted between two zeros, validated.
+def _sorted_one(x) -> np.ndarray:
+    """A stack of one: array-like x sorted, validated.
 
     Empty and non-finite data raise a ValueError.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
-    return _padded_rows(arr[None])
+    return _sorted_rows(arr[None])
 
 
 def _check_type(quantile_type: int) -> None:
@@ -105,7 +101,7 @@ def sample_quantile(s, p: float, quantile_type: int = 8) -> float:
 
 def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
     """Vectorized sample_quantile; output matches the length and order of ps."""
-    xp = _padded_one(s)
+    xs = _sorted_one(s)
     _check_type(quantile_type)
     p = np.asarray(ps, dtype=float)
     if p.size == 0:
@@ -113,4 +109,4 @@ def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
     # NaN fails the check too
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError("probabilities outside [0, 1]")
-    return _quantiles_sorted(xp[0, 1:-1], p, quantile_type)
+    return _quantiles_sorted(xs[0], p, quantile_type)

@@ -37,7 +37,7 @@ from ._normal import ndtri
 from .inequality import InequalitySpec
 from .inference import TestOptions, _interval, _working_stats
 from .qdensity import _BAND_MAX, QdMethod
-from .quantiles import _padded_one, _padded_rows
+from .quantiles import _sorted_one, _sorted_rows
 
 __all__ = [
     "Distribution",
@@ -211,7 +211,7 @@ def _replicate_intervals(cfg: SimConfig):
                        back_transf=cfg.log_ratio, var_method=cfg.var_method)
 
     def intervals(values):
-        est, var, _ = _working_stats(_padded_rows(values), cfg.measure, opts)
+        est, var, _ = _working_stats(_sorted_rows(values), cfg.measure, opts)
         return _interval(est, var, opts)[2:]
     return intervals
 
@@ -326,7 +326,7 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     equal those from sorting the resampled values.
     """
     values = np.asarray(s, dtype=float).ravel()
-    srt = _padded_one(values)[0, 1:-1]
+    srt = _sorted_one(values)[0]
     if B < 500:
         raise ValueError("need at least 500 bootstrap resamples")
     _check_spec(measure)

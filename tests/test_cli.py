@@ -428,29 +428,15 @@ def test_verify_coverage_reps_too_small(capsys):
 
 
 # ---------------------------------------------------------------------------
-# seeding via environment
+# seeding
 
 
-def test_env_seed_used_when_flag_absent(capsys, monkeypatch):
-    monkeypatch.setenv("QUANTEST_SEED", "123")
-    _, out, _ = run(capsys, ["verify", "coverage", "--dist", "normal",
-                             "--n", "40", "--reps", "100"])
-    assert parse_tail_json(out)["seed"] == 123
-
-
-def test_flag_overrides_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("QUANTEST_SEED", "123")
-    _, out, _ = run(capsys, ["verify", "coverage", "--dist", "normal",
-                             "--n", "40", "--reps", "100", "--seed", "9"])
-    assert parse_tail_json(out)["seed"] == 9
-
-
-def test_bad_env_seed_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("QUANTEST_SEED", "abc")
-    code, _, err = run(capsys, ["verify", "coverage", "--dist", "normal",
-                                "--n", "40", "--reps", "100"])
-    assert code == 2
-    assert "QUANTEST_SEED" in err
+def test_seed_defaults_to_zero(capsys):
+    argv = ["verify", "coverage", "--dist", "normal", "--n", "40", "--reps", "100"]
+    _, out, _ = run(capsys, argv)
+    _, seeded, _ = run(capsys, argv + ["--seed", "0"])
+    assert parse_tail_json(out)["seed"] == 0
+    assert out == seeded
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from quantest.inequality import InequalitySpec, qineq_test
 from quantest.inference import TestOptions, _working_stats, q_test_two
 from quantest.measures import resolve_measure
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _padded_rows
+from quantest.quantiles import _sorted_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GATE = inference._CONCURRENT_SIZE
@@ -56,7 +56,7 @@ def ran_concurrently(threads, x, y) -> bool:
 
 def serial_stats(x, spec, opts):
     """(working estimate, working variance) of one sample from _working_stats."""
-    est, var, _ = _working_stats(_padded_rows(np.asarray(x, dtype=float)[None]), spec, opts)
+    est, var, _ = _working_stats(_sorted_rows(np.asarray(x, dtype=float)[None]), spec, opts)
     return float(est[0]), float(var[0])
 
 

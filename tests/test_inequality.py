@@ -18,14 +18,14 @@ from quantest.inference import TestOptions, _working_stats
 from quantest.measures import resolve_measure
 from quantest.qcov import qcov
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _padded_one, sample_quantiles
+from quantest.quantiles import _sorted_one, sample_quantiles
 from conftest import require_house_fixtures
 
 
 def index_variance(x, spec, method=QdMethod()):
     """The delta-method variance that qineq_test takes its SE from."""
     opts = TestOptions(var_method=method)
-    return float(_working_stats(_padded_one(x), spec, opts)[1][0])
+    return float(_working_stats(_sorted_one(x), spec, opts)[1][0])
 
 
 def lognormal_qri(sigma: float) -> float:

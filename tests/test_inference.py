@@ -1,11 +1,13 @@
 """Wald tests, intervals, delta-method variances, one/two-sample tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from quantest.inequality import InequalitySpec, qineq_test
 from quantest.inference import (
     TestOptions,
     p_value,
@@ -16,7 +18,9 @@ from quantest.inference import (
 from quantest.measures import MeasureSpec, resolve_measure
 from quantest.qcov import _bridge_form, _qhat_rows, qcov
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _padded_rows, sample_quantile
+from quantest.quantiles import _sorted_rows, sample_quantile
+from quantest.verify import Distribution, SimConfig, coverage_sim
+from conftest import data_path
 
 Z975 = 1.959963984540054
 
@@ -42,7 +46,7 @@ def lincomb_stats(cov, xhat, b1, b2=None):
 def bridge(x, ps, b1, b2):
     """_bridge_form of b1 and b2 over the sorted grid ps, as the Wald tests sum it."""
     grid = np.asarray(ps)
-    qhat = _qhat_rows(_padded_rows(x[None]), grid, QdMethod(), 8)[0][0]
+    qhat = _qhat_rows(_sorted_rows(x[None]), grid, QdMethod(), 8)[0][0]
     return float(_bridge_form(grid, np.multiply(b1, qhat), np.multiply(b2, qhat), x.size))
 
 
@@ -377,3 +381,50 @@ def test_two_sample_ratio_warning():
     y = rng.lognormal(size=70)
     r = q_test_two(x, y, resolve_measure("rCViqr"))
     assert any("log" in w for w in r.warnings)
+
+
+# ---------------------------------------------------------------------------
+# a variance that overflows is a stated failure, never an infinite SE
+
+
+@pytest.fixture(scope="module")
+def overflow_sample():
+    """Replicate 212 of a QRI density-method study: lognormal, n = 50, seed 11.
+
+    The Gaussian KDE is tiny but positive at its extreme sample quantiles,
+    so 1/f_hat reaches about 4e162 and the variance overflows.
+    """
+    return np.loadtxt(data_path("qri_density_overflow.csv"), skiprows=1)
+
+
+DENSITY = TestOptions(var_method=QdMethod("density"))
+OVERFLOW = r"variance is not finite: .* reaches 4\.16e\+162 at p = 0\.9775"
+
+
+def test_an_overflowing_variance_raises_and_names_its_probability(overflow_sample):
+    qri = InequalitySpec("QRI", 100)
+    good = np.random.default_rng(212).lognormal(size=50)
+    calls = [lambda: q_test_one(overflow_sample, qri, DENSITY),
+             lambda: q_test_two(overflow_sample, good, qri, DENSITY),
+             lambda: q_test_two(good, overflow_sample, qri, DENSITY),
+             lambda: qineq_test(overflow_sample, opts=DENSITY),
+             lambda: qineq_test(good, overflow_sample, opts=DENSITY)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no NumPy overflow warning
+        for call in calls:
+            with pytest.raises(ValueError, match=OVERFLOW):
+                call()
+        assert math.isfinite(q_test_one(good, qri, DENSITY).se)
+    # the QOR kernel estimate stays finite on the same sample
+    assert math.isfinite(q_test_one(overflow_sample, qri).se)
+
+
+def test_a_study_with_an_overflowing_replicate_raises():
+    # the first 213 replicates of seed 11 end with the sample above
+    cfg = SimConfig(Distribution("lognormal"), n=50, reps=213,
+                    measure=InequalitySpec("QRI", 100), seed=11,
+                    var_method=QdMethod("density"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=OVERFLOW):
+            coverage_sim(cfg)

@@ -14,7 +14,7 @@ from quantest.qdensity import (
     optimal_bandwidth,
     qor_lognormal,
 )
-from quantest.quantiles import _padded_rows, sample_quantiles
+from quantest.quantiles import _sorted_rows, sample_quantiles
 
 # published covariance matrix for the committed standard-normal n=100
 # fixture at probabilities (0.25, 0.5, 0.75)
@@ -184,7 +184,7 @@ def bridge_forms(rows, ps, w1, w2, method):
     """_bridge_form of w1 and w2, given over ps in the caller's order, per row."""
     values = np.atleast_2d(rows)
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, *_ = _qhat_rows(_padded_rows(values), uniq, method, 8)
+    qhat, *_ = _qhat_rows(_sorted_rows(values), uniq, method, 8)
     # coefficients at a repeated probability add up on the unique grid
     a = np.bincount(inverse, w1, uniq.size) * qhat
     c = np.bincount(inverse, w2, uniq.size) * qhat

@@ -17,7 +17,7 @@ from quantest.qdensity import (
     qdens_kernel,
     qor_lognormal,
 )
-from quantest.quantiles import _padded_rows, _quantiles_sorted
+from quantest.quantiles import _quantiles_sorted, _sorted_rows
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -103,7 +103,7 @@ def test_fit_sigma_of_a_stack_is_the_std_of_the_log_of_each_sorted_row():
     # sample's fit bit for bit
     rng = np.random.default_rng(41)
     values = np.concatenate([rng.lognormal(size=(3, 257)), rng.normal(size=(3, 257))])
-    sigma, shift = _fit_sigma(_padded_rows(values))
+    sigma, shift = _fit_sigma(_sorted_rows(values))
     for v, got_sigma, got_shift in zip(values, sigma, shift):
         want_sigma, want_shift = fit_lognormal_sigma(v)
         assert (got_sigma, got_shift) == (want_sigma, want_shift)
@@ -117,13 +117,13 @@ def test_fit_sigma_in_place_equals_the_std_of_the_shifted_logs(n):
     rng = np.random.default_rng(n)
     for values in (rng.lognormal(size=(2, n)), rng.normal(size=(2, n)),
                    np.stack([rng.lognormal(size=n), rng.normal(size=n)])):
-        xp = _padded_rows(values)
-        lo, hi = xp[:, 1], xp[:, -2]
+        xs = _sorted_rows(values)
+        lo, hi = xs[:, 0], xs[:, -1]
         shift = np.where(lo > 0, 0.0, -lo + (hi - lo) / n)
-        sigma, got_shift = _fit_sigma(xp)
+        sigma, got_shift = _fit_sigma(xs)
         np.testing.assert_array_equal(got_shift, shift)
         np.testing.assert_array_equal(
-            sigma, np.std(np.log(xp[:, 1:-1] + shift[:, None]), axis=1, ddof=1))
+            sigma, np.std(np.log(xs + shift[:, None]), axis=1, ddof=1))
 
 
 def test_fit_sigma_errors():
@@ -300,7 +300,7 @@ TIED = np.concatenate([np.full(70, 5.0), np.random.default_rng(7).normal(5.0, 2.
 def test_inversion_matches_the_literal_sum(n, quantile_type):
     rng = np.random.default_rng(n + quantile_type)
     x = rng.lognormal(size=n)
-    got = _inversion_grid(_padded_rows(x[None]), INVERSION_PS, quantile_type)[0]
+    got = _inversion_grid(_sorted_rows(x[None]), INVERSION_PS, quantile_type)[0]
     want = [inversion_oracle(x, p, quantile_type) for p in INVERSION_PS]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     for p, w in zip(INVERSION_PS, want):
@@ -311,7 +311,7 @@ def test_inversion_matches_the_literal_sum(n, quantile_type):
 def test_inversion_falls_back_to_the_sd_when_the_iqr_is_zero(quantile_type):
     q1, q3 = np.quantile(TIED, [0.25, 0.75], method="median_unbiased")
     assert q1 == q3 == 5.0
-    got = _inversion_grid(_padded_rows(TIED[None]), INVERSION_PS, quantile_type)[0]
+    got = _inversion_grid(_sorted_rows(TIED[None]), INVERSION_PS, quantile_type)[0]
     want = [inversion_oracle(TIED, p, quantile_type) for p in INVERSION_PS]
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
@@ -325,7 +325,7 @@ def test_inversion_zero_density_at_quantile():
     with pytest.raises(ValueError, match="zero density at quantile"):
         qdens_inversion(x, 0.1)
     with pytest.raises(ValueError, match="zero density at quantile"):
-        _inversion_grid(_padded_rows(x[None]), np.array([0.1, 0.5]), 8)
+        _inversion_grid(_sorted_rows(x[None]), np.array([0.1, 0.5]), 8)
 
 
 def test_inversion_row_of_a_stack_equals_the_row_alone():
@@ -334,15 +334,14 @@ def test_inversion_row_of_a_stack_equals_the_row_alone():
                              np.round(rng.normal(size=(3, 300)), 1)])
     ps = np.array([0.05, 0.5, 0.7, 0.95])
     for quantile_type in (4, 8):
-        stack = _inversion_grid(_padded_rows(values), ps, quantile_type)
+        stack = _inversion_grid(_sorted_rows(values), ps, quantile_type)
         for v, row in zip(values, stack):
-            np.testing.assert_array_equal(row, _inversion_grid(_padded_rows(v[None]), ps,
+            np.testing.assert_array_equal(row, _inversion_grid(_sorted_rows(v[None]), ps,
                                                                quantile_type)[0])
 
 
-def inversion_temporaries(xp, p, quantile_type):
+def inversion_temporaries(rows, p, quantile_type):
     """_inversion_grid as a fresh array per step: np.std and exp(-0.5 u u)."""
-    rows = xp[:, 1:-1]
     sd = np.std(rows, axis=1, ddof=1)
     lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
     scale = np.minimum(sd, (upper - lower) / 1.349)
@@ -364,10 +363,10 @@ def test_inversion_in_place_equals_fresh_temporaries(n, quantile_type):
     values = np.stack([rng.lognormal(size=n), rng.normal(size=n),
                        np.round(rng.normal(size=n), 1) + (np.arange(n) == 0),
                        1.0 + 1e-12 * rng.normal(size=n)])
-    xp = _padded_rows(values)
+    xs = _sorted_rows(values)
     ps = np.array([0.01, 0.1, 0.25, 0.5, 0.8, 0.99])
-    np.testing.assert_array_equal(_inversion_grid(xp, ps, quantile_type),
-                                  inversion_temporaries(xp, ps, quantile_type))
+    np.testing.assert_array_equal(_inversion_grid(xs, ps, quantile_type),
+                                  inversion_temporaries(xs, ps, quantile_type))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])

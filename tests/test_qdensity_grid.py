@@ -69,8 +69,7 @@ def table_calls(monkeypatch):
 
 def grid(xs, ps, bs):
     """The grid estimates at ps for the sorted sample xs, a stack of one."""
-    padded = np.concatenate(([0.0], xs, [0.0]))[None]
-    return qd._qdens_grid(padded, np.asarray(ps), np.asarray(bs))[0]
+    return qd._qdens_grid(xs[None], np.asarray(ps), np.asarray(bs))[0]
 
 
 def random_sample(rng, n, case):
@@ -150,10 +149,9 @@ def test_stacked_rows_with_their_own_fitted_bandwidths_match_the_literal_sum(tab
     rng = np.random.default_rng(23)
     n, ps = 20_000, np.array([0.1, 0.25, 0.5, 0.75, 0.9])
     rows = np.sort(rng.lognormal(0.0, rng.uniform(0.4, 1.5, (8, 1)), (8, n)), axis=1)
-    padded = np.pad(rows, ((0, 0), (1, 1)))
-    sigma, _ = qd._fit_sigma(padded)
+    sigma, _ = qd._fit_sigma(rows)
     bs = qd._bandwidths(qd._qor_lognormal(sigma[:, None], ps), ps, n)
-    got = qd._qdens_grid(padded, ps, bs)
+    got = qd._qdens_grid(rows, ps, bs)
     assert rows.shape[0] * ps.size * 2 * n * bs.max() > qd._BAND_MAX
     for xs, g, b in zip(rows, got, bs):
         assert_literal(g, xs, ps, b)

@@ -1,4 +1,4 @@
-"""The padded sorted stack and interpolated sample quantiles."""
+"""The sorted stack and interpolated sample quantiles."""
 
 import math
 
@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantest.quantiles import (
-    _padded_one,
-    _padded_rows,
     _quantiles_sorted,
+    _sorted_one,
+    _sorted_rows,
     sample_quantile,
     sample_quantiles,
 )
@@ -47,20 +47,24 @@ def reference_quantile(values, p, qtype=8):
 
 
 # ---------------------------------------------------------------------------
-# the padded sorted stack
+# the sorted stack
 
 
-def test_padded_one_is_a_stack_of_one_without_a_sample():
-    for data, padded in (([3.0, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0, 0.0]),
-                         (np.array([[3.0, 1.0], [2.0, 5.0]]), [0.0, 1.0, 2.0, 3.0, 5.0, 0.0]),
-                         (4.0, [0.0, 4.0, 0.0])):
-        got = _padded_one(data)
-        np.testing.assert_array_equal(got, [padded])
-        np.testing.assert_array_equal(got, _padded_rows(np.ravel(data)[None]))
+def test_sorted_one_is_a_stack_of_one_sorted_sample_with_no_pad():
+    for data, want in (([3.0, 1.0, 2.0], [1.0, 2.0, 3.0]),
+                       (np.array([[3.0, 1.0], [2.0, 5.0]]), [1.0, 2.0, 3.0, 5.0]),
+                       ([-2.0, 0.0, -7.5], [-7.5, -2.0, 0.0]),
+                       (4.0, [4.0])):
+        got = _sorted_one(data)
+        assert got.shape == (1, len(want))
+        np.testing.assert_array_equal(got, [want])
+        np.testing.assert_array_equal(got, _sorted_rows(np.ravel(data)[None]))
+    np.testing.assert_array_equal(_sorted_rows(np.array([[2.0, -1.0], [0.5, 0.25]])),
+                                  [[-1.0, 2.0], [0.25, 0.5]])
     for bad, message in (([], "empty sample"), ([1.0, np.nan], "non-finite"),
                          ([1.0, np.inf], "non-finite")):
         with pytest.raises(ValueError, match=message):
-            _padded_one(bad)
+            _sorted_one(bad)
 
 
 # ---------------------------------------------------------------------------
