@@ -38,12 +38,15 @@ times the widest kernel window up to 2^17 spacings) is gathered and
 summed directly.  On a larger grid, K_b(p - j/n) is
 quadratic in j inside the window, so each p needs only the window sums
 of D_j and D_j (j - np)^2.  They come from a dyadic table of the moments
-of 64-spacing blocks, each taken about its own start and re-centred on
+of 32-spacing blocks, each taken about its own start and re-centred on
 np; the ragged window ends, in the block on either side of the table,
-are summed directly.  Every table entry adds nonnegative terms, so the
-result keeps float64 accuracy (about 2e-14 relative to the literal sum
-at n = 10^6), where global prefix sums of j D_j and j^2 D_j lose digits
-to cancellation.  The table holds O(n/64) numbers.
+are summed directly.  A window's bottom-up walk of the table has its
+ends at every level in closed form, so all windows and levels are
+gathered and summed at once, with no loop over the levels.  Every table
+entry adds nonnegative terms, so the result keeps float64 accuracy
+(about 2e-14 relative to the literal sum at n = 10^6), where global
+prefix sums of j D_j and j^2 D_j lose digits to cancellation.  The table
+holds O(n/32) numbers.
 
 The window sums and the leaf moments are fixed-order NumPy reductions
 (einsum and subtraction), never BLAS calls: a BLAS dot product splits
@@ -214,11 +217,11 @@ def qdens_kernel(s, p: float, b: float) -> float:
 
 
 # spacings per leaf block of the moment table
-_BLOCK = 64
+_BLOCK = 32
 # largest band, in probabilities times window spacings, gathered at once
 _BAND_MAX = 2 ** 17
 # blocks per pass while building the table, which bounds its temporaries
-_CHUNK = 2048
+_CHUNK = 4096
 
 
 def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,7 +295,15 @@ def _table_sums(xs, c, h) -> np.ndarray:
     0.75 (S0 - S2/h^2) with S0 the sum of D_j and S2 the sum of
     D_j (j - c)^2.  Blocks hold only spacings inside their window, where
     that quadratic is nonnegative, and never the end terms D_0 and D_n:
-    those come from _band_sums.
+    those come from _band_sums, which sums the two ragged ends of each
+    window, one _BLOCK-spacing band on either side of its full blocks.
+    The full blocks kl .. kr-1 are O(log n) runs of the dyadic table: a
+    bottom-up walk whose ends at level l are ceil(kl / 2^l) and
+    floor(kr / 2^l), counted from the table's first block.  It takes the
+    run at an odd left end and the one just before an odd right end while
+    the ends differ.  Every level's runs are gathered from the one table
+    buffer at once and added in the walk's order, level by level, left
+    run before right.
     """
     n = xs.size
     lo = np.maximum(np.ceil(c - h), 1.0).astype(np.intp)
@@ -309,69 +320,69 @@ def _table_sums(xs, c, h) -> np.ndarray:
     if not full.any():
         return out
 
-    # a bottom-up walk of the dyadic table takes O(log n) runs per window
+    # the walk at every level at once; once its ends meet, the left end
+    # stays at or past the right one at every higher level, so nothing
+    # more is taken
     k0, k1 = int(kl[full].min()), int(kr[full].max())
-    left, right = kl - k0, kr - k0
-    sums = np.zeros((2, c.size))
-    for level, table in enumerate(_moment_table(xs, k0, k1)):
-        size = _BLOCK << level
-        take = (left & 1).astype(bool) & (left < right)
-        _add_runs(sums, table, left, take, (k0 * _BLOCK + left * size) - c)
-        left = left + take
-        take = (right & 1).astype(bool) & (left < right)
-        right = right - take
-        _add_runs(sums, table, right, take, (k0 * _BLOCK + right * size) - c)
-        left >>= 1
-        right >>= 1
+    table, start = _moment_table(xs, k0, k1)
+    level = np.arange(start.size)[:, None]
+    left = -(-(kl - k0) >> level)
+    right = (kr - k0) >> level
+    node = np.stack([left, right - 1], axis=1)  # (levels, 2, windows)
+    # the run at an odd left end and the one before an odd right end, while
+    # the ends differ; taking the left run never stops the right one, since
+    # that needs an odd left end and right = left + 1, which is even
+    take = (np.stack([left, right], axis=1) & 1).astype(bool) & (left < right)[:, None]
+    m = table.take(start[:, None, None] + node, axis=0, mode="clip")
+    # each run's start minus the window centre, e, moves the second moment
+    # about the run's start to the centre: m2 + 2 e m1 + e^2 m0
+    e = (k0 * _BLOCK + node * (_BLOCK << level)[:, None]) - c
+    m0 = m[..., 0]
+    runs = np.stack([m0, m[..., 2] + e * (2.0 * m[..., 1] + e * m0)], axis=2)
+    # summed in the walk's order: per level, its left run, then its right
+    sums = np.add.reduce(np.where(take[:, :, None], runs, 0.0).reshape(-1, 2, c.size), axis=0)
     return out + 0.75 * (sums[0] - sums[1] / (h * h))
 
 
-def _add_runs(sums, table, node, take, e):
-    """Add the moments of the table rows node, where take, to sums.
+def _moment_table(xs, k0: int, k1: int):
+    """Spacing moments of dyadic runs of the blocks k0 .. k1-1, in one buffer.
 
-    e is each run's start minus the window centre, so the second moment
-    about the centre is m2 + 2 e m1 + e^2 m0.
-    """
-    m = table.take(node, axis=0, mode="clip")
-    sums[0] += np.where(take, m[:, 0], 0.0)
-    sums[1] += np.where(take, m[:, 2] + e * (2.0 * m[:, 1] + e * m[:, 0]), 0.0)
-
-
-def _moment_table(xs, k0: int, k1: int) -> list:
-    """Spacing moments of dyadic runs of the blocks k0 .. k1-1.
-
-    Level l row i holds sum D_j t^q (q = 0, 1, 2) over the 2^l blocks
-    from block k0 + i 2^l on, with t the offset of spacing j from the
-    run's start.  Block k holds the spacings D_j = X_(j+1) - X_(j) with
-    j in [64k, 64k + 64), X_(j) = xs[j - 1].  The blocks hold spacings
-    1 .. n-1 only (k0 >= 1), so they never reach the zero pad, which only
+    Returns the buffer and the row where each level starts in it.  Level
+    l row i holds sum D_j t^q (q = 0, 1, 2) over the 2^l blocks from block
+    k0 + i 2^l on, with t the offset of spacing j from the run's start;
+    level l + 1 has half as many rows as level l, rounded down.  Block k
+    holds the spacings D_j = X_(j+1) - X_(j) with j in [32k, 32k + 32)
+    (_BLOCK = 32), X_(j) = xs[j - 1].  The blocks hold spacings 1 .. n-1
+    only (k0 >= 1), so they never reach the zero pad, which only
     _band_sums knows.  A leaf's zeroth moment telescopes to
-    X_(64k + 64) - X_(64k), one rounding; the other two are einsum
-    reductions.  None is a BLAS call, so the bits do not depend on the BLAS
-    thread count.
+    X_(32k + 32) - X_(32k), one rounding; the other two are einsum
+    reductions.  None is a BLAS call, so the bits do not depend on the
+    BLAS thread count.
     """
+    sizes = [k1 - k0]
+    while sizes[-1] > 1:
+        sizes.append(sizes[-1] // 2)
+    start = np.cumsum([0] + sizes)
+    table = np.empty((start[-1], 3))
     t = np.arange(_BLOCK, dtype=float)
     t2 = t * t
-    level = np.empty((k1 - k0, 3))
     for a in range(k0, k1, _CHUNK):
         z = min(a + _CHUNK, k1)
         run = xs[a * _BLOCK - 1:z * _BLOCK]
         spacings = np.diff(run).reshape(-1, _BLOCK)
-        rows = level[a - k0:z - k0]
+        rows = table[a - k0:z - k0]
         np.subtract(run[_BLOCK::_BLOCK], run[:-1:_BLOCK], out=rows[:, 0])
         np.einsum("ij,j->i", spacings, t, out=rows[:, 1])
         np.einsum("ij,j->i", spacings, t2, out=rows[:, 2])
-    levels = [level]
+    levels = [table[a:z] for a, z in zip(start[:-1], start[1:])]
     half = _BLOCK
-    while level.shape[0] > 1:
-        m = level.shape[0] // 2
-        lft, rgt = level[0:2 * m:2], level[1:2 * m:2]
-        level = lft + rgt
+    for below, level in zip(levels, levels[1:]):
+        lft, rgt = below[0:2 * len(level):2], below[1:2 * len(level):2]
+        np.add(lft, rgt, out=level)
         level[:, 1] += half * rgt[:, 0]
         level[:, 2] += half * (2.0 * rgt[:, 1] + half * rgt[:, 0])
-        levels.append(level)
         half *= 2
-    return levels
+    return table, start[:-1]
 
 
 def _inversion_grid(rows: np.ndarray, p: np.ndarray, quantile_type: int) -> np.ndarray:

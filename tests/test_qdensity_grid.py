@@ -158,6 +158,74 @@ def test_stacked_rows_with_their_own_fitted_bandwidths_match_the_literal_sum(tab
     assert not table_calls
 
 
+def block_window(a, z, n):
+    """(p, b) of a window whose full leaf blocks are a .. z-1 of the table.
+
+    Each end reaches half a block past them, so both ragged ends are
+    summed directly as well.
+    """
+    size = qd._BLOCK
+    c = (a + z) * size / 2 - 0.5
+    h = (z - a + 1) * size / 2 - 0.25
+    return c / n, h / n
+
+
+def walk_sample(n):
+    return np.sort(np.random.default_rng(n).lognormal(size=n))
+
+
+def test_windows_whose_walk_ends_at_an_odd_left_node_match_the_literal_sum(monkeypatch,
+                                                                           table_calls):
+    # blocks 2 .. 9 set the table's first block, k0 = 2; relative to it the
+    # other windows run from an odd block, and their walks meet at an odd
+    # node (blocks 3 .. 4: left 1 and right 3 meet at node 1 of level 1)
+    n = 40 * qd._BLOCK + 7
+    xs = walk_sample(n)
+    ps, bs = np.transpose([block_window(a, z, n) for a, z in
+                           [(2, 10), (3, 5), (3, 4), (5, 7), (7, 15), (3, 35), (9, 26)]])
+    monkeypatch.setattr(qd, "_BAND_MAX", 0)
+    assert_literal(grid(xs, ps, bs), xs, ps, bs)
+    assert table_calls == [ps.size]
+
+
+def test_windows_narrower_than_one_leaf_match_the_literal_sum(regime):
+    # no full block in any window, then beside one wide window
+    n = 30 * qd._BLOCK + 11
+    xs = walk_sample(n)
+    edges = np.arange(2, 29) * qd._BLOCK
+    c = np.concatenate([edges - 0.5, edges + 3.25, edges + qd._BLOCK / 2])
+    h = np.resize([0.75, qd._BLOCK / 4, qd._BLOCK / 2 - 1.0, 2.2], c.size)
+    ps, bs = c / n, h / n
+    assert_literal(grid(xs, ps, bs), xs, ps, bs)
+    wide, wide_b = block_window(1, 29, n)
+    ps, bs = np.append(ps, wide), np.append(bs, wide_b)
+    assert_literal(grid(xs, ps, bs), xs, ps, bs)
+
+
+def test_one_window_over_the_whole_table_matches_the_literal_sum(regime):
+    # blocks 1 .. N-1, every full block a window can hold: the walk climbs
+    # to the table's top level, through levels of odd and even size
+    for blocks in (2, 3, 37, 64, 129):
+        n = blocks * qd._BLOCK + 5
+        xs = walk_sample(n)
+        p, b = block_window(1, (n - 1) // qd._BLOCK, n)
+        assert_literal(grid(xs, [p], [b]), xs, [p], [b])
+
+
+def test_a_descending_grid_matches_the_literal_sum(regime, table_calls):
+    # the windows' first blocks come in descending order
+    n = 3 * 10**4
+    xs = walk_sample(n)
+    p = (np.arange(1, 201) - 0.5) / 200
+    ps = np.concatenate([1.0 - p / 2, p[::-1] / 2])
+    bs = qor_bandwidths(ps, n)
+    got = grid(xs, ps, bs)
+    assert_literal(got, xs, ps, bs)
+    np.testing.assert_allclose(got[::-1], grid(xs, ps[::-1], bs[::-1]), rtol=1e-13)
+    if regime != "band":
+        assert table_calls
+
+
 @pytest.mark.parametrize("p, b", [(0.05, 0.2), (0.93, 0.3), (0.5, 0.9), (0.01, 0.999)])
 def test_truncated_windows_keep_the_end_terms(regime, p, b):
     rng = np.random.default_rng(3)

@@ -67,6 +67,36 @@ def test_sorted_one_is_a_stack_of_one_sorted_sample_with_no_pad():
             _sorted_one(bad)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 3, -1])
+def test_a_non_finite_value_anywhere_in_a_sample_raises(bad, where):
+    # the check reads the sorted stack's two end columns, where the sort
+    # puts NaN and +inf (last) and -inf (first) wherever they started
+    x = np.linspace(-2.0, 5.0, 8)
+    x[where] = bad
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x)
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(np.append(x, [-math.inf, math.nan]))
+
+
+def test_a_sample_of_one_is_checked_for_finiteness():
+    np.testing.assert_array_equal(_sorted_one([2.5]), [[2.5]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sample contains non-finite values"):
+            _sorted_one([bad])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_one_bad_middle_row_of_a_stack_raises(bad):
+    # a coverage study's chunk: many replicates, one row per replicate
+    rows = np.random.default_rng(5).lognormal(size=(64, 50))
+    np.testing.assert_array_equal(_sorted_rows(rows), np.sort(rows, axis=1))
+    rows[31, 20] = bad
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_rows(rows)
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

@@ -210,7 +210,9 @@ def test_bootstrap_requires_enough_resamples():
 
 @pytest.mark.parametrize("x, message", [
     ([], "empty sample"), ([1.0, 2.0, math.nan], "non-finite"),
-    ([1.0, math.inf, 2.0], "non-finite"),
+    ([1.0, math.inf, 2.0], "non-finite"), ([-math.inf, 1.0, 2.0], "non-finite"),
+    ([math.nan, 1.0, 2.0], "non-finite"), ([1.0, 2.0, -math.inf], "non-finite"),
+    ([math.nan], "non-finite"),
 ])
 def test_bootstrap_rejects_empty_and_nonfinite_data(x, message):
     with pytest.raises(ValueError, match=message):
