@@ -54,21 +54,30 @@ def _check_type(quantile_type: int) -> None:
         )
 
 
+def _bracket(n: int, p: np.ndarray, quantile_type: int):
+    """Where the quantiles at p lie among n >= 2 order statistics.
+
+    Returns k and gamma: the quantile at p is gamma of the way from
+    X_(k) to X_(k+1) (1-based), with 1 <= k <= n - 1 and gamma in [0, 1].
+    """
+    a, b = _PLOTTING_CONSTANTS[quantile_type]
+    h = (n + a) * p + b
+    h = np.clip(h, 1.0, float(n))
+    k = np.clip(np.floor(h).astype(int), 1, n - 1)
+    return k, h - k
+
+
 def _quantiles_sorted(sorted_values: np.ndarray, ps, quantile_type: int = 8) -> np.ndarray:
     """Quantiles along the last axis of an array of pre-sorted values.
 
     ``sorted_values`` may be a matrix of independently sorted rows; the
     result then has one row of quantiles per input row.
     """
-    a, b = _PLOTTING_CONSTANTS[quantile_type]
     p = np.asarray(ps, dtype=float)
     n = sorted_values.shape[-1]
     if n == 1:
         return sorted_values[..., 0:1] * np.ones_like(p)
-    h = (n + a) * p + b
-    h = np.clip(h, 1.0, float(n))
-    k = np.clip(np.floor(h).astype(int), 1, n - 1)
-    gamma = h - k
+    k, gamma = _bracket(n, p, quantile_type)
     lo = sorted_values[..., k - 1]
     hi = sorted_values[..., k]
     diff = hi - lo

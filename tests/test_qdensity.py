@@ -8,9 +8,11 @@ from scipy.special import ndtri
 
 from quantest.qdensity import (
     _BANDWIDTH_CONSTANT,
+    _WINDOW_MIN,
     QdMethod,
     _fit_sigma,
     _inversion_grid,
+    _inversion_windows,
     fit_lognormal_sigma,
     optimal_bandwidth,
     qdens_inversion,
@@ -340,25 +342,44 @@ def test_inversion_row_of_a_stack_equals_the_row_alone():
                                                                quantile_type)[0])
 
 
-def inversion_temporaries(rows, p, quantile_type):
-    """_inversion_grid as a fresh array per step: np.std and exp(-0.5 u u)."""
+def inversion_temporaries(rows, p, quantile_type, windowed=True):
+    """_inversion_grid as a fresh array per step: np.std and exp(-0.5 u u).
+
+    Each row sums its window from _inversion_windows, or the whole of
+    itself when windowed is False, as every row did before the windows.
+    """
+    n = rows.shape[1]
+    h = bandwidths(rows)
+    xp = _quantiles_sorted(rows, p, quantile_type)
+    lo, hi = _inversion_windows(rows, p, quantile_type, xp, h)
+    if not windowed:
+        lo, hi = np.zeros_like(lo), np.full_like(hi, n)
+    fhat = np.empty(xp.shape)
+    for r, (row, hr) in enumerate(zip(rows, h)):
+        for j, x in enumerate(xp[r]):
+            u = (x - row[lo[r, j]:hi[r, j]]) / hr
+            fhat[r, j] = np.sum(np.exp(-0.5 * u * u)) / n / (SQRT_2PI * hr)
+    return 1.0 / fhat
+
+
+def bandwidths(rows):
+    """The Silverman bandwidth of each row, from np.std and the type-8 quartiles."""
     sd = np.std(rows, axis=1, ddof=1)
     lower, upper = _quantiles_sorted(rows, [0.25, 0.75]).T
     scale = np.minimum(sd, (upper - lower) / 1.349)
-    scale = np.where(scale > 0, scale, sd)
-    h = 0.9 * scale * rows.shape[1] ** -0.2
-    fhat = np.empty((rows.shape[0], p.size))
-    for j, x in enumerate(_quantiles_sorted(rows, p, quantile_type).T):
-        u = (x[:, None] - rows) / h[:, None]
-        fhat[:, j] = np.mean(np.exp(-0.5 * u * u), axis=1) / (SQRT_2PI * h)
-    return 1.0 / fhat
+    return 0.9 * np.where(scale > 0, scale, sd) * rows.shape[1] ** -0.2
+
+
+def windows(rows, ps, quantile_type=8):
+    xp = _quantiles_sorted(rows, ps, quantile_type)
+    return _inversion_windows(rows, ps, quantile_type, xp, bandwidths(rows))
 
 
 @pytest.mark.parametrize("quantile_type", [4, 8, 9])
 @pytest.mark.parametrize("n", [2, 3, 100, 10**4, 10**5])
 def test_inversion_in_place_equals_fresh_temporaries(n, quantile_type):
-    # one reused buffer gives the same bits as a new array per step,
-    # on smooth, tied and tiny-scale rows
+    # one reused buffer gives the same bits as a new array per step, over
+    # the same windows, on smooth, tied and tiny-scale rows
     rng = np.random.default_rng(n + 7 * quantile_type)
     values = np.stack([rng.lognormal(size=n), rng.normal(size=n),
                        np.round(rng.normal(size=n), 1) + (np.arange(n) == 0),
@@ -367,6 +388,75 @@ def test_inversion_in_place_equals_fresh_temporaries(n, quantile_type):
     ps = np.array([0.01, 0.1, 0.25, 0.5, 0.8, 0.99])
     np.testing.assert_array_equal(_inversion_grid(xs, ps, quantile_type),
                                   inversion_temporaries(xs, ps, quantile_type))
+
+
+WINDOW_PS = np.array([0.001, 0.1, 0.5, 0.9, 0.999])
+
+
+@pytest.mark.parametrize("rounded", [False, True])
+@pytest.mark.parametrize("n", [10**5, 10**6])
+def test_inversion_window_matches_the_literal_sum(n, rounded):
+    # heavy tails, and rows rounded to one decimal, so ties and zeros
+    x = np.random.default_rng(n).lognormal(0.0, 2.0, n)
+    if rounded:
+        x = np.round(x, 1)
+    xs = _sorted_rows(x[None])
+    lo, hi = windows(xs, WINDOW_PS)
+    assert np.count_nonzero(hi - lo < n // 2) >= 2  # the tails sum windows
+    got = _inversion_grid(xs, WINDOW_PS, 8)[0]
+    want = [inversion_oracle(x, p) for p in WINDOW_PS]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+def test_inversion_stack_mixing_windows_and_whole_rows_equals_each_row_alone():
+    rng = np.random.default_rng(21)
+    n = 2 * _WINDOW_MIN
+    values = np.stack([rng.lognormal(size=n), rng.normal(size=n), rng.lognormal(0.0, 2.0, n),
+                       np.round(rng.normal(size=n), 1), rng.uniform(size=n)])
+    xs = _sorted_rows(values)
+    ps = np.array([0.02, 0.5, 0.98])
+    lo, hi = windows(xs, ps)
+    whole = hi - lo == n
+    # at 0.02 some rows sum their whole row and some a window; at 0.5 all
+    # sum their whole row
+    assert whole[:, 0].any() and not whole[:, 0].all() and whole[:, 1].all()
+    stack = _inversion_grid(xs, ps, 8)
+    for r, row in enumerate(xs):
+        np.testing.assert_array_equal(stack[r], _inversion_grid(row[None], ps, 8)[0])
+    np.testing.assert_array_equal(stack, inversion_temporaries(xs, ps, 8))
+
+
+def test_inversion_window_reaches_a_nearest_point_beyond_10h():
+    # 90% of the values on [0, 1] set h to about 0.05; x_p lies in the
+    # middle of the gap up to the rest, 12 h or more from either side
+    n = 2 * _WINDOW_MIN
+    m = 9 * n // 10
+    x = np.concatenate([np.linspace(0.0, 1.0, m), np.linspace(2.3, 3.3, n - m)])
+    p = (m + 1 / 6) / (n + 1 / 3)  # h(p) = m + 1/2: halfway from X_(m) to X_(m+1)
+    xs = _sorted_rows(x[None])
+    xp = _quantiles_sorted(xs, [p], 8)[0, 0]
+    h = bandwidths(xs)[0]
+    assert min(xp - 1.0, 2.3 - xp) > 12 * h
+    lo, hi = windows(xs, np.array([p]))
+    assert 0 < hi - lo < n // 2
+    got = _inversion_grid(xs, np.array([p]), 8)[0, 0]
+    # every term is near exp(-72) or below, so the literal sum takes this
+    # x_p and h: a last-bit change in either moves it by about 1e-14
+    fhat = math.fsum(np.exp(-0.5 * ((xp - x) / h) ** 2)) / n / (SQRT_2PI * h)
+    assert got == pytest.approx(1.0 / fhat, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [100, _WINDOW_MIN - 1, _WINDOW_MIN, 10**5])
+def test_inversion_window_covering_its_row_is_the_full_sum(n):
+    # every row shorter than _WINDOW_MIN, and every window that holds at
+    # least half its row, gives the bits of the sum over the whole row
+    rng = np.random.default_rng(n)
+    xs = _sorted_rows(np.stack([rng.normal(size=n), rng.uniform(size=n)]))
+    ps = np.array([0.3, 0.5, 0.7])
+    lo, hi = windows(xs, ps)
+    assert np.all(lo == 0) and np.all(hi == n)
+    np.testing.assert_array_equal(_inversion_grid(xs, ps, 8),
+                                  inversion_temporaries(xs, ps, 8, windowed=False))
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
