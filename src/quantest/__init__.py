@@ -8,24 +8,22 @@ kernel estimates of the quantile density function.  A Monte Carlo /
 bootstrap harness verifies the asymptotics empirically.
 """
 
-from .inequality import (
-    InequalitySpec,
-    g2_estimate,
-    qineq_test,
-    qri_estimate,
-)
 from .inference import (
     TestOptions,
     TestResult,
     p_value,
     q_test_one,
     q_test_two,
+    qineq_test,
     wald_interval,
 )
 from .measures import (
     MEASURE_NAMES,
+    InequalitySpec,
     MeasureSpec,
     estimate_measure,
+    g2_estimate,
+    qri_estimate,
     resolve_measure,
 )
 from .qcov import QuantileCov, qcov

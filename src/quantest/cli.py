@@ -24,9 +24,8 @@ import sys
 
 import numpy as np
 
-from .inequality import InequalitySpec, qineq_test
-from .inference import TestOptions, TestResult, q_test_one, q_test_two
-from .measures import MEASURE_NAMES, MeasureSpec, resolve_measure
+from .inference import TestOptions, TestResult, q_test_one, q_test_two, qineq_test
+from .measures import MEASURE_NAMES, InequalitySpec, MeasureSpec, resolve_measure
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
 from .verify import RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se, coverage_sim
@@ -238,6 +237,9 @@ def _add_test_flags(sp):
                     default="two-sided")
     sp.add_argument("--level", type=float, default=0.95,
                     help="confidence level (default 0.95)")
+    sp.add_argument("--true-q", type=float, default=None,
+                    help="null value (default: 0, or 0.5 for QRI and G2, with one "
+                         "sample; equal measures with two)")
 
 
 def _add_var_flags(sp):
@@ -276,8 +278,6 @@ def _qtest_flags(sp):
     sp.add_argument("--p", type=float, default=None,
                     help="tail parameter of parameterized named measures")
     _add_test_flags(sp)
-    sp.add_argument("--true-q", type=float, default=0.0,
-                    help="null value of the measure (default 0)")
     sp.add_argument("--log", action="store_true",
                     help="test on the log scale (log measure, or log ratio of "
                          "the two samples' measures)")
@@ -295,8 +295,6 @@ def _qineq_flags(sp):
                     help="inequality index (default QRI)")
     sp.add_argument("--J", type=int, default=100,
                     help="quantile-ratio grid size (default 100)")
-    sp.add_argument("--true-ineq", type=float, default=None,
-                    help="null value (default: 0.5 one-sample, 0 two-sample)")
     _add_test_flags(sp)
     _add_var_flags(sp)
     _add_format(sp)
@@ -384,14 +382,15 @@ def _verify_measure(args):
 def _test_options(args, **more) -> TestOptions:
     """The TestOptions of the flags qtest and qineq share, plus more."""
     return _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
-                         conf_level=args.level, quantile_type=args.type,
+                         conf_level=args.level, true_q=args.true_q,
+                         quantile_type=args.type,
                          var_method=QdMethod(kind=args.var_method), **more)
 
 
 def _cmd_qtest(args) -> int:
     spec = _qtest_measure(args)
-    opts = _test_options(args, true_q=args.true_q, log_transf=args.log,
-                         back_transf=args.back, min_q=args.min_q)
+    opts = _test_options(args, log_transf=args.log, back_transf=args.back,
+                         min_q=args.min_q)
     x = _load(args.x, args.column)
     if args.y is None:
         result = q_test_one(x, spec, opts)
@@ -403,8 +402,7 @@ def _cmd_qtest(args) -> int:
 
 
 def _cmd_qineq(args) -> int:
-    spec = _config_error(InequalitySpec, kind=args.measure, J=args.J,
-                         true_ineq=args.true_ineq)
+    spec = _config_error(InequalitySpec, kind=args.measure, J=args.J)
     opts = _test_options(args)
     x = _load(args.x, args.column)
     y = _load(args.y, args.column) if args.y is not None else None
@@ -415,14 +413,10 @@ def _cmd_qineq(args) -> int:
 
 def _cmd_qcov(args) -> int:
     us = _parse_floats(args.u, "--u")
-    method = QdMethod(kind=args.var_method)
+    if not all(0.0 < p < 1.0 for p in us):  # NaN fails too
+        raise UsageError("probabilities must lie strictly inside (0, 1)")
     x = _load(args.x, args.column)
-    try:
-        c = qcov(x, us, method=method, quantile_type=args.type)
-    except ValueError as exc:
-        if "(0, 1)" in str(exc) or "at least one" in str(exc):
-            raise UsageError(str(exc)) from exc
-        raise
+    c = qcov(x, us, method=QdMethod(kind=args.var_method), quantile_type=args.type)
     print(render(c, args.format))
     return 0
 

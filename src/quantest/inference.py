@@ -16,7 +16,7 @@ Tests are Wald tests against a normal reference distribution.
 
 The two samples of q_test_two share no work until the final difference,
 so when they hold at least _CONCURRENT_SIZE (2^18) observations between
-them, the first is estimated on a worker thread while the second is
+them, the first is estimated on a thread of its own while the second is
 estimated on the calling thread; the sort and the large NumPy loops
 release the GIL.  Each sample's numbers do not depend on the thread,
 so the results are bit-identical to the serial ones.
@@ -25,13 +25,13 @@ so the results are bit-identical to the serial ones.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._normal import ndtr, ndtri
+from .measures import InequalitySpec
 from .qcov import _bridge_form, _qhat_rows
 from .qdensity import QdMethod
 from .quantiles import _check_type, _sorted_one
@@ -43,6 +43,7 @@ __all__ = [
     "p_value",
     "q_test_one",
     "q_test_two",
+    "qineq_test",
 ]
 
 _ALTERNATIVES = ("two_sided", "less", "greater")
@@ -51,29 +52,6 @@ _ALTERNATIVES = ("two_sided", "less", "greater")
 # estimated concurrently: on a 2-vCPU host, two samples of 10^4 or 3*10^4
 # ran slower that way, two of 10^5 about broke even, two of 2*10^5 gained
 _CONCURRENT_SIZE = 2 ** 18
-_pool = None  # the executor of the one worker thread, started on first use
-_pool_lock = threading.Lock()
-
-
-def _worker():
-    """The executor of the worker thread, started on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=1)
-    return _pool
-
-
-def _forget_worker():
-    # a forked child has no worker thread, and another thread of the parent
-    # may have held the lock: the child's first large test starts afresh
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_worker)
 
 RATIO_WARNING = ("estimate is a ratio; intervals and tests are usually better "
                  "behaved on the log scale (log_transf, with back_transf to "
@@ -82,13 +60,18 @@ RATIO_WARNING = ("estimate is a ratio; intervals and tests are usually better "
 
 @dataclass(frozen=True)
 class TestOptions:
-    """Options shared by the one- and two-sample tests."""
+    """Options shared by the one- and two-sample tests.
+
+    true_q None means the measure's own null: for one sample the spec's
+    _null (0 for a MeasureSpec, 0.5 for an InequalitySpec), for two
+    samples a difference of 0, or a ratio of 1 under back_transf.
+    """
 
     __test__ = False  # not a pytest test class
 
     alternative: str = "two_sided"
     conf_level: float = 0.95
-    true_q: float = 0.0
+    true_q: float | None = None
     log_transf: bool = False
     back_transf: bool = False
     min_q: float = -math.inf
@@ -101,7 +84,7 @@ class TestOptions:
         if not 0.0 < self.conf_level < 1.0:
             raise ValueError("conf_level must lie in (0, 1)")
         _check_type(self.quantile_type)
-        if math.isnan(self.true_q):
+        if self.true_q is not None and math.isnan(self.true_q):
             raise ValueError("true_q must not be NaN")
         if math.isnan(self.min_q):
             raise ValueError("min_q must not be NaN")
@@ -269,37 +252,48 @@ def _size(x) -> int:
 def _stats_two(x, y, spec, opts: TestOptions):
     """_stats_one of x and of y, concurrently when they are large.
 
-    Only private functions run on the worker thread.  An error is raised
-    as the serial order would raise it: x's first, even when y failed too.
+    x runs on a thread of its own, started for this call, and only private
+    functions run there.  An error is raised as the serial order would
+    raise it: x's first, even when y failed too.
     """
     if _size(x) + _size(y) < _CONCURRENT_SIZE:
         return _stats_one(x, spec, opts), _stats_one(y, spec, opts)
-    future = _worker().submit(_stats_one, x, spec, opts)
+    out = {}
+
+    def run_x():
+        try:
+            out["stats"] = _stats_one(x, spec, opts)
+        except BaseException as exc:  # re-raised on the calling thread below
+            out["error"] = exc
+
+    worker = threading.Thread(target=run_x)
+    worker.start()
     try:
         stats_y = _stats_one(y, spec, opts)
-    except Exception:
-        error = future.exception()
-        if error is not None:
-            raise error from None
-        raise
-    return future.result(), stats_y
+    finally:
+        worker.join()
+        if "error" in out:
+            raise out["error"] from None
+    return out["stats"], stats_y
 
 
 def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     """One-sample Wald test of a quantile measure or an inequality index.
 
     true_q is interpreted on the working scale: with log_transf it is the
-    null value of the log measure (so the default 0 tests a ratio of 1),
-    and back_transf merely reports the estimate, interval and null on the
-    exponentiated scale.
+    null value of the log measure (so 0 tests a ratio of 1), and
+    back_transf merely reports the estimate, interval and null on the
+    exponentiated scale.  true_q None tests the spec's _null: 0 for a
+    MeasureSpec, 0.5 for an InequalitySpec.
     """
     working_est, working_var, warnings = _stats_one(x, spec, opts)
     if spec.is_ratio and not opts.log_transf:
         warnings.append(RATIO_WARNING)
-    null_value = math.exp(opts.true_q) if opts.back_transf else opts.true_q
+    null = spec._null if opts.true_q is None else opts.true_q
+    null_value = math.exp(null) if opts.back_transf else null
     label = spec.label or "estimate"
     description = f"One sample test of the {label}"
-    return _finish(working_est, working_var, opts.true_q, opts,
+    return _finish(working_est, working_var, null, opts,
                    description, label, null_value, warnings, "x")
 
 
@@ -307,14 +301,15 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     """Two independent-sample comparison of a quantile measure or an index.
 
     On the identity scale the difference of the per-sample estimates is
-    tested against true_q (default 0).  With log_transf the difference of
-    logs is used; with back_transf the result is reported as a ratio, the
-    null true_q is interpreted on the ratio scale, and a true_q left at 0
-    is reset to 1 (equal measures).
+    tested against true_q.  With log_transf the difference of logs is used;
+    with back_transf the result is reported as a ratio and the null true_q
+    is interpreted on the ratio scale, where it must be positive.  true_q
+    None tests equal measures: a difference of 0, or a ratio of 1 under
+    back_transf.
 
     When x and y hold at least 2^18 observations between them, x is
-    estimated on a worker thread while y is estimated here; the results
-    are bit-identical to estimating one after the other.
+    estimated on a thread of its own while y is estimated here; the
+    results are bit-identical to estimating one after the other.
     """
     (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
@@ -324,20 +319,26 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     working_est = wx - wy
     working_var = vx + vy
     if opts.back_transf:
-        null_ratio = 1.0 if opts.true_q == 0.0 else opts.true_q
-        if null_ratio <= 0.0:
+        null_value = 1.0 if opts.true_q is None else opts.true_q
+        if null_value <= 0.0:
             raise ValueError("back-transformed null value must be positive")
-        null_working = math.log(null_ratio)
-        null_value = null_ratio
+        null_working = math.log(null_value)
         label = f"ratio of {spec.plural}"
-    elif opts.log_transf:
-        null_working = opts.true_q
-        null_value = opts.true_q
-        label = f"log ratio of {spec.plural}"
     else:
-        null_working = opts.true_q
-        null_value = opts.true_q
-        label = f"difference in {spec.plural}"
+        null_working = null_value = 0.0 if opts.true_q is None else opts.true_q
+        label = (f"log ratio of {spec.plural}" if opts.log_transf
+                 else f"difference in {spec.plural}")
     description = f"Two sample test of the {spec.label or 'measure'}"
     return _finish(working_est, working_var, null_working, opts,
                    description, label, null_value, warnings, "x and y")
+
+
+def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec(),
+               opts: TestOptions = TestOptions()) -> TestResult:
+    """Wald test for an inequality index, one sample or two.
+
+    This is q_test_one, or q_test_two when y is given.  With opts.true_q
+    None, one sample tests H0: index = 0.5 and two samples test a
+    difference of 0.
+    """
+    return q_test_one(x, spec, opts) if y is None else q_test_two(x, y, spec, opts)

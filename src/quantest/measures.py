@@ -1,4 +1,4 @@
-"""Named quantile measures and user-defined combinations.
+"""Named quantile measures, user-defined combinations and inequality indices.
 
 A measure is a linear combination of quantiles, optionally divided by a
 second linear combination:
@@ -13,9 +13,27 @@ bootstrap use that one function.
 
 The registry covers location, spread, relative spread, skewness, kurtosis
 and tail-weight measures built from quantiles, plus two-quantile ratios
-such as qr9010 (the 90/10 ratio); resolve_measure also names the
-inequality indices QRI and G2.  Everything else can be expressed by
+such as qr9010 (the 90/10 ratio).  Everything else can be expressed by
 passing probabilities and coefficients directly.
+
+The inequality indices summarize inequality through ratios of symmetric
+quantiles Q(p/2)/Q(1-p/2) of a positive variable, averaged over the
+midpoint grid p_i = (i - 1/2)/J:
+
+    QRI = (1/J) sum_i [1 - Q(p_i/2)/Q(1-p_i/2)]
+    G2  = (2/J) sum_i p_i [1 - Q(p_i/2)/Q(1-p_i/2)]
+
+QRI weights all ratios equally; G2 weights them toward the extremes,
+mirroring the Gini index's emphasis.  Both are 0 for constant data
+(perfect equality, exactly 0 on the midpoint grid) and approach 1 under
+extreme inequality.  An InequalitySpec holds the 2J probabilities p_i/2
+and 1 - p_i/2 as one sorted grid, and its _estimate gives the index and
+its gradient in the grid quantiles, -w_i/(J u_i) at the lower quantile
+l_i and w_i l_i/(J u_i^2) at the upper one u_i (w_i is 1 for QRI and
+2 p_i for G2).  resolve_measure names them QRI and G2.
+
+Each spec class carries _null, the one-sample null value a test uses
+when none is given: 0 for a MeasureSpec and 0.5 for an InequalitySpec.
 """
 
 from __future__ import annotations
@@ -28,7 +46,8 @@ import numpy as np
 
 from .quantiles import _check_type, _quantiles_sorted, _sorted_one
 
-__all__ = ["MeasureSpec", "resolve_measure", "estimate_measure", "MEASURE_NAMES"]
+__all__ = ["MeasureSpec", "InequalitySpec", "resolve_measure", "estimate_measure",
+           "qri_estimate", "g2_estimate", "MEASURE_NAMES"]
 
 
 @dataclass(frozen=True)
@@ -93,6 +112,7 @@ class MeasureSpec:
         return self.u2 is not None
 
     _nan_message = "zero denominator"
+    _null = 0.0
 
     def _estimate(self, rows, quantile_type: int, gradient: bool = True):
         """The estimate and its gradient over _grid, for each row of a stack.
@@ -164,6 +184,68 @@ def _on_grid(grid: np.ndarray, u: tuple, coef: tuple) -> np.ndarray:
     np.add.at(b, np.searchsorted(grid, u), coef)
     b.setflags(write=False)
     return b
+
+
+@dataclass(frozen=True)
+class InequalitySpec:
+    """Index choice and grid size of a quantile-ratio inequality index.
+
+    The test options (null value, alternative, confidence level, quantile
+    type, variance method) are a TestOptions.
+    """
+
+    kind: str = "QRI"
+    J: int = 100
+
+    is_ratio = False
+    _null = 0.5
+
+    def __post_init__(self):
+        if self.kind not in ("QRI", "G2"):
+            raise ValueError("kind must be 'QRI' or 'G2'")
+        if self.J < 2:
+            raise ValueError("J must be at least 2")
+        p = (np.arange(1, self.J + 1) - 0.5) / self.J
+        # p/2 ascends below 1/2 and 1 - p/2 descends above it, so the grid
+        # with the upper half reversed is sorted
+        grid = np.concatenate([p / 2.0, 1.0 - p[::-1] / 2.0])
+        weight = np.ones(self.J) if self.kind == "QRI" else 2.0 * p
+        grid.setflags(write=False)
+        weight.setflags(write=False)
+        object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_weight", weight)
+
+    # reports name the index alone: "One sample test of the QRI",
+    # "difference in QRI"
+    @property
+    def label(self) -> str:
+        return self.kind
+
+    plural = label
+
+    @property
+    def _nan_message(self) -> str:
+        return f"{self.kind} requires positive data"
+
+    def _estimate(self, rows, quantile_type: int, gradient: bool = True):
+        """The index and its gradient over _grid, for each row of a stack.
+
+        rows is a stack of sorted samples; it needs only a shape and
+        indexing along its last axis, as in _quantiles_sorted.  Rows with a
+        nonpositive value give NaN.  With gradient False the gradient is
+        None.
+        """
+        J, w = self.J, self._weight
+        xq = _quantiles_sorted(rows, self._grid, quantile_type)
+        lower, upper = xq[..., :J], xq[..., J:][..., ::-1]
+        grad = None
+        # a row with a nonpositive value may divide by zero; it gives NaN
+        with np.errstate(divide="ignore", invalid="ignore"):
+            index = np.add.reduce(w * (1.0 - lower / upper), axis=-1) / J
+            if gradient:
+                grad = np.concatenate([-w / (J * upper), (w * lower / (J * upper**2))[..., ::-1]],
+                                      axis=-1)
+        return np.where(rows[..., 0] > 0.0, index, np.nan), grad
 
 
 def _median() -> MeasureSpec:
@@ -253,8 +335,6 @@ def resolve_measure(name: str, p: float | None = None, J: int = 100):
     if p is not None:
         raise ValueError(f"measure {name!r} takes no tail parameter")
     if name in ("QRI", "G2"):
-        from .inequality import InequalitySpec  # inequality imports this module
-
         return InequalitySpec(name, J)
     if name == "median":
         return _median()
@@ -290,3 +370,18 @@ def estimate_measure(x, spec: MeasureSpec, quantile_type: int = 8) -> float:
     if math.isnan(est):
         raise ValueError(spec._nan_message)
     return est
+
+
+def qri_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
+    """Quantile ratio index on the midpoint grid."""
+    return estimate_measure(s, InequalitySpec("QRI", J), quantile_type)
+
+
+def g2_estimate(s, J: int = 100, quantile_type: int = 8) -> float:
+    """Gini-weighted quantile ratio index on the midpoint grid.
+
+    Implemented as (2/J) sum p_i (1 - ratio_i), which equals
+    1 - (2/J) sum p_i ratio_i because the midpoint weights sum to J/2;
+    this form returns exactly 0 for constant data.
+    """
+    return estimate_measure(s, InequalitySpec("G2", J), quantile_type)

@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import ndtri
-from .inequality import InequalitySpec
 from .inference import TestOptions, _interval, _working_stats
+from .measures import InequalitySpec
 from .qdensity import _BAND_MAX, QdMethod
 from .quantiles import _sorted_one, _sorted_rows
 

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quantest.inequality import InequalitySpec, qineq_test
-from quantest.inference import TestOptions, q_test_two
-from quantest.measures import resolve_measure
+from quantest.inference import TestOptions, q_test_two, qineq_test
+from quantest.measures import InequalitySpec, resolve_measure
 
 NAMES = ["median", "iqr", "rCViqr", "bowley", "kelly", "groenR", "groenL", "moors",
          "lqw", "rqw", "qr9010"]

@@ -46,8 +46,8 @@ print(" ".join(float(v).hex() for v in values))
 """
 
 # the modules between the data and a TestResult or QuantileCov
-ESTIMATOR_MODULES = ("quantiles", "qdensity", "qcov", "measures", "inequality", "inference",
-                     "verify", "_normal")
+ESTIMATOR_MODULES = ("quantiles", "qdensity", "qcov", "measures", "inference", "verify",
+                     "_normal")
 BLAS_CALLS = {"dot", "matmul", "vecdot", "matvec", "inner", "tensordot"}
 # verify's population values are the oracle the estimators are checked against
 EXEMPT = {("verify", "population_measure_value")}

@@ -10,9 +10,8 @@ import pytest
 
 from quantest import cli
 from quantest.cli import UsageError, load_column, main, render
-from quantest.inequality import InequalitySpec, qineq_test
-from quantest.inference import TestOptions, q_test_one, q_test_two
-from quantest.measures import resolve_measure
+from quantest.inference import TestOptions, q_test_one, q_test_two, qineq_test
+from quantest.measures import InequalitySpec, resolve_measure
 from quantest.qcov import qcov
 from quantest.qdensity import QdMethod
 from conftest import data_path
@@ -234,17 +233,16 @@ def test_qineq_g2_and_null_override(tmp_path, capsys):
     f = tmp_path / "ln.csv"
     f.write_text("v\n" + "\n".join(f"{v:.9g}" for v in rng.lognormal(size=300)))
     code, out, _ = run(capsys, ["qineq", str(f), "--measure", "G2",
-                                "--true-ineq", "0.3", "--format", "json"])
+                                "--true-q", "0.3", "--format", "json"])
     assert code == 0
     got = json.loads(out)
     assert got["estimate_label"] == "G2"
     assert got["null_value"] == 0.3
 
 
-@pytest.mark.parametrize("measure, two_sample", [("QRI", False), ("G2", True)])
+@pytest.mark.parametrize("measure, two_sample", [("QRI", False), ("G2", True), ("G2", False)])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_qtest_index_prints_what_qineq_prints(tmp_path, capsys, measure, two_sample, fmt):
-    # qtest tests against --true-q; qineq's one-sample null defaults to 0.5
     rng = np.random.default_rng(47)
     files = []
     for name in ("x.csv", "y.csv"):
@@ -252,8 +250,7 @@ def test_qtest_index_prints_what_qineq_prints(tmp_path, capsys, measure, two_sam
         f.write_text("v\n" + "\n".join(f"{v:.9g}" for v in rng.lognormal(size=250)))
         files.append(str(f))
     data = files if two_sample else files[:1]
-    null = [] if two_sample else ["--true-q", "0.5"]
-    code, via_qtest, _ = run(capsys, ["qtest", *data, "--measure", measure, *null,
+    code, via_qtest, _ = run(capsys, ["qtest", *data, "--measure", measure,
                                       "--format", fmt])
     assert code == 0
     code, via_qineq, _ = run(capsys, ["qineq", *data, "--measure", measure,
@@ -459,7 +456,7 @@ def test_seed_defaults_to_zero(capsys):
      "--measure", "median", "--log-ratio"],                 # log scale of no ratio
     ["qtest", BLADDER, "--measure", "median", "--true-q", "nan"],
     ["qtest", BLADDER, "--measure", "median", "--min-q", "nan"],
-    ["qineq", BLADDER, "--true-ineq", "nan"],
+    ["qineq", BLADDER, "--true-q", "nan"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)

@@ -18,9 +18,8 @@ import numpy as np
 import pytest
 
 import quantest.inference as inference
-from quantest.inequality import InequalitySpec, qineq_test
-from quantest.inference import TestOptions, _working_stats, q_test_two
-from quantest.measures import resolve_measure
+from quantest.inference import TestOptions, _working_stats, q_test_two, qineq_test
+from quantest.measures import InequalitySpec, resolve_measure
 from quantest.qdensity import QdMethod
 from quantest.quantiles import _sorted_rows
 
@@ -143,7 +142,7 @@ def test_concurrent_inequality_errors_come_in_serial_order(x, y, message, thread
     assert ran_concurrently(threads, x, y)
 
 
-def test_callers_on_many_threads_share_the_worker(monkeypatch):
+def test_callers_on_many_threads_each_get_their_serial_result(monkeypatch):
     # more callers than cores, switching often: each gets its own serial result
     spec = resolve_measure("iqr")
     pairs = [(X_EQ, Y_EQ), (Y_EQ, X_EQ), (X_BIG, Y_SMALL), (Y_SMALL, X_BIG)] * 2
@@ -169,7 +168,7 @@ def test_callers_on_many_threads_share_the_worker(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_worker():
-    # the child inherits the parent's executor but not its thread
+    # the child has none of the parent's threads: its large test starts its own
     code = f"""
 import os, signal, numpy as np
 from quantest import q_test_two, resolve_measure

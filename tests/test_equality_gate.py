@@ -65,7 +65,7 @@ def test_compare_fails_on_changed_fields_and_values(gate, tmp_path, capsys):
 def test_records_built_on_many_threads_line_up_between_runs(gate, tmp_path, capsys):
     # the callers of this test finish in a different order on every run
     test = ("tests/test_concurrent_two_sample.py::"
-            "test_callers_on_many_threads_share_the_worker")
+            "test_callers_on_many_threads_each_get_their_serial_result")
     root = os.path.dirname(os.path.dirname(SCRIPT))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(root, "src"),

@@ -1,5 +1,6 @@
 """Wald tests, intervals, delta-method variances, one/two-sample tests."""
 
+import dataclasses
 import math
 import warnings
 
@@ -7,15 +8,15 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from quantest.inequality import InequalitySpec, qineq_test
 from quantest.inference import (
     TestOptions,
     p_value,
     q_test_one,
     q_test_two,
+    qineq_test,
     wald_interval,
 )
-from quantest.measures import MeasureSpec, resolve_measure
+from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
 from quantest.qcov import _bridge_form, _qhat_rows, qcov
 from quantest.qdensity import QdMethod
 from quantest.quantiles import _sorted_rows, sample_quantile
@@ -373,6 +374,28 @@ def test_two_sample_back_transform_null_validation():
     with pytest.raises(ValueError):
         q_test_two(x, y, resolve_measure("median"),
                    TestOptions(log_transf=True, back_transf=True, true_q=-2.0))
+
+
+def test_two_sample_back_transform_null_of_zero_raises():
+    # 0 is no ratio: only a true_q left unset tests equal measures
+    rng = np.random.default_rng(13)
+    x = rng.lognormal(size=50)
+    y = rng.lognormal(size=50)
+    opts = TestOptions(log_transf=True, back_transf=True, true_q=0.0)
+    with pytest.raises(ValueError, match="back-transformed null value must be positive"):
+        q_test_two(x, y, resolve_measure("median"), opts)
+    assert q_test_two(x, y, resolve_measure("median"),
+                      TestOptions(log_transf=True, back_transf=True)).null_value == 1.0
+
+
+@pytest.mark.parametrize("kind", ["QRI", "G2"])
+def test_one_sample_index_test_is_qineq_test(kind):
+    # an unset true_q tests the index's own null, 0.5, on either route
+    x = np.random.default_rng(15).lognormal(size=300)
+    spec = InequalitySpec(kind, J=40)
+    r = q_test_one(x, spec)
+    assert r.null_value == 0.5
+    assert dataclasses.astuple(r) == dataclasses.astuple(qineq_test(x, spec=spec))
 
 
 def test_two_sample_ratio_warning():

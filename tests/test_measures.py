@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from quantest.inequality import InequalitySpec
 from quantest.inference import q_test_one
 from quantest.measures import (
     MEASURE_NAMES,
+    InequalitySpec,
     MeasureSpec,
     estimate_measure,
     resolve_measure,

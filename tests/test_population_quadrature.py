@@ -2,7 +2,7 @@
 
 import pytest
 
-from quantest.inequality import InequalitySpec
+from quantest.measures import InequalitySpec
 from quantest.verify import Distribution, population_measure_value
 
 mp = pytest.importorskip("mpmath")

@@ -1,7 +1,7 @@
 """The package runs on NumPy alone and imports only what it needs.
 
-Importing it loads no SciPy module, and no concurrent.futures: the
-two-sample tests start their worker thread on first use.
+Importing it loads no SciPy module, and no concurrent.futures: a large
+two-sample test starts a bare thread of its own for one sample.
 """
 
 import os

@@ -7,9 +7,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 import quantest.verify as verify
-from quantest.inequality import InequalitySpec
 from quantest.inference import TestOptions, q_test_one
-from quantest.measures import MeasureSpec, resolve_measure
+from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
 from quantest.qdensity import QdMethod
 from quantest.quantiles import _quantiles_sorted
 from quantest.verify import (
