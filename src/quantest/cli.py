@@ -238,8 +238,9 @@ def _add_test_flags(sp):
     sp.add_argument("--level", type=float, default=0.95,
                     help="confidence level (default 0.95)")
     sp.add_argument("--true-q", type=float, default=None,
-                    help="null value (default: 0, or 0.5 for QRI and G2, with one "
-                         "sample; equal measures with two)")
+                    help="null value on the reported scale: the measure (or difference), "
+                         "its log with --log, the measure (or ratio) with --back; "
+                         "default no effect, or 0.5 for a one-sample QRI or G2")
 
 
 def _add_var_flags(sp):
@@ -443,8 +444,9 @@ def _cmd_verify_coverage(args) -> int:
         {"coverage": coverage, "avg_width": avg_width, "mc_se": mc_se},
         {"command": "verify coverage", "distribution": dist.name,
          "params": list(dist.params), "n": args.n, "reps": args.reps,
-         "measure": args.measure, "level": args.level, "seed": args.seed,
-         "log_ratio": args.log_ratio, "rng": RNG_DESCRIPTION}, args.format)
+         "measure": args.measure, "J": getattr(measure, "J", None),
+         "level": args.level, "seed": args.seed, "log_ratio": args.log_ratio,
+         "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
 
@@ -457,7 +459,8 @@ def _cmd_verify_bootstrap(args) -> int:
     _print_tsv_and_json(
         {"bootstrap_se": se, "B": args.B, "seed": args.seed},
         {"command": "verify bootstrap", "file": args.x, "n": int(x.size),
-         "measure": args.measure, "rng": RNG_DESCRIPTION}, args.format)
+         "measure": args.measure, "J": getattr(measure, "J", None),
+         "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
 

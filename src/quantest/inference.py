@@ -62,9 +62,11 @@ RATIO_WARNING = ("estimate is a ratio; intervals and tests are usually better "
 class TestOptions:
     """Options shared by the one- and two-sample tests.
 
-    true_q None means the measure's own null: for one sample the spec's
-    _null (0 for a MeasureSpec, 0.5 for an InequalitySpec), for two
-    samples a difference of 0, or a ratio of 1 under back_transf.
+    true_q is the null on the reported scale, as min_q is: the measure
+    (or two samples' difference) on the identity scale, its log under
+    log_transf, and the measure (or ratio) under back_transf, where it
+    must be positive.  None means no effect (0, or 1 under back_transf),
+    but a one-sample index keeps its null of 0.5 (log 0.5 under log_transf alone).
     """
 
     __test__ = False  # not a pytest test class
@@ -86,6 +88,8 @@ class TestOptions:
         _check_type(self.quantile_type)
         if self.true_q is not None and math.isnan(self.true_q):
             raise ValueError("true_q must not be NaN")
+        if self.back_transf and self.true_q is not None and self.true_q <= 0.0:
+            raise ValueError("back-transformed null value must be positive")
         if math.isnan(self.min_q):
             raise ValueError("min_q must not be NaN")
         if self.back_transf and not self.log_transf:
@@ -99,7 +103,8 @@ class TestResult:
     estimate, se and conf_int are reported on the scale named by
     ``scale``: "identity", "log" (a log or log-ratio estimate), or
     "back_transformed_ratio" (exponentiated back from the log scale; se
-    stays on the log scale in that case).
+    stays on the log scale in that case).  null_value is on the same
+    scale: the TestOptions true_q, or the null it resolved to.
     """
 
     __test__ = False  # not a pytest test class
@@ -214,25 +219,42 @@ def _interval(working_est, working_var, opts: TestOptions):
     return se, estimate, np.maximum(lo, opts.min_q), hi
 
 
-def _finish(working_est, working_var, null_working, opts, description,
-            estimate_label, null_value, warnings, data_name):
+def _finish(working_est, working_var, warnings, spec, opts: TestOptions,
+            two_sample: bool) -> TestResult:
+    """The TestResult of a working estimate and variance, and the one place
+    a null is resolved: true_q or its default (see TestOptions) is reported
+    as null_value, and its log under back_transf is the working null."""
     se, estimate, lo, hi = (float(v) for v in _interval(working_est, working_var, opts))
+    if opts.true_q is not None:
+        null_value = opts.true_q
+    elif two_sample or spec._null is None:
+        null_value = 1.0 if opts.back_transf else 0.0
+    elif opts.log_transf and not opts.back_transf:
+        null_value = math.log(spec._null)
+    else:
+        null_value = spec._null
+    null = math.log(null_value) if opts.back_transf else null_value
     if se > 0.0:
-        z = (working_est - null_working) / se
+        z = (working_est - null) / se
     else:
-        z = 0.0 if working_est == null_working else math.copysign(math.inf,
-                                                                  working_est - null_working)
-    p = p_value(z, opts.alternative)
+        z = 0.0 if working_est == null else math.copysign(math.inf, working_est - null)
+    if spec.is_ratio and not opts.log_transf:
+        warnings.append(RATIO_WARNING)
     if opts.back_transf:
-        scale = "back_transformed_ratio"
+        scale, contrast = "back_transformed_ratio", "ratio of"
+    elif opts.log_transf:
+        scale, contrast = "log", "log ratio of"
     else:
-        scale = "log" if opts.log_transf else "identity"
-    return TestResult(estimate=estimate, se=se, statistic_Z=z, p_value=p,
-                      conf_int=(lo, hi), null_value=null_value,
-                      alternative=opts.alternative, scale=scale,
-                      description=description, warnings=tuple(warnings),
-                      estimate_label=estimate_label, conf_level=opts.conf_level,
-                      data_name=data_name)
+        scale, contrast = "identity", "difference in"
+    label = f"{contrast} {spec.plural}" if two_sample else spec.label or "estimate"
+    noun = spec.label or ("measure" if two_sample else "estimate")
+    description = f"{'Two' if two_sample else 'One'} sample test of the {noun}"
+    return TestResult(estimate=estimate, se=se, statistic_Z=z,
+                      p_value=p_value(z, opts.alternative), conf_int=(lo, hi),
+                      null_value=null_value, alternative=opts.alternative,
+                      scale=scale, description=description, warnings=tuple(warnings),
+                      estimate_label=label, conf_level=opts.conf_level,
+                      data_name="x and y" if two_sample else "x")
 
 
 def _stats_one(x, spec, opts: TestOptions):
@@ -280,32 +302,23 @@ def _stats_two(x, y, spec, opts: TestOptions):
 def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     """One-sample Wald test of a quantile measure or an inequality index.
 
-    true_q is interpreted on the working scale: with log_transf it is the
-    null value of the log measure (so 0 tests a ratio of 1), and
-    back_transf merely reports the estimate, interval and null on the
-    exponentiated scale.  true_q None tests the spec's _null: 0 for a
-    MeasureSpec, 0.5 for an InequalitySpec.
+    true_q is read on the reported scale (see TestOptions): the measure,
+    its log under log_transf, and the measure again under back_transf.
+    true_q None tests a measure of 0 (a ratio of 1 under back_transf), or
+    an index of 0.5.
     """
     working_est, working_var, warnings = _stats_one(x, spec, opts)
-    if spec.is_ratio and not opts.log_transf:
-        warnings.append(RATIO_WARNING)
-    null = spec._null if opts.true_q is None else opts.true_q
-    null_value = math.exp(null) if opts.back_transf else null
-    label = spec.label or "estimate"
-    description = f"One sample test of the {label}"
-    return _finish(working_est, working_var, null, opts,
-                   description, label, null_value, warnings, "x")
+    return _finish(working_est, working_var, warnings, spec, opts, two_sample=False)
 
 
 def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     """Two independent-sample comparison of a quantile measure or an index.
 
     On the identity scale the difference of the per-sample estimates is
-    tested against true_q.  With log_transf the difference of logs is used;
-    with back_transf the result is reported as a ratio and the null true_q
-    is interpreted on the ratio scale, where it must be positive.  true_q
-    None tests equal measures: a difference of 0, or a ratio of 1 under
-    back_transf.
+    tested; with log_transf the difference of logs, and with back_transf
+    it is reported as a ratio.  true_q is read on that reported scale
+    (see TestOptions), and None tests equal measures: a difference of 0,
+    or a ratio of 1 under back_transf.
 
     When x and y hold at least 2^18 observations between them, x is
     estimated on a thread of its own while y is estimated here; the
@@ -313,32 +326,15 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     """
     (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
-    if spec.is_ratio and not opts.log_transf:
-        warnings.append(RATIO_WARNING)
-
-    working_est = wx - wy
-    working_var = vx + vy
-    if opts.back_transf:
-        null_value = 1.0 if opts.true_q is None else opts.true_q
-        if null_value <= 0.0:
-            raise ValueError("back-transformed null value must be positive")
-        null_working = math.log(null_value)
-        label = f"ratio of {spec.plural}"
-    else:
-        null_working = null_value = 0.0 if opts.true_q is None else opts.true_q
-        label = (f"log ratio of {spec.plural}" if opts.log_transf
-                 else f"difference in {spec.plural}")
-    description = f"Two sample test of the {spec.label or 'measure'}"
-    return _finish(working_est, working_var, null_working, opts,
-                   description, label, null_value, warnings, "x and y")
+    return _finish(wx - wy, vx + vy, warnings, spec, opts, two_sample=True)
 
 
 def qineq_test(x, y=None, spec: InequalitySpec = InequalitySpec(),
                opts: TestOptions = TestOptions()) -> TestResult:
     """Wald test for an inequality index, one sample or two.
 
-    This is q_test_one, or q_test_two when y is given.  With opts.true_q
-    None, one sample tests H0: index = 0.5 and two samples test a
-    difference of 0.
+    This is q_test_one, or q_test_two when y is given, and reads true_q
+    as they do.  With opts.true_q None, one sample tests an index of 0.5
+    (log 0.5 under log_transf alone) and two samples test equal indices.
     """
     return q_test_one(x, spec, opts) if y is None else q_test_two(x, y, spec, opts)

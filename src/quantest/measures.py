@@ -32,8 +32,9 @@ its gradient in the grid quantiles, -w_i/(J u_i) at the lower quantile
 l_i and w_i l_i/(J u_i^2) at the upper one u_i (w_i is 1 for QRI and
 2 p_i for G2).  resolve_measure names them QRI and G2.
 
-Each spec class carries _null, the one-sample null value a test uses
-when none is given: 0 for a MeasureSpec and 0.5 for an InequalitySpec.
+Each spec class carries _null, the one-sample reference value a test
+uses when none is given: None (no reference, so a test takes "no
+effect") for a MeasureSpec and an index of 0.5 for an InequalitySpec.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class MeasureSpec:
         return self.u2 is not None
 
     _nan_message = "zero denominator"
-    _null = 0.0
+    _null = None
 
     def _estimate(self, rows, quantile_type: int, gradient: bool = True):
         """The estimate and its gradient over _grid, for each row of a stack.

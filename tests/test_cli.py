@@ -259,6 +259,27 @@ def test_qtest_index_prints_what_qineq_prints(tmp_path, capsys, measure, two_sam
     assert via_qtest == via_qineq
 
 
+def test_back_transformed_true_q_is_a_ratio(capsys):
+    # under --back, --true-q is read on the reported (ratio) scale, and the
+    # test is the log-scale test of its log
+    code, out, _ = run(capsys, ["qtest", BLADDER, "--measure", "qr9010", "--log", "--back",
+                                "--true-q", "5", "--format", "json"])
+    assert code == 0
+    back = json.loads(out)
+    assert back["null_value"] == 5.0
+    code, out, _ = run(capsys, ["qtest", BLADDER, "--measure", "qr9010", "--log",
+                                "--true-q", repr(math.log(5.0)), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["statistic_Z"] == back["statistic_Z"]
+
+
+def test_back_transformed_index_null_is_half(capsys):
+    code, out, _ = run(capsys, ["qtest", BLADDER, "--measure", "QRI", "--log", "--back",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["null_value"] == 0.5
+
+
 def test_qineq_negative_data_is_computation_error(tmp_path, capsys):
     f = tmp_path / "neg.csv"
     f.write_text("v\n-1\n2\n3\n4\n5\n")
@@ -378,6 +399,21 @@ def test_verify_json_format_is_the_json_block_of_text(capsys, argv):
     assert text.splitlines()[2:] == out.splitlines()
 
 
+@pytest.mark.parametrize("argv, J", [
+    (["verify", "coverage", "--dist", "lognormal", "--n", "50", "--reps", "100",
+      "--measure", "G2", "--J", "25"], 25),
+    (["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100"], None),
+    (["verify", "bootstrap", BLADDER, "--measure", "QRI", "--B", "500"], 100),
+    (["verify", "bootstrap", BLADDER, "--measure", "qr9010", "--B", "500"], None),
+])
+def test_verify_json_records_its_grid_size(capsys, argv, J):
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    assert parse_tail_json(text)["J"] == J
+    # the TSV row holds the results alone
+    assert "J" not in text.splitlines()[0].split("\t")
+
+
 def test_verify_index_takes_no_tail_parameter(capsys):
     code, _, err = run(capsys, ["verify", "coverage", "--dist", "lognormal",
                                 "--n", "50", "--reps", "100",
@@ -457,6 +493,8 @@ def test_seed_defaults_to_zero(capsys):
     ["qtest", BLADDER, "--measure", "median", "--true-q", "nan"],
     ["qtest", BLADDER, "--measure", "median", "--min-q", "nan"],
     ["qineq", BLADDER, "--true-q", "nan"],
+    ["qtest", BLADDER, "--measure", "median", "--log", "--back", "--true-q", "0"],
+    ["qtest", BLADDER, BLADDER, "--measure", "median", "--log", "--back", "--true-q", "0"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
