@@ -185,7 +185,7 @@ def _working_stats(xs, spec, opts: TestOptions):
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
     grid = spec._grid
-    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type)
+    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
     a = grad * qhat
     with np.errstate(over="ignore"):
         var = _bridge_form(grid, a, a, xs.shape[1])

@@ -32,6 +32,9 @@ its gradient in the grid quantiles, -w_i/(J u_i) at the lower quantile
 l_i and w_i l_i/(J u_i^2) at the upper one u_i (w_i is 1 for QRI and
 2 p_i for G2).  resolve_measure names them QRI and G2.
 
+Each spec holds _z, the standard normal quantile at every point of its
+grid, computed once: the lognormal QOR bandwidths of every test read it.
+
 Each spec class carries _null, the one-sample reference value a test
 uses when none is given: None (no reference, so a test takes "no
 effect") for a MeasureSpec and an index of 0.5 for an InequalitySpec.
@@ -45,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtri
 from .quantiles import _check_type, _quantiles_sorted, _sorted_one
 
 __all__ = ["MeasureSpec", "InequalitySpec", "resolve_measure", "estimate_measure",
@@ -60,9 +64,9 @@ class MeasureSpec:
     rendering.  tail_p records the tail parameter of parameterized
     measures.
 
-    _grid is the sorted set of all the probabilities, and _b1/_b2 the
-    coefficients of the two combinations on it (_b2 None without a
-    denominator).
+    _grid is the sorted set of all the probabilities, _z the standard
+    normal quantiles at it, and _b1/_b2 the coefficients of the two
+    combinations on it (_b2 None without a denominator).
     """
 
     u: tuple
@@ -103,6 +107,7 @@ class MeasureSpec:
         # about 1.4 MB of resident memory
         grid = np.array(sorted(set(self.u + (self.u2 or ()))))
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_z", _normal_quantiles(grid))
         object.__setattr__(self, "_b1", _on_grid(grid, self.u, self.coef))
         object.__setattr__(self, "_b2",
                            _on_grid(grid, self.u2, self.coef2) if self.is_ratio else None)
@@ -179,6 +184,13 @@ class MeasureSpec:
         return cls(u=tuple(u), coef=tuple(coef), **meta)
 
 
+def _normal_quantiles(grid: np.ndarray) -> np.ndarray:
+    """ndtri at every grid point, held by a spec for the QOR bandwidths."""
+    z = ndtri(grid)
+    z.setflags(write=False)
+    return z
+
+
 def _on_grid(grid: np.ndarray, u: tuple, coef: tuple) -> np.ndarray:
     """The coefficients of a combination over grid; repeated probabilities add up."""
     b = np.zeros(grid.size)
@@ -214,6 +226,7 @@ class InequalitySpec:
         grid.setflags(write=False)
         weight.setflags(write=False)
         object.__setattr__(self, "_grid", grid)
+        object.__setattr__(self, "_z", _normal_quantiles(grid))
         object.__setattr__(self, "_weight", weight)
 
     # reports name the index alone: "One sample test of the QRI",

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._normal import ndtri
 from .qdensity import (
     QdMethod,
     _bandwidths,
@@ -60,13 +61,15 @@ class QuantileCov:
             self.bandwidths.setflags(write=False)
 
 
-def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int):
+def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z=None):
     """Floored quantile-density estimates of each sample of a stack.
 
     xs is a stack of sorted samples, one per row; grid is sorted and
-    unique.  Returns the estimates at grid (one row per sample), a mask
-    of the floored estimates, the bandwidths at grid and the lognormal
-    sigma and shift, each None where the method has none.
+    unique.  z holds the standard normal quantiles at grid, as a spec
+    keeps them; None computes them.  Returns the estimates at grid (one
+    row per sample), a mask of the floored estimates, the bandwidths at
+    grid and the lognormal sigma and shift, each None where the method
+    has none.
     The bandwidths are shared by every row unless sigma is fitted; sigma
     and shift are then one per row.
     """
@@ -83,8 +86,10 @@ def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int):
         else:
             sigma = row_sigma = method.sigma
         # one probability costs less as a NumPy scalar than as an array
-        ps = grid[0] if grid.size == 1 else grid
-        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, ps), ps, xs.shape[1]))
+        one = grid.size == 1
+        ps = grid[0] if one else grid
+        zs = ndtri(ps) if z is None else z[0] if one else z
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, zs), ps, xs.shape[1]))
         qhat = _qdens_grid(xs, grid, b)
 
     # a genuine quantile density is on the order of the data range; this

@@ -125,7 +125,7 @@ def qor_lognormal(sigma: float, p: float) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    return float(_qor_lognormal(sigma, _check_p(p)))
+    return float(_qor_lognormal(sigma, ndtri(_check_p(p))))
 
 
 def _check_p(p) -> float:
@@ -135,10 +135,10 @@ def _check_p(p) -> float:
     return p
 
 
-def _qor_lognormal(sigma: float, p):
+def _qor_lognormal(sigma: float, z):
+    """qor_lognormal at the probabilities whose normal quantiles are z."""
     # phi(z)^2 = exp(-z^2 - log(2 pi)), and with t = sigma + z the
     # denominator is t (t + z) + 1
-    z = ndtri(p)
     t = sigma + z
     return np.exp(_NEG_LOG_2PI - z * z) / (t * (t + z) + 1.0)
 

@@ -4,9 +4,14 @@ import argparse
 import dataclasses
 import json
 import math
+import re
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quantest import cli
 from quantest.cli import UsageError, load_column, main, render
@@ -97,8 +102,126 @@ def test_load_column_errors(tmp_path):
     nohdr.write_text("a\nx\ny\n")
     with pytest.raises(UsageError, match="no usable numeric rows"):
         load_column(str(nohdr), "a")
+    blank = tmp_path / "b.csv"
+    blank.write_text("a\n\n\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on a file with no data
+        with pytest.raises(UsageError, match="no usable numeric rows"):
+            load_column(str(blank), "a")
     with pytest.raises(UsageError, match="cannot read"):
         load_column(str(tmp_path / "missing.csv"))
+
+
+@pytest.mark.parametrize("na", ["", "NA"])
+def test_load_column_ignores_a_utf8_bom(tmp_path, capsys, na):
+    # Excel's "CSV UTF-8" starts with a byte-order mark; a clean file takes
+    # the C reader, one with an NA cell the row loop
+    f = tmp_path / "bom.csv"
+    f.write_bytes("\ufeffvalue,w\r\n1.5,2\r\n2.5,4\r\n{},5\r\n3.5,6\r\n".format(na or "7")
+                  .encode("utf-8"))
+    values, skipped, name = load_column(str(f), "value")
+    assert (name, skipped) == ("value", 1 if na else 0)
+    assert values.tolist() == ([1.5, 2.5, 3.5] if na else [1.5, 2.5, 7.0, 3.5])
+    code, _, err = run(capsys, ["qtest", str(f), "--column", "value", "--measure", "median"])
+    assert code == 0
+    assert ("skipped 1 row(s)" in err) == bool(na)
+
+
+@pytest.mark.parametrize("where", ["header", "late row"])
+def test_undecodable_file_is_a_usage_error(tmp_path, capsys, where):
+    # a Latin-1 e-acute (byte 0xe9) is not UTF-8, in the header or past the
+    # first block the decoder reads
+    rows = ["1.0"] * 5000 + (["caf\xe9"] if where == "late row" else [])
+    f = tmp_path / "latin1.csv"
+    f.write_bytes((("caf\xe9" if where == "header" else "value") + "\n"
+                   + "\n".join(rows) + "\n").encode("latin-1"))
+    with pytest.raises(UsageError,
+                       match=re.escape(f"cannot read {f}: 'utf-8' codec can't decode")):
+        load_column(str(f))
+    code, _, err = run(capsys, ["qtest", str(f), "--measure", "median"])
+    assert code == 2
+    assert err.startswith(f"error: cannot read {f}:")
+
+
+def test_csv_error_is_a_usage_error(tmp_path, capsys):
+    # the csv module's own errors (Python 3.10 raises one on a NUL byte; every
+    # version on a field over csv.field_size_limit()) are input errors too
+    f = tmp_path / "long.csv"
+    f.write_text("value\n1\n" + "x" * 200_000 + "\n2\n")
+    with pytest.raises(UsageError,
+                       match=re.escape(f"cannot read {f}: field larger than field limit")):
+        load_column(str(f))
+    code, _, err = run(capsys, ["qtest", str(f), "--measure", "median"])
+    assert code == 2
+    assert "cannot read" in err
+
+
+def test_clean_file_skips_the_row_loop(tmp_path, monkeypatch):
+    # files of numbers alone are read by the C reader alone: with CRLF line
+    # ends, a quoted cell and no final newline, or with empty lines
+    monkeypatch.setattr(cli, "_read_rows", mock.Mock(side_effect=AssertionError("row loop")))
+    f = tmp_path / "clean.csv"
+    f.write_bytes(b'i,v\r\n0,"0.5"\r\n1,-2e-3\r\n2, 7 \r\n3,1e999')
+    values, skipped, name = load_column(str(f), "v")
+    assert (name, skipped) == ("v", 1)  # the infinite cell
+    assert values.tobytes() == np.array([0.5, -2e-3, 7.0]).tobytes()
+    f.write_bytes(b"v\n\n1.5\n\n\n-0.0\n\n")
+    values, skipped, _ = load_column(str(f))
+    assert skipped == 4  # the empty lines
+    assert values.tobytes() == np.array([1.5, -0.0]).tobytes()
+    values, skipped, _ = load_column(NORM100)
+    assert (values.size, skipped) == (100, 0)
+
+
+@pytest.mark.parametrize("cell", ["NA", "text", "1_000", "\u0661\u0662\u0663", "nan"])
+def test_dirty_file_skips_the_c_reader(tmp_path, monkeypatch, cell):
+    # a cell the C reader cannot take is found in the bytes, before any parse
+    monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError("C reader")))
+    f = tmp_path / "dirty.csv"
+    f.write_text("v\n" + "1.5\n" * 1000 + cell + "\n")
+    values, skipped, _ = load_column(str(f))
+    kept = cell in ("1_000", "\u0661\u0662\u0663")  # float() reads both
+    assert (values.size, skipped) == ((1001, 0) if kept else (1000, 1))
+
+
+_CELLS = ["NA", "text", "1_000", "\u0661\u0662\u0663", "1e999", "nan", "-inf", "-0.0",
+          " 2.5 ", "", " ", "4\n", "5\r6"]  # the last two split a line unless quoted
+_number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.integers(-10**20, 10**20).map(str))
+# mostly numbers, so that many files reach the C reader's count check
+_cell = st.one_of(_number, _number, st.sampled_from(_CELLS))
+_row = st.one_of(
+    st.lists(st.one_of(_cell, _cell.map(lambda c: f'"{c}"')), min_size=1, max_size=3)
+    .map(",".join),  # one to three cells: short, full or long rows
+    st.sampled_from(["", " ", "\t"]))  # empty and whitespace-only lines
+
+
+@settings(max_examples=300, deadline=None)
+# a quoted line end makes two lines one row, and the C reader drops the empty line
+@example(ncols=1, rows=['"4\n"', "", "3"], eol="\n", final_eol=True, bom=False,
+         quoted_header=False, selector=None)
+@given(ncols=st.integers(1, 3), rows=st.lists(_row, max_size=8),
+       eol=st.sampled_from(["\n", "\r\n"]), final_eol=st.booleans(),
+       bom=st.booleans(), quoted_header=st.booleans(),
+       selector=st.sampled_from([None, "a", "b", "c", "0", "1", "2", "3", "zz"]))
+def test_load_column_readers_agree(tmp_path_factory, ncols, rows, eol, final_eol, bom,
+                                   quoted_header, selector):
+    names = ["a", "b", "c"][:ncols]
+    header = ",".join(f'"{h}"' if quoted_header else h for h in names)
+    text = eol.join([header] + rows) + (eol if final_eol else "")
+    f = tmp_path_factory.getbasetemp() / "agree.csv"
+    f.write_bytes(("\ufeff" if bom else "").encode() + text.encode("utf-8"))
+
+    def read():
+        try:
+            values, skipped, name = load_column(str(f), selector)
+        except UsageError as exc:
+            return str(exc)
+        return values.tobytes(), skipped, name
+
+    with mock.patch.object(cli, "_read_clean", return_value=None):
+        want = read()  # the row loop alone
+    assert read() == want
 
 
 def test_skip_warning_goes_to_stderr(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""The README's Python examples run as written."""
+"""The README's Python examples run as written, and its verify example prints what it shows."""
 
 import re
 from pathlib import Path
@@ -13,3 +13,13 @@ def test_readme_python_blocks_run():
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
     assert 0.0 < namespace["coverage"] <= 1.0
+
+
+def test_readme_verify_coverage_block_is_its_output(capsys):
+    # the console block of `verify coverage` shows what the command prints
+    from quantest.cli import main
+
+    command, shown = re.search(r"```console\n\$ quantest (verify coverage [^\n]*)\n(.*?)```",
+                               README.read_text(encoding="utf-8"), re.S).groups()
+    assert main(command.split()) == 0
+    assert capsys.readouterr().out == shown
