@@ -8,7 +8,7 @@ delta method then gives
 
     var(theta) = g' Sigma g,
 
-summed in O(d) from the Brownian-bridge form of Sigma (qcov._bridge_form)
+summed in O(d) from the Brownian-bridge form of Sigma (_bridge_form)
 without building the matrix.  For a ratio R = b1'Q / b2'Q the gradient is
 (b1 - R b2)/(b2'Q).  On the log scale var(log theta) = var(theta)/theta^2,
 which generally yields better-calibrated intervals for ratio measures.
@@ -32,8 +32,7 @@ import numpy as np
 
 from ._normal import ndtr, ndtri
 from .measures import InequalitySpec
-from .qcov import _bridge_form, _qhat_rows
-from .qdensity import QdMethod
+from .qdensity import QdMethod, _qhat_rows
 from .quantiles import _check_type, _sorted_one
 
 __all__ = [
@@ -164,6 +163,27 @@ def _floored_warnings(floored) -> list:
         return []
     return ["nonpositive quantile-density estimate floored at probabilities "
             + ", ".join(f"{p:g}" for p in floored)]
+
+
+def _bridge_form(p: np.ndarray, a, c, n: int):
+    """a' M c / n along the last axis, with M_ij = p_i (1 - p_j) for i <= j.
+
+    p is sorted; a and c are stacks of rows over it.  With a = w1 q_hat and
+    c = w2 q_hat this is w1' Sigma w2, Sigma the covariance of the quantile
+    estimators at p.  Each column j pairs with every i <= j of a and every
+    i < j of c, so the form is
+
+        sum_j (1 - p_j) (c_j sum_{i<=j} a_i p_i + a_j sum_{i<j} c_i p_i),
+
+    two prefix sums and O(d) work.  Every term is a product: there is no
+    min(p_i, p_j) - p_i p_j to cancel.
+    """
+    # the ufuncs' own methods: cumsum and sum cost more on small grids
+    q = 1.0 - p
+    inclusive_a = np.add.accumulate(a * p, axis=-1)
+    inclusive_c = np.add.accumulate(c * p, axis=-1)
+    return (np.add.reduce(q * (c * inclusive_a), axis=-1)
+            + np.add.reduce(q[1:] * (a[..., 1:] * inclusive_c[..., :-1]), axis=-1)) / n
 
 
 def _working_stats(xs, spec, opts: TestOptions):

@@ -59,6 +59,14 @@ The window sums and the leaf moments are fixed-order NumPy reductions
 (einsum and subtraction), never BLAS calls: a BLAS dot product splits
 over the BLAS threads, so its last bits, and its speed on a busy host,
 would depend on the BLAS thread count.  These do not.
+
+The variances of qcov and of the Wald tests take q_hat from one function,
+_qhat_rows.  It evaluates a QdMethod on a sorted grid for a stack of
+samples: the inversion, or the direct estimator with the QOR bandwidths
+at the grid's normal quantiles z, which the caller passes, and sigma
+fixed or fitted per sample.  An estimate at or below 1e-12 times the
+sample's range (an exact plateau in the order statistics) is floored
+there and flagged.
 """
 
 from __future__ import annotations
@@ -505,3 +513,40 @@ def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
     if xs.shape[1] < 2:
         raise ValueError("need at least two observations")
     return float(_inversion_grid(xs, p, quantile_type)[0, 0])
+
+
+def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np.ndarray):
+    """Floored quantile-density estimates of each sample of a stack.
+
+    xs is a stack of sorted samples, one per row; grid is sorted and
+    unique, and z holds the standard normal quantiles at grid.  Returns
+    the estimates at grid (one row per sample), a mask of the floored
+    estimates, the bandwidths at grid and the lognormal sigma and shift,
+    each None where the method has none.
+    The bandwidths are shared by every row unless sigma is fitted; sigma
+    and shift are then one per row.
+    """
+    lo, hi = xs[:, 0], xs[:, -1]
+    if np.count_nonzero(hi == lo):
+        raise ValueError("degenerate sample")
+    b = sigma = shift = None
+    if method.kind == "density":
+        qhat = _inversion_grid(xs, grid, quantile_type)
+    else:
+        if method.sigma is None:
+            sigma, shift = _fit_sigma(xs)
+            row_sigma = sigma[:, None]
+        else:
+            sigma = row_sigma = method.sigma
+        # one probability costs less as a NumPy scalar than as an array
+        one = grid.size == 1
+        ps, zs = (grid[0], z[0]) if one else (grid, z)
+        b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, zs), ps, xs.shape[1]))
+        qhat = _qdens_grid(xs, grid, b)
+
+    # a genuine quantile density is on the order of the data range; this
+    # threshold only catches estimates that are zero or negative up to
+    # floating-point noise (e.g. exact plateaus in the order statistics)
+    eps = (1e-12 * (hi - lo))[:, None]
+    floored = qhat <= eps
+    return np.maximum(qhat, eps), floored, b, sigma, shift

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from quantest._normal import ndtri
 from quantest.inference import (
     TestOptions,
+    _bridge_form,
     p_value,
     q_test_one,
     q_test_two,
@@ -17,8 +19,8 @@ from quantest.inference import (
     wald_interval,
 )
 from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
-from quantest.qcov import _bridge_form, _qhat_rows, qcov
-from quantest.qdensity import QdMethod
+from quantest.qcov import qcov
+from quantest.qdensity import QdMethod, _qhat_rows
 from quantest.quantiles import _sorted_rows, sample_quantile
 from quantest.verify import Distribution, SimConfig, coverage_sim
 from conftest import data_path
@@ -47,7 +49,7 @@ def lincomb_stats(cov, xhat, b1, b2=None):
 def bridge(x, ps, b1, b2):
     """_bridge_form of b1 and b2 over the sorted grid ps, as the Wald tests sum it."""
     grid = np.asarray(ps)
-    qhat = _qhat_rows(_sorted_rows(x[None]), grid, QdMethod(), 8)[0][0]
+    qhat = _qhat_rows(_sorted_rows(x[None]), grid, QdMethod(), 8, ndtri(grid))[0][0]
     return float(_bridge_form(grid, np.multiply(b1, qhat), np.multiply(b2, qhat), x.size))
 
 

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from quantest.inference import q_test_one
+from quantest._normal import ndtri
+from quantest.inference import _bridge_form, q_test_one
 from quantest.measures import MEASURE_NAMES, resolve_measure
-from quantest.qcov import _bridge_form, _qhat_rows, qcov
+from quantest.qcov import qcov
 from quantest.qdensity import (
     QdMethod,
+    _qhat_rows,
     fit_lognormal_sigma,
     optimal_bandwidth,
     qor_lognormal,
@@ -184,7 +186,7 @@ def bridge_forms(rows, ps, w1, w2, method):
     """_bridge_form of w1 and w2, given over ps in the caller's order, per row."""
     values = np.atleast_2d(rows)
     uniq, inverse = np.unique(ps, return_inverse=True)
-    qhat, *_ = _qhat_rows(_sorted_rows(values), uniq, method, 8)
+    qhat, *_ = _qhat_rows(_sorted_rows(values), uniq, method, 8, ndtri(uniq))
     # coefficients at a repeated probability add up on the unique grid
     a = np.bincount(inverse, w1, uniq.size) * qhat
     c = np.bincount(inverse, w2, uniq.size) * qhat
