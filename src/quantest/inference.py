@@ -229,13 +229,11 @@ def _interval(working_est, working_var, opts: TestOptions):
     Returns (se, estimate, lower, upper); se stays on the working scale.
     """
     se = np.sqrt(np.maximum(working_var, 0.0))
-    # the log-scale interval is clamped only after any back-transform, so
-    # min_q always refers to the reported scale
-    clamp_now = -math.inf if opts.log_transf else opts.min_q
-    lo, hi = wald_interval(working_est, se, opts.conf_level, opts.alternative, clamp_now)
+    lo, hi = wald_interval(working_est, se, opts.conf_level, opts.alternative)
     estimate = working_est
     if opts.back_transf:
         estimate, lo, hi = np.exp(working_est), np.exp(lo), np.exp(hi)
+    # clamped after any back-transform: min_q refers to the reported scale
     return se, estimate, np.maximum(lo, opts.min_q), hi
 
 
