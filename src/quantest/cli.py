@@ -10,7 +10,8 @@ Subcommands:
   qcov    covariance matrix of a set of sample quantiles
   verify  Monte Carlo coverage study / bootstrap standard-error oracle
 
-Exit codes: 0 success, 2 usage or input error, 1 computation error.
+Exit codes: 0 success, 2 usage or input error, 1 computation error or a
+closed stdout (a reader such as head that has quit), which prints nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -589,13 +591,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return args.run(args)
+        status = args.run(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # the reader of stdout has gone; Python's documented recipe points
+        # stdout at devnull, so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

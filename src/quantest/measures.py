@@ -43,6 +43,7 @@ effect") for a MeasureSpec and an index of 0.5 for an InequalitySpec.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -86,6 +87,8 @@ class MeasureSpec:
         if self.u2 is not None:
             object.__setattr__(self, "u2", tuple(float(p) for p in self.u2))
             object.__setattr__(self, "coef2", tuple(float(c) for c in self.coef2))
+        if not all(map(math.isfinite, self.coef + (self.coef2 or ()))):
+            raise ValueError("coefficients must be finite")
         if len(self.u) == 0:
             raise ValueError("numerator needs at least one probability")
         if len(self.coef) != len(self.u):
@@ -216,6 +219,10 @@ class InequalitySpec:
     def __post_init__(self):
         if self.kind not in ("QRI", "G2"):
             raise ValueError("kind must be 'QRI' or 'G2'")
+        try:
+            operator.index(self.J)  # Python and NumPy integers, not floats
+        except TypeError:
+            raise ValueError("J must be an integer") from None
         if self.J < 2:
             raise ValueError("J must be at least 2")
         p = (np.arange(1, self.J + 1) - 0.5) / self.J

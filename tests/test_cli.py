@@ -4,7 +4,10 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
@@ -23,6 +26,7 @@ from conftest import data_path
 
 BLADDER = str(data_path("bladder_remission.csv"))
 NORM100 = str(data_path("norm100_seed1234.csv"))
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, argv):
@@ -623,6 +627,38 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--u=0.5", "--coef=nan"],
+    ["--u=0.5", "--coef=inf"],
+    ["--u=0.5", "--u2=0.25", "--coef2=-inf"],
+    ["--u=0.25,0.75", "--coef-row=1,nan", "--coef-row=1,1"],
+])
+def test_nonfinite_coefficients_are_usage_errors(capsys, flags):
+    code, out, err = run(capsys, ["qtest", BLADDER] + flags)
+    assert (code, out, err) == (2, "", "error: coefficients must be finite\n")
+
+
+def run_into_closed_pipe(argv, unbuffered: str):
+    """Run the CLI with stdout a pipe whose read end is closed before the start."""
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    try:
+        done = subprocess.run([sys.executable, "-m", "quantest.cli"] + argv, stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+# buffered, the write fails at the flush; unbuffered, at print
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    code, err = run_into_closed_pipe(["qcov", NORM100, "--u=0.1,0.5,0.9"], unbuffered)
+    assert (code, err) == (1, b"")
 
 
 def test_argparse_errors_exit_2(capsys):

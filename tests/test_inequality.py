@@ -111,6 +111,20 @@ def test_grid_size_validation():
         g2_estimate(x, J=0)
 
 
+def test_grid_size_must_be_an_integer():
+    # a float J once failed inside NumPy, or built a G2 grid reaching p = 1
+    x = np.random.default_rng(1).lognormal(size=200)
+    for J in (2.5, 100.0, np.float64(50), "100", None):
+        for build in (lambda: InequalitySpec("QRI", J), lambda: InequalitySpec("G2", J),
+                      lambda: resolve_measure("G2", J=J), lambda: qri_estimate(x, J=J)):
+            with pytest.raises(ValueError, match="^J must be an integer$"):
+                build()
+    # NumPy integers are integers
+    for J in (np.int64(40), np.int32(40), np.uint8(40)):
+        assert InequalitySpec("G2", J) == InequalitySpec("G2", 40)
+        assert qri_estimate(x, J=J) == qri_estimate(x, J=40)
+
+
 def test_grid_refinement_is_stable():
     rng = np.random.default_rng(5)
     x = rng.lognormal(size=10_000)

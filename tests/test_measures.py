@@ -231,6 +231,23 @@ def test_from_arrays_errors():
         MeasureSpec(u=(), coef=())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_coefficients_must_be_finite(bad):
+    # a NaN coefficient once raised "zero denominator", an infinite one blamed
+    # the quantile density for a variance that is not finite
+    builds = [
+        lambda: MeasureSpec(u=(0.5,), coef=(bad,)),
+        lambda: MeasureSpec(u=(0.5,), coef=(1.0,), u2=(0.25,), coef2=(bad,)),
+        lambda: MeasureSpec.from_arrays([0.5], [bad]),
+        lambda: MeasureSpec.from_arrays([0.5], [1.0], [0.25], [bad]),
+        lambda: MeasureSpec.from_arrays([0.25, 0.75], [[1.0, 1.0], [bad, 1.0]]),
+        lambda: MeasureSpec.from_arrays([0.25, 0.75], [[bad, 1.0], [1.0, 1.0]]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            build()
+
+
 def test_labels():
     assert resolve_measure("median").label == "median"
     assert resolve_measure("rCViqr").plural == "Robust CVs"
