@@ -1,4 +1,4 @@
-"""The README's Python examples run as written, and its verify example prints what it shows."""
+"""The README's Python examples run as written, and its console examples print what they show."""
 
 import re
 from pathlib import Path
@@ -15,11 +15,19 @@ def test_readme_python_blocks_run():
     assert 0.0 < namespace["coverage"] <= 1.0
 
 
-def test_readme_verify_coverage_block_is_its_output(capsys):
-    # the console block of `verify coverage` shows what the command prints
+def test_readme_console_blocks_are_their_output(capsys, monkeypatch):
+    # each console block shows what its command prints, run from the repo
+    # root: the whole output, or its first lines when the block ends in ...
     from quantest.cli import main
 
-    command, shown = re.search(r"```console\n\$ quantest (verify coverage [^\n]*)\n(.*?)```",
-                               README.read_text(encoding="utf-8"), re.S).groups()
-    assert main(command.split()) == 0
-    assert capsys.readouterr().out == shown
+    blocks = re.findall(r"```console\n\$ quantest ([^\n]*)\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    assert [command.split()[0] for command, _ in blocks] == ["qtest", "qineq", "verify"]
+    monkeypatch.chdir(README.parent)
+    for command, shown in blocks:
+        assert main(command.split()) == 0, command
+        out = capsys.readouterr().out
+        if shown.endswith("...\n"):
+            assert out.startswith(shown[:-4]), command
+        else:
+            assert out == shown, command
