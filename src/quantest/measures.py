@@ -5,15 +5,19 @@ second linear combination:
 
     theta = b1' Q(u)            or      theta = b1' Q(u) / b2' Q(u2).
 
-A spec holds both combinations on one sorted grid of its probabilities,
-and its _estimate gives theta and the gradient of theta in the grid
-quantiles for every row of a stack of sorted samples: b1 for a linear
-combination and (b1 - theta b2)/(b2' Q) for a ratio.  The tests and the
-bootstrap use that one function.
+A spec holds both combinations on one sorted grid of its probabilities.
+Its _at_quantiles gives theta and the gradient of theta in the grid
+quantiles from quantiles at the grid, for every row of a stack: b1 for a
+linear combination and (b1 - theta b2)/(b2' Q) for a ratio.  That is the
+one value step: the tests and the bootstrap feed it sample quantiles
+(through _estimate, which gathers them from sorted samples), and the
+population oracle verify.population_measure_value feeds it the
+population quantile function at the grid.
 
-The registry covers location, spread, relative spread, skewness, kurtosis
-and tail-weight measures built from quantiles, plus two-quantile ratios
-such as qr9010 (the 90/10 ratio).  Everything else can be expressed by
+The registry is one table, _MEASURES, of location, spread, relative
+spread, skewness, kurtosis and tail-weight measures built from quantiles;
+resolve_measure adds two-quantile ratios such as qr9010 (the 90/10 ratio)
+and the inequality indices below.  Everything else can be expressed by
 passing probabilities and coefficients directly.
 
 The inequality indices summarize inequality through ratios of symmetric
@@ -127,13 +131,18 @@ class MeasureSpec:
         """The estimate and its gradient over _grid, for each row of a stack.
 
         rows is a stack of sorted samples; it needs only a shape and
-        indexing along its last axis, as in _quantiles_sorted.  Rows whose
-        denominator is zero give NaN.  Each combination is a product summed
-        along the row, not a BLAS product, so a row of a stack gives the
-        same number as the row alone.  With gradient False the gradient is
-        None.
+        indexing along its last axis, as in _quantiles_sorted.
         """
-        xq = _quantiles_sorted(rows, self._grid, quantile_type)
+        return self._at_quantiles(_quantiles_sorted(rows, self._grid, quantile_type), gradient)
+
+    def _at_quantiles(self, xq, gradient: bool = True):
+        """The estimate and its gradient from quantiles at _grid (the last axis of xq).
+
+        Rows whose denominator is zero give NaN.  Each combination is a
+        product summed along the row, not a BLAS product, so a row of a
+        stack gives the same number as the row alone.  With gradient False
+        the gradient is None.
+        """
         num = np.add.reduce(xq * self._b1, axis=-1)
         if not self.is_ratio:
             return num, (self._b1 if gradient else None)
@@ -269,104 +278,64 @@ class InequalitySpec:
         return np.where(rows[..., 0] > 0.0, index, np.nan), grad
 
 
-def _median() -> MeasureSpec:
-    return MeasureSpec(u=(0.5,), coef=(1.0,), name="median",
-                       label="median", plural="medians")
+def _skew(a: float, m: float, b: float, d0: float, d1: float) -> dict:
+    """(Q(a) - 2 Q(m) + Q(b)) / (Q(d1) - Q(d0)): the skew and tail-weight measures."""
+    return dict(u=(a, m, b), coef=(1.0, -2.0, 1.0), u2=(d0, d1), coef2=(-1.0, 1.0))
 
 
-def _iqr() -> MeasureSpec:
-    return MeasureSpec(u=(0.25, 0.75), coef=(-1.0, 1.0), name="iqr",
-                       label="IQR", plural="IQRs")
+_LOW_TAIL = (0.25, 0.0, 0.5)
 
-
-def _rcviqr() -> MeasureSpec:
-    return MeasureSpec(u=(0.25, 0.75), coef=(-0.75, 0.75), u2=(0.5,), coef2=(1.0,),
-                       name="rCViqr", label="Robust CV", plural="Robust CVs")
-
-
-def _bowley_family(p: float, name: str, label: str) -> MeasureSpec:
-    return MeasureSpec(u=(p, 0.5, 1.0 - p), coef=(1.0, -2.0, 1.0),
-                       u2=(p, 1.0 - p), coef2=(-1.0, 1.0),
-                       name=name, label=label, tail_p=p)
-
-
-def _groen_right(p: float) -> MeasureSpec:
-    return MeasureSpec(u=(p, 0.5, 1.0 - p), coef=(1.0, -2.0, 1.0),
-                       u2=(p, 0.5), coef2=(-1.0, 1.0),
-                       name="groenR", label="Groeneveld-Meeden right skew", tail_p=p)
-
-
-def _groen_left(p: float) -> MeasureSpec:
-    return MeasureSpec(u=(p, 0.5, 1.0 - p), coef=(1.0, -2.0, 1.0),
-                       u2=(0.5, 1.0 - p), coef2=(-1.0, 1.0),
-                       name="groenL", label="Groeneveld-Meeden left skew", tail_p=p)
-
-
-def _moors() -> MeasureSpec:
-    return MeasureSpec(u=(1 / 8, 3 / 8, 5 / 8, 7 / 8), coef=(-1.0, 1.0, -1.0, 1.0),
-                       u2=(2 / 8, 6 / 8), coef2=(-1.0, 1.0),
-                       name="moors", label="Moors kurtosis")
-
-
-def _lqw(p: float) -> MeasureSpec:
-    return MeasureSpec(u=(p / 2, 0.25, (1.0 - p) / 2), coef=(1.0, -2.0, 1.0),
-                       u2=(p / 2, (1.0 - p) / 2), coef2=(-1.0, 1.0),
-                       name="lqw", label="left quantile weight", tail_p=p)
-
-
-def _rqw(p: float) -> MeasureSpec:
-    return MeasureSpec(u=(1.0 - p / 2, 0.75, (1.0 + p) / 2), coef=(1.0, -2.0, 1.0),
-                       u2=(1.0 - p / 2, (1.0 + p) / 2), coef2=(-1.0, 1.0),
-                       name="rqw", label="right quantile weight", tail_p=p)
-
-
-# measures taking a tail parameter p in (0, 0.5); rqw instead uses (0.5, 1)
-_LOWER_TAIL = {"bowley", "groenR", "groenL", "lqw"}
+# The named measures, in order: name -> (fields, tail, label, plural).
+# fields are the spec's u, coef, u2 and coef2.  A tailed measure gives
+# them as a function of its tail parameter p, and tail holds the default
+# of p and the open interval (lo, hi) that p must lie in; the others have
+# tail None.
+_MEASURES = {
+    "median": (dict(u=(0.5,), coef=(1.0,)), None, "median", "medians"),
+    "iqr": (dict(u=(0.25, 0.75), coef=(-1.0, 1.0)), None, "IQR", "IQRs"),
+    "rCViqr": (dict(u=(0.25, 0.75), coef=(-0.75, 0.75), u2=(0.5,), coef2=(1.0,)), None,
+               "Robust CV", "Robust CVs"),
+    "bowley": (lambda p: _skew(p, 0.5, 1.0 - p, p, 1.0 - p), _LOW_TAIL, "Bowley's skew", ""),
+    "kelly": (dict(_skew(0.1, 0.5, 0.9, 0.1, 0.9), tail_p=0.1), None, "Kelly's skew", ""),
+    "groenR": (lambda p: _skew(p, 0.5, 1.0 - p, p, 0.5), _LOW_TAIL,
+               "Groeneveld-Meeden right skew", ""),
+    "groenL": (lambda p: _skew(p, 0.5, 1.0 - p, 0.5, 1.0 - p), _LOW_TAIL,
+               "Groeneveld-Meeden left skew", ""),
+    "moors": (dict(u=(1 / 8, 3 / 8, 5 / 8, 7 / 8), coef=(-1.0, 1.0, -1.0, 1.0),
+                   u2=(2 / 8, 6 / 8), coef2=(-1.0, 1.0)), None, "Moors kurtosis", ""),
+    "lqw": (lambda p: _skew(p / 2, 0.25, (1.0 - p) / 2, p / 2, (1.0 - p) / 2), _LOW_TAIL,
+            "left quantile weight", ""),
+    "rqw": (lambda p: _skew(1.0 - p / 2, 0.75, (1.0 + p) / 2, 1.0 - p / 2, (1.0 + p) / 2),
+            (0.75, 0.5, 1.0), "right quantile weight", ""),
+}
 _QR_PATTERN = re.compile(r"^qr(\d{2})(\d{2})$")
 
-MEASURE_NAMES = ("median", "iqr", "rCViqr", "bowley", "kelly", "groenR",
-                 "groenL", "moors", "lqw", "rqw", "qrXXYY", "QRI", "G2")
+MEASURE_NAMES = (*_MEASURES, "qrXXYY", "QRI", "G2")
 
 
 def resolve_measure(name: str, p: float | None = None, J: int = 100):
     """Look up a named measure, applying the tail parameter where allowed.
 
-    Defaults: p = 0.25 for bowley/groenR/groenL/lqw and p = 0.75 for rqw.
-    kelly is Bowley's measure with the tail fixed at 0.1 and takes no
-    parameter.  Names are case-sensitive.  qrXXYY parses two percent
-    fields, e.g. qr9010 for the 90th/10th percentile ratio.  QRI and G2
-    give an InequalitySpec on a grid of J ratios; no other measure reads J.
+    Defaults: p = 0.25 in (0, 0.5) for bowley/groenR/groenL/lqw and
+    p = 0.75 in (0.5, 1) for rqw.  kelly is Bowley's measure with the tail
+    fixed at 0.1 and takes no parameter.  Names are case-sensitive.  qrXXYY
+    parses two percent fields, e.g. qr9010 for the 90th/10th percentile
+    ratio.  QRI and G2 give an InequalitySpec on a grid of J ratios; no
+    other measure reads J.
     """
-    if name in _LOWER_TAIL:
-        tail = 0.25 if p is None else float(p)
-        if not 0.0 < tail < 0.5:
-            raise ValueError(f"p for {name} must lie in (0, 0.5)")
-        if name == "bowley":
-            return _bowley_family(tail, "bowley", "Bowley's skew")
-        if name == "groenR":
-            return _groen_right(tail)
-        if name == "groenL":
-            return _groen_left(tail)
-        return _lqw(tail)
-    if name == "rqw":
-        tail = 0.75 if p is None else float(p)
-        if not 0.5 < tail < 1.0:
-            raise ValueError("p for rqw must lie in (0.5, 1)")
-        return _rqw(tail)
-    if p is not None:
+    fields, tail, label, plural = _MEASURES.get(name, (None, None, "", ""))
+    if tail is not None:
+        default, lo, hi = tail
+        tail_p = default if p is None else float(p)
+        if not lo < tail_p < hi:
+            raise ValueError(f"p for {name} must lie in ({lo:g}, {hi:g})")
+        fields = dict(fields(tail_p), tail_p=tail_p)
+    elif p is not None:
         raise ValueError(f"measure {name!r} takes no tail parameter")
+    if fields is not None:
+        return MeasureSpec(**fields, name=name, label=label, plural=plural)
     if name in ("QRI", "G2"):
         return InequalitySpec(name, J)
-    if name == "median":
-        return _median()
-    if name == "iqr":
-        return _iqr()
-    if name == "rCViqr":
-        return _rcviqr()
-    if name == "kelly":
-        return _bowley_family(0.1, "kelly", "Kelly's skew")
-    if name == "moors":
-        return _moors()
     m = _QR_PATTERN.match(name)
     if m:
         xx, yy = int(m.group(1)), int(m.group(2))

@@ -4,7 +4,9 @@ coverage_sim measures empirical confidence-interval coverage against the
 true population value of a measure, computed from closed-form population
 quantile functions (or, for the inequality indices, a fixed composite
 Gauss-Legendre rule on dyadic panels, within 1e-15 relative of 30-digit
-values).
+values).  A quantile measure's true value comes from the same value step
+as its estimates, MeasureSpec._at_quantiles, fed the population quantiles
+at the measure's grid in place of the sample quantiles.
 bootstrap_se is an independent route to a standard error, used as an
 oracle for the delta-method SEs.
 
@@ -164,13 +166,14 @@ def _gauss_legendre_panels():
 def population_measure_value(dist: Distribution, measure) -> float:
     """True value of a measure under the distribution.
 
-    Quantile measures plug the population quantile function into their
-    combinations.  Inequality indices integrate the symmetric quantile
-    ratio over (0, 1) with 20-point Gauss-Legendre rules on the 61 panels
-    between 0, 2^-60, 2^-59, ..., 1/2 and 1: the panels shrink toward 0,
-    where the ratio is not smooth.  Against 30-digit values this is within
-    1e-15 relative for QRI and G2 under lognormal (sigma 0.25 to 3),
-    exponential and uniform distributions.
+    Quantile measures plug the population quantile function at their grid
+    into the value step the estimators use, MeasureSpec._at_quantiles; a
+    zero denominator gives NaN there.  Inequality indices integrate the
+    symmetric quantile ratio over (0, 1) with 20-point Gauss-Legendre
+    rules on the 61 panels between 0, 2^-60, 2^-59, ..., 1/2 and 1: the
+    panels shrink toward 0, where the ratio is not smooth.  Against
+    30-digit values this is within 1e-15 relative for QRI and G2 under
+    lognormal (sigma 0.25 to 3), exponential and uniform distributions.
     """
     _check_spec(measure)
     if isinstance(measure, InequalitySpec):
@@ -185,14 +188,11 @@ def population_measure_value(dist: Distribution, measure) -> float:
         if measure.kind == "G2":
             terms = 2.0 * p * terms
         return float(terms @ weights)
-    num = float(np.dot(measure.coef, dist.quantile(np.asarray(measure.u))))
-    if not measure.is_ratio:
-        return num
-    den = float(np.dot(measure.coef2, dist.quantile(np.asarray(measure.u2))))
-    if den == 0.0:
+    value = float(measure._at_quantiles(dist.quantile(measure._grid), gradient=False)[0])
+    if math.isnan(value):
         raise ValueError(f"the population denominator of the measure is zero under "
                          f"the {dist.name} distribution")
-    return num / den
+    return value
 
 
 def _check_spec(measure) -> None:
