@@ -32,7 +32,8 @@ from .inference import TestOptions, TestResult, q_test_one, q_test_two, qineq_te
 from .measures import MEASURE_NAMES, InequalitySpec, MeasureSpec, resolve_measure
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
-from .verify import RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se, coverage_sim
+from .verify import (_DEFAULT_PARAMS, RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se,
+                     coverage_sim)
 
 __all__ = ["main", "build_parser", "load_column", "render"]
 
@@ -370,11 +371,11 @@ def _qcov_flags(sp):
 
 
 def _coverage_flags(sp):
-    sp.add_argument("--dist", required=True,
-                    choices=["normal", "lognormal", "uniform", "exponential"])
+    sp.add_argument("--dist", required=True, choices=list(_DEFAULT_PARAMS))
+    defaults = " / ".join(",".join(f"{v:g}" for v in params)
+                          for params in _DEFAULT_PARAMS.values())
     sp.add_argument("--params", default=None,
-                    help="distribution parameters, comma separated "
-                         "(defaults: 0,1 / 0,1 / 0,1 / 1)")
+                    help=f"distribution parameters, comma separated (defaults: {defaults})")
     sp.add_argument("--n", type=int, required=True, help="sample size")
     sp.add_argument("--reps", type=int, required=True, help="replications")
     sp.add_argument("--level", type=float, default=0.95)

@@ -197,23 +197,32 @@ def _working_stats(xs, spec, opts: TestOptions):
     quantile density was floored.
     The working scale is the log scale when log_transf is set.  A sample
     without an estimate raises the spec's error before the
-    degenerate-sample check.  A variance that is not finite (a quantile
-    density so large that its square overflows) raises a ValueError that
-    names the grid probability of the sample's largest estimate.
+    degenerate-sample check.  A variance that is not finite raises a
+    ValueError.  It names the sample's largest quantile-density estimate
+    and its grid probability when that estimate's square overflows, and
+    the measure's largest gradient entry otherwise.
     """
     est, grad = spec._estimate(xs, opts.quantile_type)
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
     grid = spec._grid
     qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
-    a = grad * qhat
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = grad * qhat
         var = _bridge_form(grid, a, a, xs.shape[1])
     bad = ~np.isfinite(var)
     if np.count_nonzero(bad):
-        q = qhat[np.argmax(bad)]
-        raise ValueError(f"variance is not finite: the quantile-density estimate "
-                         f"reaches {q.max():.3g} at p = {grid[np.argmax(q)]:g}")
+        row = np.argmax(bad)
+        q = qhat[row]
+        with np.errstate(over="ignore"):
+            qhat_overflows = not np.isfinite(q.max() ** 2)
+        if qhat_overflows:
+            raise ValueError(f"variance is not finite: the quantile-density estimate "
+                             f"reaches {q.max():.3g} at p = {grid[np.argmax(q)]:g}")
+        g = np.broadcast_to(grad, qhat.shape)[row]
+        j = np.argmax(np.abs(g))
+        raise ValueError(f"variance is not finite: the measure's gradient "
+                         f"reaches {g[j]:.3g} at p = {grid[j]:g}")
     floored = grid[floored[0]]
     if opts.log_transf:
         if np.count_nonzero(est <= 0.0):

@@ -104,8 +104,6 @@ class MeasureSpec:
                 raise ValueError("coef2 length must match u2")
             if any(not 0.0 < p < 1.0 for p in self.u2):
                 raise ValueError("probabilities must lie strictly inside (0, 1)")
-            if all(c == 0.0 for c in self.coef2):
-                raise ValueError("denominator coefficients are identically zero")
         if not self.label:
             object.__setattr__(self, "label", self._default_label())
         if not self.plural:
@@ -118,6 +116,9 @@ class MeasureSpec:
         object.__setattr__(self, "_b1", _on_grid(grid, self.u, self.coef))
         object.__setattr__(self, "_b2",
                            _on_grid(grid, self.u2, self.coef2) if self.is_ratio else None)
+        # coefficients at a repeated probability add up, and may cancel
+        if self.is_ratio and not np.any(self._b2):
+            raise ValueError("denominator coefficients are identically zero")
         grid.setflags(write=False)
 
     @property

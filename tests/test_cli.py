@@ -407,6 +407,14 @@ def test_back_transformed_index_null_is_half(capsys):
     assert json.loads(out)["null_value"] == 0.5
 
 
+def test_a_cancelling_denominator_is_a_usage_error(capsys):
+    # it once built and failed in the test with "zero denominator" (exit 1)
+    code, _, err = run(capsys, ["qtest", BLADDER, "--u=0.25,0.75", "--coef=-1,1",
+                                "--u2=0.5,0.5", "--coef2=1,-1"])
+    assert code == 2
+    assert "denominator coefficients are identically zero" in err
+
+
 def test_qineq_negative_data_is_computation_error(tmp_path, capsys):
     f = tmp_path / "neg.csv"
     f.write_text("v\n-1\n2\n3\n4\n5\n")

@@ -444,6 +444,21 @@ def test_an_overflowing_variance_raises_and_names_its_probability(overflow_sampl
     assert math.isfinite(q_test_one(overflow_sample, qri).se)
 
 
+@pytest.mark.parametrize("u, coef, blame", [
+    ([0.5], [1e200], "1e+200 at p = 0.5"),
+    ([0.5], [1e308], "1e+308 at p = 0.5"),
+    ([0.25, 0.75], [-1e200, 1e200], "-1e+200 at p = 0.25"),
+])
+def test_an_overflowing_variance_blames_a_huge_coefficient(u, coef, blame):
+    # q_hat peaks at 2.68 here; its square is finite, so the gradient is at fault
+    x = np.random.default_rng(0).lognormal(size=300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as info:
+            q_test_one(x, MeasureSpec.from_arrays(u, coef))
+    assert str(info.value) == f"variance is not finite: the measure's gradient reaches {blame}"
+
+
 def test_a_study_with_an_overflowing_replicate_raises():
     # the first 213 replicates of seed 11 end with the sample above
     cfg = SimConfig(Distribution("lognormal"), n=50, reps=213,

@@ -73,6 +73,38 @@ def test_tail_parameter_errors():
         resolve_measure("kelly", 0.2)
 
 
+TAILS = {"bowley": (0.0, 0.5), "groenR": (0.0, 0.5), "groenL": (0.0, 0.5),
+         "lqw": (0.0, 0.5), "rqw": (0.5, 1.0)}
+
+
+def test_every_listed_name_resolves_under_its_own_name():
+    for name in MEASURE_NAMES:
+        if name == "qrXXYY":
+            continue
+        spec = resolve_measure(name)
+        assert getattr(spec, "name", getattr(spec, "kind", None)) == name
+
+
+@pytest.mark.parametrize("name", sorted(TAILS))
+def test_tailed_measures_reject_both_ends_of_their_interval(name):
+    lo, hi = TAILS[name]
+    want = {"rqw": "p for rqw must lie in (0.5, 1)"}.get(name, f"p for {name} must lie in (0, 0.5)")
+    for p in (lo, hi):
+        with pytest.raises(ValueError) as info:
+            resolve_measure(name, p)
+        assert str(info.value) == want
+    inside = resolve_measure(name, (lo + hi) / 2)
+    assert inside.tail_p == (lo + hi) / 2
+
+
+@pytest.mark.parametrize("name", ["median", "iqr", "rCViqr", "kelly", "moors", "qr9010",
+                                  "QRI", "G2"])
+def test_fixed_measures_reject_a_tail_parameter(name):
+    with pytest.raises(ValueError) as info:
+        resolve_measure(name, 0.25)
+    assert str(info.value) == f"measure {name!r} takes no tail parameter"
+
+
 def test_inequality_indices_resolve_to_their_specs():
     assert {"QRI", "G2"} <= set(MEASURE_NAMES)
     assert resolve_measure("QRI") == InequalitySpec("QRI", 100)
@@ -229,6 +261,19 @@ def test_from_arrays_errors():
         MeasureSpec(u=(1.5,), coef=(1.0,))
     with pytest.raises(ValueError):
         MeasureSpec(u=(), coef=())
+
+
+def test_a_denominator_that_cancels_on_the_grid_is_rejected():
+    # the two coefficients at 0.5 add up to zero; such a spec once built
+    # and failed only when a test or the bootstrap reached its denominator
+    builds = [
+        lambda: MeasureSpec(u=(0.25, 0.75), coef=(-1.0, 1.0), u2=(0.5, 0.5), coef2=(1.0, -1.0)),
+        lambda: MeasureSpec.from_arrays([0.25, 0.75], [-1.0, 1.0], [0.5, 0.5], [1.0, -1.0]),
+        lambda: MeasureSpec.from_arrays([0.5, 0.5], [[1.0, 1.0], [2.0, -2.0]]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="^denominator coefficients are identically zero$"):
+            build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

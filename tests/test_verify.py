@@ -117,6 +117,43 @@ def test_population_ratio_with_zero_denominator_is_a_value_error():
         population_measure_value(Distribution("normal"), resolve_measure("rCViqr"))
 
 
+def random_combination(rng):
+    """Probabilities, with repeats, and coefficients of a random combination."""
+    u = rng.choice([0.1, 0.25, 0.5, 0.75, 0.9], size=rng.integers(1, 7))
+    return tuple(u), tuple(rng.normal(size=u.size) * 10.0 ** rng.integers(-3, 4))
+
+
+def fsum_combination(dist, u, coef):
+    """b' Q(u) summed exactly by math.fsum, with the sum of |b_i Q(u_i)|."""
+    terms = [c * float(dist.quantile(p)) for p, c in zip(u, coef)]
+    return math.fsum(terms), math.fsum(map(abs, terms))
+
+
+@pytest.mark.parametrize("name", ["normal", "lognormal", "uniform", "exponential"])
+def test_population_value_matches_an_fsum_oracle(name):
+    dist = Distribution(name)
+    rng = np.random.default_rng(24)
+    eps = np.finfo(float).eps
+    ratios = 0
+    for _ in range(200):
+        u, coef = random_combination(rng)
+        num, num_abs = fsum_combination(dist, u, coef)
+        if rng.random() < 0.5:
+            got = population_measure_value(dist, MeasureSpec(u=u, coef=coef))
+            assert abs(got - num) <= 4 * eps * num_abs, (u, coef)
+            continue
+        u2, coef2 = random_combination(rng)
+        den, den_abs = fsum_combination(dist, u2, coef2)
+        if abs(den) <= 0.1 * den_abs:  # a denominator that is or nearly is zero
+            continue
+        ratios += 1
+        got = population_measure_value(dist, MeasureSpec(u=u, coef=coef, u2=u2, coef2=coef2))
+        want = num / den
+        tol = eps * abs(want) + 4 * eps * (num_abs + abs(want) * den_abs) / abs(den)
+        assert abs(got - want) <= tol, (u, coef, u2, coef2)
+    assert ratios > 50
+
+
 def test_population_inequality_matches_closed_form():
     want = 1.0 - 2.0 * math.e**2 * float(ndtr(-2.0))
     got = population_measure_value(Distribution("lognormal"), InequalitySpec())
