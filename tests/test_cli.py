@@ -408,7 +408,6 @@ def test_back_transformed_index_null_is_half(capsys):
 
 
 def test_a_cancelling_denominator_is_a_usage_error(capsys):
-    # it once built and failed in the test with "zero denominator" (exit 1)
     code, _, err = run(capsys, ["qtest", BLADDER, "--u=0.25,0.75", "--coef=-1,1",
                                 "--u2=0.5,0.5", "--coef2=1,-1"])
     assert code == 2
