@@ -32,8 +32,8 @@ from .inference import TestOptions, TestResult, q_test_one, q_test_two, qineq_te
 from .measures import MEASURE_NAMES, InequalitySpec, MeasureSpec, resolve_measure
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
-from .verify import (_DEFAULT_PARAMS, RNG_DESCRIPTION, Distribution, SimConfig, bootstrap_se,
-                     coverage_sim)
+from .verify import (_DEFAULT_PARAMS, RNG_DESCRIPTION, Distribution, SimConfig, _check_seed,
+                     bootstrap_se, coverage_sim)
 
 __all__ = ["main", "build_parser", "load_column", "render"]
 
@@ -515,6 +515,7 @@ def _cmd_verify_bootstrap(args) -> int:
     measure = _verify_measure(args)
     if args.B < 500:
         raise UsageError("need at least 500 bootstrap resamples")
+    _config_error(_check_seed, args.seed)
     x = _load(args.x, args.column)
     se = bootstrap_se(x, measure, B=args.B, seed=args.seed)
     _print_tsv_and_json(

@@ -196,15 +196,18 @@ def _working_stats(xs, spec, opts: TestOptions):
     sample, and floored, the probabilities of the first sample whose
     quantile density was floored.
     The working scale is the log scale when log_transf is set.  A sample
-    without an estimate raises the spec's error before the
-    degenerate-sample check.  A variance that is not finite raises a
-    ValueError.  It names the sample's largest quantile-density estimate
-    and its grid probability when that estimate's square overflows, and
-    the measure's largest gradient entry otherwise.
+    without an estimate raises the spec's error, and one whose estimate
+    overflows a ValueError, before the degenerate-sample check.  A
+    variance that is not finite raises a ValueError.  It names the
+    sample's largest quantile-density estimate and its grid probability
+    when that estimate's square overflows, and the measure's largest
+    gradient entry otherwise.
     """
     est, grad = spec._estimate(xs, opts.quantile_type)
     if np.count_nonzero(np.isnan(est)):
         raise ValueError(spec._nan_message)
+    if not np.all(np.isfinite(est)):
+        raise ValueError("the estimate is not finite: the measure's value overflows")
     grid = spec._grid
     qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
     with np.errstate(over="ignore", invalid="ignore"):

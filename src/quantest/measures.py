@@ -117,6 +117,8 @@ class MeasureSpec:
         object.__setattr__(self, "_b2",
                            _on_grid(grid, self.u2, self.coef2) if self.is_ratio else None)
         # coefficients at a repeated probability add up, and may cancel
+        if not np.any(self._b1):
+            raise ValueError("numerator coefficients are identically zero")
         if self.is_ratio and not np.any(self._b2):
             raise ValueError("denominator coefficients are identically zero")
         grid.setflags(write=False)
@@ -141,20 +143,23 @@ class MeasureSpec:
 
         Rows whose denominator is zero give NaN.  Each combination is a
         product summed along the row, not a BLAS product, so a row of a
-        stack gives the same number as the row alone.  With gradient False
-        the gradient is None.
+        stack gives the same number as the row alone.  A combination that
+        overflows gives an estimate that is not finite, without a warning;
+        the caller states the failure.  With gradient False the gradient
+        is None.
         """
-        num = np.add.reduce(xq * self._b1, axis=-1)
-        if not self.is_ratio:
-            return num, (self._b1 if gradient else None)
-        den = np.add.reduce(xq * self._b2, axis=-1)
-        zero = den == 0.0
-        den = np.where(zero, 1.0, den)
-        ratio = np.where(zero, np.nan, num / den)
-        if not gradient:
-            return ratio, None
-        # d(num/den)/dQ = (b1 - ratio b2)/den
-        return ratio, (self._b1 - ratio[..., None] * self._b2) / den[..., None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = np.add.reduce(xq * self._b1, axis=-1)
+            if not self.is_ratio:
+                return num, (self._b1 if gradient else None)
+            den = np.add.reduce(xq * self._b2, axis=-1)
+            zero = den == 0.0
+            den = np.where(zero, 1.0, den)
+            ratio = np.where(zero, np.nan, num / den)
+            if not gradient:
+                return ratio, None
+            # d(num/den)/dQ = (b1 - ratio b2)/den
+            return ratio, (self._b1 - ratio[..., None] * self._b2) / den[..., None]
 
     def _default_label(self) -> str:
         if not self.is_ratio and len(self.u) == 1 and self.coef == (1.0,):

@@ -13,12 +13,16 @@ oracle for the delta-method SEs.
 Replicate RNG streams are spawned from a single seed (numpy PCG64 via
 SeedSequence.spawn), so results are reproducible and independent of
 evaluation order.  coverage_sim draws each replicate from its own stream
-as a replicate-by-replicate loop would, stacks the draws in chunks of
-replicates, sorts each chunk once and computes every replicate's interval
-with the same estimator core that q_test_one and qineq_test run on a
-stack of one sample; no covariance matrix is built.  bootstrap_se draws
-its resamples in blocks of about 2^20 indices and holds each resample as
-integer ranks into the sample's sort.  It orders the ranks only as far as
+as a replicate-by-replicate loop would, but sets the streams up a chunk
+of replicates at a time: it computes the PCG64 states that
+default_rng(SeedSequence(seed).spawn(reps)[i]) would start from, for
+every i of the chunk at once, and sets each in turn into one generator.
+It draws each replicate into a row of one buffer, sorts each chunk once
+and computes every replicate's interval with the same estimator core that
+q_test_one and qineq_test run on a stack of one sample; no covariance
+matrix is built.  bootstrap_se draws its resamples in blocks of about
+2^20 indices and holds each resample as integer ranks into the sample's
+sort.  It orders the ranks only as far as
 the estimator reads them: a small grid's order statistics are selected
 into their sorted place by partitions, a large grid sorts every resample.
 It gathers only those order statistics and keeps only the B estimates.
@@ -31,6 +35,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +59,16 @@ RNG_DESCRIPTION = "numpy PCG64, per-replicate SeedSequence.spawn streams"
 
 # resampled indices that bootstrap_se draws, ranks and orders at a time
 _BOOT_BLOCK = 2**20
+
+# the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx)
+# and the multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 # composite Gauss-Legendre rule for the inequality indices' population values
 _GL_POINTS = 20
@@ -144,6 +159,7 @@ class SimConfig:
             raise ValueError("need n of at least 2")
         if not 0.0 < self.level < 1.0:
             raise ValueError("level must lie in (0, 1)")
+        _check_seed(self.seed)
         if self.log_ratio:
             _check_spec(self.measure)
             if not self.measure.is_ratio:
@@ -195,6 +211,16 @@ def population_measure_value(dist: Distribution, measure) -> float:
     return value
 
 
+def _check_seed(seed) -> None:
+    """A ValueError unless seed is a non-negative integer, as SeedSequence takes it."""
+    try:
+        if operator.index(seed) >= 0:
+            return
+    except TypeError:
+        pass
+    raise ValueError("seed must be a non-negative integer")
+
+
 def _check_spec(measure) -> None:
     """A TypeError for anything without a spec's _estimate."""
     if not hasattr(measure, "_estimate"):
@@ -216,27 +242,94 @@ def _replicate_intervals(cfg: SimConfig):
     return intervals
 
 
+def _hashmix(const: int, mult: int):
+    """SeedSequence's hashmix from the hash constant const, stepped by mult.
+
+    Each call xors the value with the constant, steps the constant and
+    multiplies by it, in uint32 arithmetic: on Python ints below 2^32 or
+    on uint32 arrays alike.
+    """
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x, y):
+    r = (x * _MIX_L - y * _MIX_R) & _MASK32
+    return r ^ r >> 16
+
+
+def _stream_states(seed: int, start: int, count: int) -> list:
+    """PCG64 states of the replicate streams start, ..., start + count - 1.
+
+    Entry k equals default_rng(SeedSequence(seed).spawn(start + count)[start + k])
+    .bit_generator.state.  The spawn keys must lie below 2^32, one word
+    each; np.arange refuses larger ones.  The hashing runs as SeedSequence
+    runs it: the seed's 32-bit words, padded to the pool's four, are
+    hashed and mixed into the pool, then the spawn key, the one word that
+    differs between the streams, vectorised over the keys;
+    generate_state(4, uint64) then reads the pool.  PCG64 seeds from those
+    four words: inc = 2 seq + 1 and state = ((inc + initstate) M + inc)
+    mod 2^128.
+    """
+    seed = operator.index(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    keys = np.arange(start, start + count, dtype=np.uint32)
+    for dst in range(_POOL_SIZE):
+        pool[dst] = _mix(np.full(count, pool[dst], dtype=np.uint32), hashmix(keys))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    half = np.array([hashmix(pool[i % _POOL_SIZE]) for i in range(2 * _POOL_SIZE)],
+                    dtype=np.uint64)
+    states = []
+    # each uint64 word of generate_state is two of these, low half first
+    for hi, lo, seq_hi, seq_lo in (half[0::2] | half[1::2] << 32).T.tolist():
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def coverage_sim(cfg: SimConfig):
     """Empirical coverage of the measure's confidence interval.
 
     Returns (coverage, avg_width, mc_se) where mc_se is the binomial
     Monte Carlo standard error sqrt(c(1-c)/reps).  Each replicate is drawn
-    from its own stream.  The replicates go through the estimators in
-    chunks, each sorted once as a stack of rows; a chunk holds about
-    _BAND_MAX numbers, counting each replicate's sample and its d
-    quantile-density estimates.  A replicate on which q_test_one or
-    qineq_test would raise makes the study raise the same error, that of
-    the first such replicate.
+    from its own stream, the one default_rng(SeedSequence(seed).spawn(reps)[i])
+    gives; the streams are set up a chunk at a time by _stream_states and
+    set in turn into one generator, and the draws fill one buffer.  The
+    replicates go through the estimators in chunks, each sorted once as a
+    stack of rows; a chunk holds about _BAND_MAX numbers, counting each
+    replicate's sample and its d quantile-density estimates.  A replicate
+    on which q_test_one or qineq_test would raise makes the study raise
+    the same error, that of the first such replicate.
     """
     true_val = population_measure_value(cfg.distribution, cfg.measure)
     intervals = _replicate_intervals(cfg)
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.reps)
     step = max(1, _BAND_MAX // (cfg.n + cfg.measure._grid.size))
+    draws = np.empty((min(step, cfg.reps), cfg.n))
+    rng = np.random.Generator(np.random.PCG64())  # each replicate sets its state
     covered = 0
     widths = np.empty(cfg.reps)
     for start in range(0, cfg.reps, step):
-        values = np.stack([cfg.distribution.sample(np.random.default_rng(stream), cfg.n)
-                           for stream in streams[start:start + step]])
+        values = draws[:min(step, cfg.reps - start)]
+        for row, state in zip(values, _stream_states(cfg.seed, start, len(values))):
+            rng.bit_generator.state = state
+            row[:] = cfg.distribution.sample(rng, cfg.n)
         try:
             lo, hi = intervals(values)
         except ValueError:

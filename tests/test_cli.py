@@ -629,6 +629,9 @@ def test_seed_defaults_to_zero(capsys):
     ["qineq", BLADDER, "--true-q", "nan"],
     ["qtest", BLADDER, "--measure", "median", "--log", "--back", "--true-q", "0"],
     ["qtest", BLADDER, BLADDER, "--measure", "median", "--log", "--back", "--true-q", "0"],
+    ["qtest", BLADDER, "--u=0.5,0.5", "--coef=1,-1"],         # numerator cancels
+    ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100", "--seed", "-1"],
+    ["verify", "bootstrap", BLADDER, "--seed", "-1"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)

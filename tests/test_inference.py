@@ -459,6 +459,20 @@ def test_an_overflowing_variance_blames_a_huge_coefficient(u, coef, blame):
     assert str(info.value) == f"variance is not finite: the measure's gradient reaches {blame}"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u, coef, u2, coef2", [
+    ([0.25, 0.75], [-1e308, 1e308], None, None),
+    ([0.75], [1e308], [0.5], [1e-300]),
+])
+def test_an_overflowing_estimate_is_named(u, coef, u2, coef2):
+    # Q(0.75) is above 1 here, so 1e308 Q(0.75) overflows; the gradient is finite
+    x = np.random.default_rng(0).lognormal(size=300)
+    spec = MeasureSpec.from_arrays(u, coef, u2, coef2)
+    with pytest.raises(ValueError,
+                       match="^the estimate is not finite: the measure's value overflows$"):
+        q_test_one(x, spec)
+
+
 def test_a_study_with_an_overflowing_replicate_raises():
     # the first 213 replicates of seed 11 end with the sample above
     cfg = SimConfig(Distribution("lognormal"), n=50, reps=213,

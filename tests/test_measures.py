@@ -263,6 +263,18 @@ def test_from_arrays_errors():
         MeasureSpec(u=(), coef=())
 
 
+def test_a_numerator_that_cancels_on_the_grid_is_rejected():
+    builds = [
+        lambda: MeasureSpec(u=(0.5, 0.5), coef=(1.0, -1.0)),
+        lambda: MeasureSpec(u=(0.5, 0.5), coef=(1.0, -1.0), u2=(0.25, 0.75), coef2=(-1.0, 1.0)),
+        lambda: MeasureSpec.from_arrays([0.5, 0.5], [[2.0, -2.0], [1.0, 1.0]]),
+        lambda: MeasureSpec(u=(0.5,), coef=(0.0,)),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="^numerator coefficients are identically zero$"):
+            build()
+
+
 def test_a_denominator_that_cancels_on_the_grid_is_rejected():
     # the denominator's two coefficients at 0.5 add up to zero
     builds = [

@@ -374,6 +374,34 @@ def test_oracle_cases_include_partial_chunks():
     assert kinds == {MeasureSpec, InequalitySpec}
 
 
+@pytest.mark.parametrize("name", ["normal", "lognormal", "uniform", "exponential"])
+def test_coverage_matches_the_loop_for_a_multi_word_seed(name):
+    # 2^64 + 5 hashes three 32-bit words; 100 replicates of 2000 fill 65, then 35
+    cfg = SimConfig(Distribution(name), n=2000, reps=100, measure=resolve_measure("iqr"),
+                    seed=2**64 + 5)
+    assert cfg.reps % chunk_size(cfg) != 0
+    coverage, width, _ = coverage_sim(cfg)
+    covered, want_width = loop_coverage(cfg)
+    assert coverage == covered / cfg.reps
+    assert width == pytest.approx(want_width, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 3])
+@pytest.mark.parametrize("start, count", [(0, 1), (0, 2), (0, 100), (2001, 1), (2001, 2),
+                                          (2001, 100)])
+def test_stream_states_are_those_of_the_spawned_generators(seed, start, count):
+    children = np.random.SeedSequence(seed).spawn(start + count)[start:]
+    want = [np.random.default_rng(child).bit_generator.state for child in children]
+    assert verify._stream_states(seed, start, count) == want
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 1.0, 0.5, "3", None, (1, 2)])
+def test_sim_config_rejects_a_seed_that_is_no_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        SimConfig(Distribution("normal"), n=50, reps=100, measure=resolve_measure("median"),
+                  seed=seed)
+
+
 def test_study_with_a_failing_replicate_raises_the_loops_error():
     # a replicate median below 0 gives a negative robust CV, whose log fails
     cfg = SimConfig(Distribution("normal", (1.0, 1.0)), n=10, reps=130,
