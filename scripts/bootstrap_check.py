@@ -25,8 +25,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--measures", nargs="+",
                     default=["median", "iqr", "rCViqr", "QRI"])
-    ap.add_argument("--dist", default="lognormal",
-                    choices=["normal", "lognormal", "uniform", "exponential"])
+    ap.add_argument("--dist", default="lognormal")
     ap.add_argument("--n", type=int, nargs="+", default=[200, 500])
     ap.add_argument("--trials", type=int, default=20,
                     help="independent samples per row (default 20)")

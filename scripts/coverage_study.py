@@ -35,7 +35,6 @@ def main(argv=None) -> int:
     ap.add_argument("--measures", nargs="+", default=list(DEFAULT_PLAN),
                     help=f"measures to study (default: {' '.join(DEFAULT_PLAN)})")
     ap.add_argument("--dist", default=None,
-                    choices=["normal", "lognormal", "uniform", "exponential"],
                     help="force one sampling distribution for every measure")
     ap.add_argument("--n", type=int, nargs="+", default=[50, 100, 200],
                     help="sample sizes (default 50 100 200)")

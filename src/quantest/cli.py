@@ -6,7 +6,7 @@ commands are registered by name and help alone.
 
 Subcommands:
   qtest   one- or two-sample test of a quantile measure
-  qineq   one- or two-sample test of an inequality index (QRI or G2)
+  qineq   qtest with --measure QRI (the default) or G2
   qcov    covariance matrix of a set of sample quantiles
   verify  Monte Carlo coverage study / bootstrap standard-error oracle
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -28,11 +29,11 @@ import sys
 
 import numpy as np
 
-from .inference import TestOptions, TestResult, q_test_one, q_test_two, qineq_test
+from .inference import TestOptions, TestResult, q_test_one, q_test_two
 from .measures import MEASURE_NAMES, InequalitySpec, MeasureSpec, resolve_measure
 from .qcov import QuantileCov, qcov
 from .qdensity import QdMethod
-from .verify import (_DEFAULT_PARAMS, RNG_DESCRIPTION, Distribution, SimConfig, _check_seed,
+from .verify import (_DISTRIBUTIONS, RNG_DESCRIPTION, Distribution, SimConfig, _check_seed,
                      bootstrap_se, coverage_sim)
 
 __all__ = ["main", "build_parser", "load_column", "render"]
@@ -277,6 +278,7 @@ def _parse_floats(text: str, flag: str) -> list[float]:
 
 
 _MEASURE_HELP = f"named measure ({', '.join(MEASURE_NAMES)})"
+_J_HELP = "quantile-ratio grid size of QRI and G2 (default 100)"
 
 
 def _add_format(sp):
@@ -293,17 +295,6 @@ def _add_data_flags(sp, two_sample: bool):
                     help="column name or 0-based index (default: first column)")
 
 
-def _add_test_flags(sp):
-    sp.add_argument("--alternative", choices=["greater", "less", "two-sided", "two_sided"],
-                    default="two-sided")
-    sp.add_argument("--level", type=float, default=0.95,
-                    help="confidence level (default 0.95)")
-    sp.add_argument("--true-q", type=float, default=None,
-                    help="null value on the reported scale: the measure (or difference), "
-                         "its log with --log, the measure (or ratio) with --back; "
-                         "default no effect, or 0.5 for a one-sample QRI or G2")
-
-
 def _add_var_flags(sp):
     sp.add_argument("--type", type=int, default=8, choices=range(4, 10),
                     metavar="{4..9}", help="quantile interpolation type (default 8)")
@@ -315,16 +306,19 @@ def _add_verify_flags(sp):
     sp.add_argument("--measure", default="median", help=_MEASURE_HELP)
     sp.add_argument("--p", type=float, default=None,
                     help="tail parameter for parameterized measures")
-    sp.add_argument("--J", type=int, default=None,
-                    help="quantile-ratio grid size of QRI and G2 (default 100)")
+    sp.add_argument("--J", type=int, default=None, help=_J_HELP)
     sp.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     _add_format(sp)
 
 
-def _qtest_flags(sp):
+def _qtest_flags(sp, indices=False):
+    """The flags of qtest, or with indices those of qineq, whose --measure is QRI or G2."""
     _add_data_flags(sp, two_sample=True)
-    sp.add_argument("--measure", default=None,
-                    help=f"{_MEASURE_HELP}; QRI and G2 use a grid of 100 ratios")
+    if indices:
+        sp.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
+                        help="inequality index (default QRI)")
+    else:
+        sp.add_argument("--measure", default=None, help=_MEASURE_HELP)
     sp.add_argument("--u", default=None,
                     help="numerator probabilities, comma separated")
     sp.add_argument("--coef", default=None,
@@ -339,7 +333,15 @@ def _qtest_flags(sp):
                          "denominator, sharing --u)")
     sp.add_argument("--p", type=float, default=None,
                     help="tail parameter of parameterized named measures")
-    _add_test_flags(sp)
+    sp.add_argument("--J", type=int, default=None, help=_J_HELP)
+    sp.add_argument("--alternative", choices=["greater", "less", "two-sided", "two_sided"],
+                    default="two-sided")
+    sp.add_argument("--level", type=float, default=0.95,
+                    help="confidence level (default 0.95)")
+    sp.add_argument("--true-q", type=float, default=None,
+                    help="null value on the reported scale: the measure (or difference), "
+                         "its log with --log, the measure (or ratio) with --back; "
+                         "default no effect, or 0.5 for a one-sample QRI or G2")
     sp.add_argument("--log", action="store_true",
                     help="test on the log scale (log measure, or log ratio of "
                          "the two samples' measures)")
@@ -347,17 +349,6 @@ def _qtest_flags(sp):
                     help="report log-scale results back on the original scale")
     sp.add_argument("--min-q", type=float, default=-math.inf,
                     help="lower bound to clamp the reported interval at")
-    _add_var_flags(sp)
-    _add_format(sp)
-
-
-def _qineq_flags(sp):
-    _add_data_flags(sp, two_sample=True)
-    sp.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
-                    help="inequality index (default QRI)")
-    sp.add_argument("--J", type=int, default=100,
-                    help="quantile-ratio grid size (default 100)")
-    _add_test_flags(sp)
     _add_var_flags(sp)
     _add_format(sp)
 
@@ -371,9 +362,9 @@ def _qcov_flags(sp):
 
 
 def _coverage_flags(sp):
-    sp.add_argument("--dist", required=True, choices=list(_DEFAULT_PARAMS))
-    defaults = " / ".join(",".join(f"{v:g}" for v in params)
-                          for params in _DEFAULT_PARAMS.values())
+    sp.add_argument("--dist", required=True, choices=list(_DISTRIBUTIONS))
+    defaults = " / ".join(",".join(f"{v:g}" for v in row[0])
+                          for row in _DISTRIBUTIONS.values())
     sp.add_argument("--params", default=None,
                     help=f"distribution parameters, comma separated (defaults: {defaults})")
     sp.add_argument("--n", type=int, required=True, help="sample size")
@@ -411,9 +402,11 @@ def _qtest_measure(args):
                             ("--coef2", args.coef2), ("--coef-row", args.coef_row)):
             if value is not None:
                 raise UsageError(f"{flag} cannot be combined with --measure")
-        return _config_error(resolve_measure, args.measure, args.p)
+        return _named_measure(args)
     if args.p is not None:
         raise UsageError("--p applies only to named measures")
+    if args.J is not None:
+        raise UsageError("--J applies only to QRI and G2")
     u = _parse_floats(args.u, "--u")
     if args.coef_row is not None:
         if args.coef is not None or args.u2 is not None or args.coef2 is not None:
@@ -431,8 +424,8 @@ def _qtest_measure(args):
     return _config_error(MeasureSpec.from_arrays, u, coef, u2, coef2)
 
 
-def _verify_measure(args):
-    """The measure of a verify subcommand; --J is read only by QRI and G2."""
+def _named_measure(args):
+    """The measure --measure names; --J is read only by QRI and G2."""
     if args.J is None:
         return _config_error(resolve_measure, args.measure, args.p)
     measure = _config_error(resolve_measure, args.measure, args.p, args.J)
@@ -441,34 +434,18 @@ def _verify_measure(args):
     return measure
 
 
-def _test_options(args, **more) -> TestOptions:
-    """The TestOptions of the flags qtest and qineq share, plus more."""
-    return _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
-                         conf_level=args.level, true_q=args.true_q,
-                         quantile_type=args.type,
-                         var_method=QdMethod(kind=args.var_method), **more)
-
-
 def _cmd_qtest(args) -> int:
     spec = _qtest_measure(args)
-    opts = _test_options(args, log_transf=args.log, back_transf=args.back,
-                         min_q=args.min_q)
+    opts = _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
+                         conf_level=args.level, true_q=args.true_q, log_transf=args.log,
+                         back_transf=args.back, min_q=args.min_q, quantile_type=args.type,
+                         var_method=QdMethod(kind=args.var_method))
     x = _load(args.x, args.column)
     if args.y is None:
         result = q_test_one(x, spec, opts)
     else:
         y = _load(args.y, args.column)
         result = q_test_two(x, y, spec, opts)
-    print(render(result, args.format))
-    return 0
-
-
-def _cmd_qineq(args) -> int:
-    spec = _config_error(InequalitySpec, kind=args.measure, J=args.J)
-    opts = _test_options(args)
-    x = _load(args.x, args.column)
-    y = _load(args.y, args.column) if args.y is not None else None
-    result = qineq_test(x, y, spec, opts)
     print(render(result, args.format))
     return 0
 
@@ -494,7 +471,7 @@ def _print_tsv_and_json(fields: dict, extra_json: dict, fmt: str) -> None:
 
 
 def _cmd_verify_coverage(args) -> int:
-    measure = _verify_measure(args)
+    measure = _named_measure(args)
     params = tuple(_parse_floats(args.params, "--params")) if args.params else ()
     dist = _config_error(Distribution, args.dist, params)
     cfg = _config_error(SimConfig, distribution=dist, n=args.n, reps=args.reps,
@@ -512,7 +489,7 @@ def _cmd_verify_coverage(args) -> int:
 
 
 def _cmd_verify_bootstrap(args) -> int:
-    measure = _verify_measure(args)
+    measure = _named_measure(args)
     if args.B < 500:
         raise UsageError("need at least 500 bootstrap resamples")
     _config_error(_check_seed, args.seed)
@@ -539,7 +516,8 @@ _VERIFY_COMMANDS = (
 )
 _COMMANDS = (
     ("qtest", "test a quantile measure", _qtest_flags, _cmd_qtest),
-    ("qineq", "test an inequality index", _qineq_flags, _cmd_qineq),
+    ("qineq", "test an inequality index", functools.partial(_qtest_flags, indices=True),
+     _cmd_qtest),
     ("qcov", "covariance matrix of sample quantiles", _qcov_flags, _cmd_qcov),
     ("verify", "Monte Carlo / bootstrap verification", None, _VERIFY_COMMANDS),
 )

@@ -74,61 +74,54 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _GL_POINTS = 20
 _GL_PANELS = 61
 
-_DEFAULT_PARAMS = {
-    "normal": (0.0, 1.0),
-    "lognormal": (0.0, 1.0),
-    "uniform": (0.0, 1.0),
-    "exponential": (1.0,),
+# The distributions, in order: name -> (default parameters, parameter
+# check, quantile function, sampler).  The check pairs a predicate of the
+# parameters with the error text when it fails; the quantile function takes
+# a float array p, and the sampler a generator and a size, each followed by
+# the parameters.
+_SCALE_CHECK = (lambda mu, sd: sd > 0, "scale parameter must be positive")
+_DISTRIBUTIONS = {
+    "normal": ((0.0, 1.0), _SCALE_CHECK,
+               lambda p, mu, sd: mu + sd * ndtri(p),
+               lambda rng, n, mu, sd: rng.normal(mu, sd, n)),
+    "lognormal": ((0.0, 1.0), _SCALE_CHECK,
+                  lambda p, mu, sd: np.exp(mu + sd * ndtri(p)),
+                  lambda rng, n, mu, sd: rng.lognormal(mu, sd, n)),
+    "uniform": ((0.0, 1.0), (lambda a, b: b > a, "uniform needs a < b"),
+                lambda p, a, b: a + (b - a) * p,
+                lambda rng, n, a, b: rng.uniform(a, b, n)),
+    "exponential": ((1.0,), (lambda lam: lam > 0, "rate must be positive"),
+                    lambda p, lam: -np.log1p(-p) / lam,
+                    lambda rng, n, lam: rng.exponential(1.0 / lam, n)),
 }
 
 
 @dataclass(frozen=True)
 class Distribution:
-    """Sampling distribution with a closed-form quantile function."""
+    """Sampling distribution with a closed-form quantile function: a row of _DISTRIBUTIONS."""
 
     name: str
     params: tuple = ()
 
     def __post_init__(self):
-        if self.name not in _DEFAULT_PARAMS:
+        if self.name not in _DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.name!r}; "
-                             f"choose from {sorted(_DEFAULT_PARAMS)}")
-        want = len(_DEFAULT_PARAMS[self.name])
-        params = tuple(float(v) for v in self.params) or _DEFAULT_PARAMS[self.name]
-        if len(params) != want:
-            raise ValueError(f"{self.name} takes {want} parameter(s)")
+                             f"choose from {sorted(_DISTRIBUTIONS)}")
+        defaults, (valid, message), *_ = _DISTRIBUTIONS[self.name]
+        params = tuple(float(v) for v in self.params) or defaults
+        if len(params) != len(defaults):
+            raise ValueError(f"{self.name} takes {len(defaults)} parameter(s)")
         if not all(map(math.isfinite, params)):
             raise ValueError(f"{self.name} parameters must be finite")
         object.__setattr__(self, "params", params)
-        if self.name in ("normal", "lognormal") and params[1] <= 0:
-            raise ValueError("scale parameter must be positive")
-        if self.name == "uniform" and params[1] <= params[0]:
-            raise ValueError("uniform needs a < b")
-        if self.name == "exponential" and params[0] <= 0:
-            raise ValueError("rate must be positive")
+        if not valid(*params):
+            raise ValueError(message)
 
     def quantile(self, p):
-        p = np.asarray(p, dtype=float)
-        if self.name == "normal":
-            mu, sd = self.params
-            return mu + sd * ndtri(p)
-        if self.name == "lognormal":
-            mu, sd = self.params
-            return np.exp(mu + sd * ndtri(p))
-        if self.name == "uniform":
-            a, b = self.params
-            return a + (b - a) * p
-        lam, = self.params
-        return -np.log1p(-p) / lam
+        return _DISTRIBUTIONS[self.name][2](np.asarray(p, dtype=float), *self.params)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.name == "normal":
-            return rng.normal(self.params[0], self.params[1], n)
-        if self.name == "lognormal":
-            return rng.lognormal(self.params[0], self.params[1], n)
-        if self.name == "uniform":
-            return rng.uniform(self.params[0], self.params[1], n)
-        return rng.exponential(1.0 / self.params[0], n)
+        return _DISTRIBUTIONS[self.name][3](rng, n, *self.params)
 
 
 @dataclass(frozen=True)

@@ -377,13 +377,19 @@ def test_qtest_index_prints_what_qineq_prints(tmp_path, capsys, measure, two_sam
         f.write_text("v\n" + "\n".join(f"{v:.9g}" for v in rng.lognormal(size=250)))
         files.append(str(f))
     data = files if two_sample else files[:1]
-    code, via_qtest, _ = run(capsys, ["qtest", *data, "--measure", measure,
-                                      "--format", fmt])
-    assert code == 0
-    code, via_qineq, _ = run(capsys, ["qineq", *data, "--measure", measure,
-                                      "--format", fmt])
-    assert code == 0
-    assert via_qtest == via_qineq
+    for flags in ([], ["--J", "25"], ["--log", "--back"], ["--min-q", "0.6"]):
+        argv = [*data, "--measure", measure, "--format", fmt, *flags]
+        code, via_qtest, _ = run(capsys, ["qtest", *argv])
+        assert code == 0
+        code, via_qineq, _ = run(capsys, ["qineq", *argv])
+        assert code == 0
+        assert via_qtest == via_qineq, flags
+
+
+def test_qineq_takes_only_the_indices(capsys):
+    code, out, err = run(capsys, ["qineq", BLADDER, "--measure", "median"])
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'median'" in err
 
 
 def test_back_transformed_true_q_is_a_ratio(capsys):
@@ -632,6 +638,8 @@ def test_seed_defaults_to_zero(capsys):
     ["qtest", BLADDER, "--u=0.5,0.5", "--coef=1,-1"],         # numerator cancels
     ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100", "--seed", "-1"],
     ["verify", "bootstrap", BLADDER, "--seed", "-1"],
+    ["qtest", BLADDER, "--measure", "median", "--J", "25"],   # --J of no index
+    ["qtest", BLADDER, "--u", "0.5", "--J", "25"],
 ])
 def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run(capsys, argv)

@@ -82,6 +82,30 @@ def test_distribution_sampling_matches_quantiles():
         np.testing.assert_allclose(emp, pop, atol=4.0 * np.std(x) / math.sqrt(len(x)) * 3 + 0.02)
 
 
+# name -> (parameters, the NumPy draw the row stands for, its quantile
+# function at p = 0, 0.3 and 1 in closed form)
+TABLE_ROWS = {
+    "normal": ((1.5, 2.0), lambda rng, n: rng.normal(1.5, 2.0, n),
+               [-math.inf, 1.5 + 2.0 * ndtri(0.3), math.inf]),
+    "lognormal": ((0.5, 0.8), lambda rng, n: rng.lognormal(0.5, 0.8, n),
+                  [0.0, math.exp(0.5 + 0.8 * ndtri(0.3)), math.inf]),
+    "uniform": ((-1.0, 4.0), lambda rng, n: rng.uniform(-1.0, 4.0, n), [-1.0, 0.5, 4.0]),
+    "exponential": ((2.0,), lambda rng, n: rng.exponential(0.5, n),
+                    [0.0, -math.log(0.7) / 2.0, math.inf]),
+}
+
+
+@pytest.mark.parametrize("name", list(verify._DISTRIBUTIONS))
+def test_every_table_row_is_its_numpy_draw_and_closed_form(name):
+    params, draw, quantiles = TABLE_ROWS[name]
+    dist = Distribution(name, params)
+    for seed in (0, 1, 2):
+        got = dist.sample(np.random.default_rng(seed), 500)
+        assert np.array_equal(got, draw(np.random.default_rng(seed), 500))
+    with np.errstate(divide="ignore"):
+        np.testing.assert_allclose(dist.quantile([0.0, 0.3, 1.0]), quantiles, rtol=1e-15)
+
+
 def test_uniform_samples_stay_in_range():
     rng = np.random.default_rng(18)
     x = Distribution("uniform", (2.0, 5.0)).sample(rng, 1000)
