@@ -141,21 +141,23 @@ class MeasureSpec:
     def _at_quantiles(self, xq, gradient: bool = True):
         """The estimate and its gradient from quantiles at _grid (the last axis of xq).
 
-        Rows whose denominator is zero give NaN.  Each combination is a
-        product summed along the row, not a BLAS product, so a row of a
-        stack gives the same number as the row alone.  A combination that
-        overflows gives an estimate that is not finite, without a warning;
-        the caller states the failure.  With gradient False the gradient
-        is None.
+        Rows whose denominator is zero give NaN, and only those.  Each
+        combination is a product summed along the row, not a BLAS product,
+        so a row of a stack gives the same number as the row alone.  A
+        combination that overflows gives an infinite estimate, also where
+        its terms overflow with opposite signs and sum to NaN, without a
+        warning; the caller states the failure.  With gradient False the
+        gradient is None.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             num = np.add.reduce(xq * self._b1, axis=-1)
             if not self.is_ratio:
-                return num, (self._b1 if gradient else None)
+                return np.where(np.isnan(num), np.inf, num), (self._b1 if gradient else None)
             den = np.add.reduce(xq * self._b2, axis=-1)
             zero = den == 0.0
             den = np.where(zero, 1.0, den)
-            ratio = np.where(zero, np.nan, num / den)
+            ratio = num / den
+            ratio = np.where(zero, np.nan, np.where(np.isnan(ratio), np.inf, ratio))
             if not gradient:
                 return ratio, None
             # d(num/den)/dQ = (b1 - ratio b2)/den

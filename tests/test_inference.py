@@ -463,6 +463,9 @@ def test_an_overflowing_variance_blames_a_huge_coefficient(u, coef, blame):
 @pytest.mark.parametrize("u, coef, u2, coef2", [
     ([0.25, 0.75], [-1e308, 1e308], None, None),
     ([0.75], [1e308], [0.5], [1e-300]),
+    # two terms that overflow with opposite signs sum to NaN, not to a zero denominator
+    ([0.75, 0.9], [-1e308, 1e308], None, None),
+    ([0.75, 0.9], [-1e308, 1e308], [0.5], [1.0]),
 ])
 def test_an_overflowing_estimate_is_named(u, coef, u2, coef2):
     # Q(0.75) is above 1 here, so 1e308 Q(0.75) overflows; the gradient is finite
