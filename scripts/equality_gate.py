@@ -25,8 +25,10 @@ Run the suite on two trees with the same Hypothesis seed, then compare:
     python scripts/equality_gate.py compare before.jsonl after.jsonl
 
 ``record`` passes ``--hypothesis-seed=0`` and any further arguments on to
-pytest; the package is imported from ``sys.path`` as usual, so the script
-can log a tree other than its own when run from that tree.
+pytest, and keeps Hypothesis from drawing on the literals of the code and
+tests it runs, which may differ between the trees.  The package is
+imported from ``sys.path`` as usual, so the script can log a tree other
+than its own when run from that tree.
 """
 
 from __future__ import annotations
@@ -103,6 +105,14 @@ class Recorder:
         self.pending = []
 
     def pytest_configure(self, config):
+        # Hypothesis mixes the literals of local modules into the examples
+        # it draws, so two trees whose code or tests differ in a literal
+        # would draw different examples from the same seed.  Imported here:
+        # pytest warns of Hypothesis's plugin imported before pytest starts
+        from hypothesis.internal.conjecture import providers
+
+        providers._get_local_constants = providers.Constants
+        providers.CONSTANTS_CACHE.cache.clear()
         for module_name, names in FUNCTIONS.items():
             module = importlib.import_module(module_name)
             for name in names:

@@ -62,22 +62,37 @@ def test_compare_fails_on_changed_fields_and_values(gate, tmp_path, capsys):
     assert "'qor' against 'density'" in out
 
 
-def test_records_built_on_many_threads_line_up_between_runs(gate, tmp_path, capsys):
-    # the callers of this test finish in a different order on every run
-    test = ("tests/test_concurrent_two_sample.py::"
-            "test_callers_on_many_threads_each_get_their_serial_result")
+def record(log, test):
+    """Run the gate's record mode on one test, from the repository root."""
     root = os.path.dirname(os.path.dirname(SCRIPT))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (os.path.join(root, "src"),
                                                     env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, SCRIPT, "record", str(log), str(test)], cwd=root,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_records_built_on_many_threads_line_up_between_runs(gate, tmp_path, capsys):
+    # the callers of this test finish in a different order on every run
+    test = ("tests/test_concurrent_two_sample.py::"
+            "test_callers_on_many_threads_each_get_their_serial_result")
     logs = []
     for run in ("a", "b"):
         log = str(tmp_path / f"{run}.jsonl")
-        done = subprocess.run([sys.executable, SCRIPT, "record", log, test], cwd=root, env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stdout + done.stderr
+        record(log, test)
         logs.append(log)
     assert gate.compare(*logs) == 0
     out = capsys.readouterr().out
     assert out.startswith("16 shared records, 0 only in")
     assert out.splitlines()[-1] == "PASS"
+
+
+def test_record_keeps_hypothesis_off_the_literals_of_local_code(tmp_path):
+    # Hypothesis mixes the literals of local modules into the examples it
+    # draws, so a literal moved between two trees would change the examples
+    test = tmp_path / "test_literals.py"
+    test.write_text("from hypothesis.internal.conjecture import providers\n\n\n"
+                    "def test_no_local_constants():\n"
+                    "    assert len(providers._get_local_constants()) == 0\n")
+    record(tmp_path / "log.jsonl", test)
