@@ -315,24 +315,27 @@ def _qtest_flags(sp, indices=False):
     """The flags of qtest, or with indices those of qineq, whose --measure is QRI or G2."""
     _add_data_flags(sp, two_sample=True)
     if indices:
+        # --measure always names an index, so the flags that build or
+        # parameterize another measure are not registered
         sp.add_argument("--measure", choices=["QRI", "G2"], default="QRI",
                         help="inequality index (default QRI)")
+        sp.set_defaults(u=None, coef=None, u2=None, coef2=None, coef_row=None, p=None)
     else:
         sp.add_argument("--measure", default=None, help=_MEASURE_HELP)
-    sp.add_argument("--u", default=None,
-                    help="numerator probabilities, comma separated")
-    sp.add_argument("--coef", default=None,
-                    help="numerator coefficients (default: all ones); write "
-                         "--coef=-1,1 when the list starts with a minus sign")
-    sp.add_argument("--u2", default=None,
-                    help="denominator probabilities (makes the measure a ratio)")
-    sp.add_argument("--coef2", default=None,
-                    help="denominator coefficients (with --u2, or reusing --u)")
-    sp.add_argument("--coef-row", action="append", default=None, metavar="ROW",
-                    help="coefficient matrix row (give twice: numerator then "
-                         "denominator, sharing --u)")
-    sp.add_argument("--p", type=float, default=None,
-                    help="tail parameter of parameterized named measures")
+        sp.add_argument("--u", default=None,
+                        help="numerator probabilities, comma separated")
+        sp.add_argument("--coef", default=None,
+                        help="numerator coefficients (default: all ones); write "
+                             "--coef=-1,1 when the list starts with a minus sign")
+        sp.add_argument("--u2", default=None,
+                        help="denominator probabilities (makes the measure a ratio)")
+        sp.add_argument("--coef2", default=None,
+                        help="denominator coefficients (with --u2, or reusing --u)")
+        sp.add_argument("--coef-row", action="append", default=None, metavar="ROW",
+                        help="coefficient matrix row (give twice: numerator then "
+                             "denominator, sharing --u)")
+        sp.add_argument("--p", type=float, default=None,
+                        help="tail parameter of parameterized named measures")
     sp.add_argument("--J", type=int, default=None, help=_J_HELP)
     sp.add_argument("--alternative", choices=["greater", "less", "two-sided", "two_sided"],
                     default="two-sided")

@@ -301,32 +301,69 @@ def _size(x) -> int:
     return x.size if isinstance(x, np.ndarray) else 0
 
 
-def _stats_two(x, y, spec, opts: TestOptions):
-    """_stats_one of x and of y, concurrently when they are large.
+class _Pair:
+    """The calling thread and one worker thread, for rounds of work.
 
-    x runs on a thread of its own, started for this call, and only private
-    functions run there.  An error is raised as the serial order would
-    raise it: x's first, even when y failed too.
+    run(there, here) runs there() on the worker and here() here, and
+    returns both results.  The worker is started by the first round and
+    kept for the next ones, and stopped when the pair is closed (it is a
+    context manager).  Only private functions and NumPy may run in there,
+    so the tracer's spans stay on the calling thread.  An error is raised
+    as the serial order, there then here, would raise it: there's first,
+    even when here failed too.
     """
+
+    def __init__(self):
+        # two locks held as semaphores, released by the other thread: a
+        # task (None stops the worker) is in _task, its outcome in _outcome
+        self._task_ready = threading.Lock()
+        self._outcome_ready = threading.Lock()
+        self._task_ready.acquire()
+        self._outcome_ready.acquire()
+        self._worker = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._worker is not None:
+            self._task = None
+            self._task_ready.release()
+            self._worker.join()
+
+    def _serve(self):
+        while True:
+            self._task_ready.acquire()
+            if self._task is None:
+                return
+            try:
+                self._outcome = (self._task(), None)
+            except BaseException as exc:  # re-raised on the calling thread
+                self._outcome = (None, exc)
+            self._outcome_ready.release()
+
+    def run(self, there, here):
+        if self._worker is None:
+            self._worker = threading.Thread(target=self._serve)
+            self._worker.start()
+        self._task = there
+        self._task_ready.release()
+        try:
+            result = here()
+        finally:
+            self._outcome_ready.acquire()
+            value, error = self._outcome
+            if error is not None:
+                raise error from None
+        return value, result
+
+
+def _stats_two(x, y, spec, opts: TestOptions):
+    """_stats_one of x and of y, x on a thread of its own when they are large."""
     if _size(x) + _size(y) < _CONCURRENT_SIZE:
         return _stats_one(x, spec, opts), _stats_one(y, spec, opts)
-    out = {}
-
-    def run_x():
-        try:
-            out["stats"] = _stats_one(x, spec, opts)
-        except BaseException as exc:  # re-raised on the calling thread below
-            out["error"] = exc
-
-    worker = threading.Thread(target=run_x)
-    worker.start()
-    try:
-        stats_y = _stats_one(y, spec, opts)
-    finally:
-        worker.join()
-        if "error" in out:
-            raise out["error"] from None
-    return out["stats"], stats_y
+    with _Pair() as pair:
+        return pair.run(lambda: _stats_one(x, spec, opts), lambda: _stats_one(y, spec, opts))
 
 
 def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:

@@ -26,13 +26,20 @@ sort.  It orders the ranks only as far as
 the estimator reads them: a small grid's order statistics are selected
 into their sorted place by partitions, a large grid sorts every resample.
 It gathers only those order statistics and keeps only the B estimates.
-Memory in both is therefore bounded by the chunk or block, not by reps
-or B.
+A block of at least 2^18 indices is drawn, ranked and ordered on two
+threads, each taking the next piece of work when it is free: the draws
+are cut into pieces of the stream, each drawn by its own generator moved
+on by PCG64.advance, with the few words where neighbouring pieces
+overlap set right afterwards; then groups of the block's resamples are
+ordered and estimated apart.  The results are bit-identical to the
+serial ones.  Memory in both is bounded by the chunk or block, not by
+reps or B.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import math
 import operator
@@ -41,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import ndtri
-from .inference import TestOptions, _interval, _working_stats
+from .inference import _CONCURRENT_SIZE, TestOptions, _interval, _Pair, _working_stats
 from .measures import InequalitySpec
 from .qdensity import _BAND_MAX, QdMethod
 from .quantiles import _sorted_one, _sorted_rows
@@ -59,6 +66,20 @@ RNG_DESCRIPTION = "numpy PCG64, per-replicate SeedSequence.spawn streams"
 
 # resampled indices that bootstrap_se draws, ranks and orders at a time
 _BOOT_BLOCK = 2**20
+
+# a split block's draws are drawn in pieces of about this many indices,
+# and its resamples ordered in _SPLIT_TASKS tasks, each task taken by the
+# first of the two threads free, so a thread the host runs slower takes fewer
+_PIECE = 2**17
+_SPLIT_TASKS = 4
+
+# indices _draw_ranks draws at a time: 512 KiB of int64, still in cache
+# when rank.take reads them
+_DRAW_CHUNK = 2**16
+
+# LCG steps _steps_between takes, at most, to find where a piece's draws
+# ended: r rejected words take about r/2 steps
+_SPLIT_STEPS = 2**12
 
 # the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx)
 # and the multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
@@ -392,6 +413,99 @@ class _RankRows:
             self._placed.insert(i, c)
 
 
+def _draw_ranks(rng, rank, out) -> None:
+    """rank.take(rng.integers(0, rank.size, out.size)) into out, a chunk at a time.
+
+    Successive integers calls continue one stream, so the draws do not
+    depend on the chunk size.
+    """
+    for i in range(0, out.size, _DRAW_CHUNK):
+        part = out[i:i + _DRAW_CHUNK]
+        rank.take(rng.integers(0, rank.size, part.size), out=part, mode="clip")
+
+
+def _share(pair: _Pair, tasks) -> None:
+    """Run every task, each taken by the first thread of the pair free."""
+    tasks = collections.deque(tasks)
+
+    def drain():
+        while tasks:
+            try:
+                task = tasks.popleft()
+            except IndexError:  # the other thread took the last one
+                return
+            task()
+    pair.run(drain, drain)
+
+
+def _steps_between(start: dict, end: dict):
+    """PCG64 steps from state start to state end, or None past _SPLIT_STEPS."""
+    word, inc, target = start["state"]["state"], start["state"]["inc"], end["state"]["state"]
+    for steps in range(_SPLIT_STEPS + 1):
+        if word == target:
+            return steps
+        word = (word * _PCG64_MULT + inc) & _MASK128
+    return None
+
+
+def _split_draws(pair: _Pair, rng, rank, flat, gens: list) -> None:
+    """rank.take(rng.integers(0, n, flat.size)) into flat, drawn in pieces by a pair of threads.
+
+    The draws, and the state rng is left in, are those of the serial
+    call, bit for bit.  NumPy draws each index from one 32-bit word (two
+    per PCG64 step, low half first) by Lemire's method, which rejects a
+    word w when (w n) mod 2^32 < 2^32 mod n, on the word alone.  So piece
+    j > 0 is drawn by a generator of gens (scratch generators, added as
+    needed) started where the stream would be if no word before the piece
+    were rejected: PCG64.advance moves it on by half the indices before
+    the piece, less rng's buffered word, and the piece bounds keep that a
+    whole step.  Piece 0 is drawn by rng.  Then, piece by piece, the
+    stream's true state at the end of the pieces before it is r words past
+    the piece's start, r the rejections before it; r is found by stepping
+    the LCG.  Of those r words the piece's generator read, a were accepted:
+    the piece's draws, shifted left by a and followed by a more, are the
+    serial ones.  When r takes more than _SPLIT_STEPS steps to find, as
+    for n near 2^31, the piece is drawn again from the true state.
+    """
+    n, m = rank.size, flat.size
+    state = rng.bit_generator.state
+    buffered = state["has_uint32"]
+    k = max(2, m // _PIECE)
+    size = m // k - m // k % 2
+    bounds = [0] + [j * size + buffered for j in range(1, k)] + [m]
+    while len(gens) < k - 1:
+        gens.append(np.random.Generator(np.random.PCG64()))
+    starts = []
+    for j, g in enumerate(gens[:k - 1], 1):
+        g.bit_generator.state = state
+        g.bit_generator.advance(j * size // 2)  # and drops the buffered word
+        starts.append(g.bit_generator.state)
+    pieces = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    _share(pair, (functools.partial(_draw_ranks, g, rank, piece)
+                  for g, piece in zip([rng, *gens], pieces)))
+    true, bits = rng, None
+    for g, start, piece in zip(gens, starts, pieces[1:]):
+        end = true.bit_generator.state
+        steps = _steps_between(start, end)
+        if steps is None:
+            _draw_ranks(true, rank, piece)
+            continue
+        r = 2 * steps - end["has_uint32"]
+        if r:
+            bits = bits or np.random.PCG64()
+            bits.state = start
+            raw = bits.random_raw(steps).tolist()
+            words = [w >> shift & _MASK32 for w in raw for shift in (0, 32)]
+            threshold = 2**32 % n
+            a = sum(w * n & _MASK32 >= threshold for w in words[:r])
+            if a:
+                piece[:-a] = piece[a:]
+                _draw_ranks(g, rank, piece[-a:])
+        true = g
+    if true is not rng:
+        rng.bit_generator.state = true.bit_generator.state
+
+
 def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     """Standard deviation of B nonparametric-resample estimates.
 
@@ -410,6 +524,13 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     by sorting every resample for a larger grid or a small sample (see
     _RankRows).  sorted[rank] is monotone in the rank, so the estimates
     equal those from sorting the resampled values.
+
+    A block of at least _CONCURRENT_SIZE (2^18) indices runs on the
+    calling thread and one worker thread, started by the first such block
+    and kept for the call: its draws are split in pieces of the PCG64
+    stream (_split_draws), and its resamples in _SPLIT_TASKS groups of
+    rows that are ordered and estimated apart.  The results are
+    bit-identical to the serial ones.
     """
     values = np.asarray(s, dtype=float).ravel()
     srt = _sorted_one(values)[0]
@@ -421,13 +542,28 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
     rank[np.argsort(values, kind="stable")] = np.arange(n)
     est = np.empty(B)
+
+    def estimate(ranks, out):
+        out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
+
     step = max(1, _BOOT_BLOCK // n)
-    for start in range(0, B, step):
-        ranks = rank.take(rng.integers(0, n, size=(min(step, B - start), n)))
-        rows = _RankRows(srt, ranks)
-        est[start:start + len(ranks)] = measure._estimate(rows, 8, gradient=False)[0]
+    buffer, gens = None, []
+    with _Pair() as pair:
+        for start in range(0, B, step):
+            rows = min(step, B - start)
+            out = est[start:start + rows]
+            # integers(0, 1) reads no words, so a sample of one is not split
+            if rows * n < _CONCURRENT_SIZE or n < 2:
+                estimate(rank.take(rng.integers(0, n, size=(rows, n))), out)
+                continue
+            if buffer is None:
+                buffer = np.empty(step * n, dtype=rank.dtype)
+            _split_draws(pair, rng, rank, buffer[:rows * n], gens)
+            ranks = buffer[:rows * n].reshape(rows, n)
+            group = -(-rows // _SPLIT_TASKS)
+            _share(pair, (functools.partial(estimate, ranks[i:i + group], out[i:i + group])
+                          for i in range(0, rows, group)))
     ok = np.isfinite(est)
     if (B - int(ok.sum())) > 0.05 * B:
         raise ValueError("estimator failed on more than 5% of bootstrap resamples")
     return float(np.std(est[ok], ddof=1))
-

@@ -392,6 +392,19 @@ def test_qineq_takes_only_the_indices(capsys):
     assert "invalid choice: 'median'" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--u", "0.5"), ("--coef", "1"), ("--u2", "0.5"), ("--coef2", "1"),
+    ("--coef-row", "1"), ("--p", "0.1"),
+])
+def test_qineq_has_no_measure_building_flags(capsys, flag, value):
+    # --measure always names an index, so these flags could never succeed
+    code, out, err = run(capsys, ["qineq", BLADDER, flag, value])
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} {value}" in err
+    code, out, _ = run(capsys, ["qineq", "--help"])
+    assert code == 0 and f"{flag} " not in out
+
+
 def test_back_transformed_true_q_is_a_ratio(capsys):
     # under --back, --true-q is read on the reported (ratio) scale, and the
     # test is the log-scale test of its log

@@ -8,6 +8,7 @@ from scipy.special import ndtr, ndtri
 
 import quantest.verify as verify
 from quantest.inference import TestOptions, q_test_one
+from quantest.inference import _Pair as Pair
 from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
 from quantest.qdensity import QdMethod
 from quantest.quantiles import _quantiles_sorted
@@ -627,3 +628,221 @@ def test_rank_rows_single_value_rows():
     ranks = np.zeros((7, 1), dtype=np.int16)
     # the n = 1 path of _quantiles_sorted reads a slice, then column 0
     check_rank_rows(ranks, [(..., slice(0, 1)), (..., 0), (..., slice(0, 1))])
+
+
+# ---------------------------------------------------------------------------
+# bootstrap: a block split over two threads against the serial loop
+
+
+def serial_bootstrap(x, measure, B, seed):
+    """bootstrap_se as one serial loop: draw, rank, sort and estimate a block at a time."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    srt = np.sort(x)
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(x, kind="stable")] = np.arange(n)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    step = max(1, verify._BOOT_BLOCK // n)
+    est = []
+    for start in range(0, B, step):
+        rows = np.sort(rank.take(rng.integers(0, n, (min(step, B - start), n))), axis=-1)
+        est.append(measure._estimate(srt[rows], 8, gradient=False)[0])
+    est = np.concatenate(est)
+    ok = np.isfinite(est)
+    if B - int(ok.sum()) > 0.05 * B:
+        raise ValueError("estimator failed on more than 5% of bootstrap resamples")
+    return float(np.std(est[ok], ddof=1))
+
+
+def count_splits(monkeypatch):
+    """Count the blocks whose draws bootstrap_se splits over two threads."""
+    calls = []
+    split_draws = verify._split_draws
+
+    def spy(pair, rng, rank, flat, gens):
+        calls.append(flat.size)
+        return split_draws(pair, rng, rank, flat, gens)
+    monkeypatch.setattr(verify, "_split_draws", spy)
+    return calls
+
+
+# (n, measure, B, blocks split): blocks hold _BOOT_BLOCK // n rows, and
+# a split block's draws are cut in pieces of about _PIECE indices.  At
+# 10^4 and 40000 a word is rejected about once per 10^6 draws, so most
+# blocks have pieces that read words of the next piece's stream; at 3333
+# and 1001 almost none do.
+@pytest.mark.parametrize("n, measure, B, split", [
+    # 19 blocks of 104 rows, then 24 rows (240,000 indices, serial)
+    (10**4, resolve_measure("median"), 2000, 19),
+    # 4 blocks of 104 rows, then a split last block of 84
+    (10**4, resolve_measure("iqr"), 500, 5),
+    # 19 blocks of 26 rows, then a split last block of 16
+    (40000, resolve_measure("qr9010"), 510, 20),
+    # odd n, 314-row blocks and a split last block of 272
+    (3333, resolve_measure("rCViqr"), 900, 3),
+    # the sort path: 1047 rows (odd, so the row groups differ), then 953
+    (1001, InequalitySpec("QRI", 25), 2000, 2),
+    (10**4, InequalitySpec("G2", 100), 500, 5),
+])
+def test_split_bootstrap_is_the_serial_loop(monkeypatch, n, measure, B, split):
+    x = np.random.default_rng(n).lognormal(size=n)
+    calls = count_splits(monkeypatch)
+    got = bootstrap_se(x, measure, B=B, seed=7)
+    assert len(calls) == split
+    assert got == serial_bootstrap(x, measure, B, 7)
+
+
+def test_split_bootstrap_falls_back_to_the_serial_draw(monkeypatch):
+    # no LCG steps allowed: every piece after a rejected word is drawn
+    # again from where the pieces before it end
+    monkeypatch.setattr(verify, "_SPLIT_STEPS", 0)
+    x = np.random.default_rng(40000).lognormal(size=40000)
+    measure = resolve_measure("median")
+    assert bootstrap_se(x, measure, B=520, seed=1) == serial_bootstrap(x, measure, 520, 1)
+
+
+def test_split_bootstrap_raises_the_serial_error():
+    # nine tenths of the sample at one value: most resamples have a zero IQR,
+    # the denominator of Bowley's skew
+    rng = np.random.default_rng(8)
+    x = np.concatenate([np.full(9000, 2.0), rng.normal(2.0, 1.0, 1000)])
+    measure = resolve_measure("bowley")
+    with pytest.raises(ValueError, match="more than 5%") as serial:
+        serial_bootstrap(x, measure, 500, 2)
+    with pytest.raises(ValueError, match="more than 5%") as split:
+        bootstrap_se(x, measure, B=500, seed=2)
+    assert str(split.value) == str(serial.value)
+
+
+def first_piece_end(state, n, h):
+    """Whether the serial draw of h indices from state ends on a buffered word,
+    and the 32-bit words past the first h it reads: its rejections."""
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = state
+    rng.integers(0, n, h)
+    end = rng.bit_generator.state
+    rng.bit_generator.state = state
+    rng.bit_generator.advance((h - state["has_uint32"]) // 2)
+    steps = 0
+    while rng.bit_generator.state["state"] != end["state"]:
+        rng.bit_generator.advance(1)
+        steps += 1
+    return end["has_uint32"], 2 * steps - end["has_uint32"]
+
+
+@pytest.mark.parametrize("limit", [verify._SPLIT_STEPS, 8, 0])
+def test_split_draws_are_the_serial_draw(monkeypatch, limit):
+    # 2^32 mod n is 2^20: a word is rejected with probability 2^-12, so a
+    # first piece of about 2^17 words reads about 32 words of the next
+    # piece's stream, 16 LCG steps
+    monkeypatch.setattr(verify, "_SPLIT_STEPS", limit)
+    found = []
+    steps_between = verify._steps_between
+
+    def spy(start, end):
+        found.append(steps_between(start, end))
+        return found[-1]
+    monkeypatch.setattr(verify, "_steps_between", spy)
+    n = 3 * 2**19
+    rank = np.random.default_rng(1).permutation(n).astype(np.int32)
+    ends = set()
+    for seed in range(3):
+        for buffered in (0, 1):
+            for m in (2**18, 2**18 + 1):
+                rng = np.random.default_rng(seed)
+                if buffered:
+                    rng.integers(0, 2**32, dtype=np.uint32)
+                state = rng.bit_generator.state
+                assert state["has_uint32"] == buffered
+                serial = np.random.Generator(np.random.PCG64())
+                serial.bit_generator.state = state
+                want = rank.take(serial.integers(0, n, m))
+                h = m // 2 - m // 2 % 2 + buffered
+                end, r = first_piece_end(state, n, h)
+                ends.add((end, r))
+                flat = np.empty(m, dtype=np.int32)
+                found.clear()
+                with Pair() as pair:
+                    verify._split_draws(pair, rng, rank, flat, [])
+                assert np.array_equal(flat, want)
+                assert rng.bit_generator.state == serial.bit_generator.state
+                # two pieces; past the step limit the second is drawn again
+                assert found == [None if (r + end) // 2 > limit else (r + end) // 2]
+    # first pieces that end on a buffered word and on a whole one, all
+    # reading into the second piece's words
+    assert {end for end, _ in ends} == {0, 1}
+    assert min(r for _, r in ends) > 0
+
+
+def test_split_draws_in_many_pieces_are_the_serial_draw():
+    # one block of a sample above 2^20 values is one resample, cut into
+    # ten pieces; 2^32 mod n is about 0.8 n, so each piece of 2^17 words
+    # holds about 32 rejected ones and reads words of the next piece's stream
+    n = 2**20 + 2**18 + 1
+    rank = np.random.default_rng(2).permutation(n).astype(np.int32)
+    rng = np.random.default_rng(5)
+    rng.integers(0, 2**32, dtype=np.uint32)
+    serial = np.random.Generator(np.random.PCG64())
+    serial.bit_generator.state = rng.bit_generator.state
+    want = rank.take(serial.integers(0, n, n))
+    flat = np.empty(n, dtype=np.int32)
+    gens = []
+    with Pair() as pair:
+        verify._split_draws(pair, rng, rank, flat, gens)
+    assert len(gens) == n // verify._PIECE - 1
+    assert np.array_equal(flat, want)
+    assert rng.bit_generator.state == serial.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# bootstrap: against the exact bootstrap variance of an order statistic
+
+
+def exact_bootstrap_variance(x, k):
+    """The bootstrap variance of the k-th order statistic, with no Monte Carlo.
+
+    Maritz & Jarrett (1978): for distinct values, the k-th order statistic
+    of a resample is X_(j) with probability
+    w_j = P(Bin(n, j/n) >= k) - P(Bin(n, (j-1)/n) >= k), so
+    Var* = sum w_j X_(j)^2 - (sum w_j X_(j))^2, summed about the mean here.
+    The binomial terms are summed in log space.
+    """
+    xs = np.sort(np.asarray(x, dtype=float))
+    n = xs.size
+    i = np.arange(k, n + 1)
+    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(t + 1) - math.lgamma(n - t + 1)
+                           for t in i])
+    tail = [0.0]
+    for j in range(1, n):
+        p = j / n
+        tail.append(float(np.exp(log_choose + i * math.log(p) + (n - i) * math.log1p(-p)).sum()))
+    tail.append(1.0)
+    w = np.diff(tail)
+    mean = float(w @ xs)
+    return float(w @ (xs - mean) ** 2)
+
+
+def test_exact_bootstrap_variance_of_a_small_sample():
+    # n = 3, median: the resample median is X_(1) with probability 7/27,
+    # X_(2) with 13/27 and X_(3) with 7/27
+    x = np.array([1.0, 2.0, 4.0])
+    w = np.array([7.0, 13.0, 7.0]) / 27.0
+    mean = w @ x
+    assert exact_bootstrap_variance(x, 2) == pytest.approx(w @ (x - mean) ** 2, rel=1e-12)
+
+
+def test_bootstrap_se_averages_to_the_exact_bootstrap_se():
+    # n = 1001: the type-8 median is X_(501), and B = 2000 is two split
+    # blocks of 1047 and 953 rows
+    x = np.random.default_rng(2024).lognormal(size=1001)
+    exact = math.sqrt(exact_bootstrap_variance(x, 501))
+    ses = np.array([bootstrap_se(x, resolve_measure("median"), B=2000, seed=seed)
+                    for seed in range(20)])
+    # an SD of B = 2000 draws scatters by about sqrt(1/(2B)), 1.6%, per
+    # seed for normal draws; the median's lumpy resample distribution gives
+    # about 2% here.  The tolerance is four standard errors of the mean of
+    # the 20 seeds, from their own spread, and that spread must stay below
+    # 4% per seed
+    spread = float(np.std(ses, ddof=1))
+    assert spread < 0.04 * exact
+    assert abs(ses.mean() - exact) < 4.0 * spread / math.sqrt(len(ses))
