@@ -18,14 +18,17 @@ The two samples of q_test_two share no work until the final difference,
 so when they hold at least _CONCURRENT_SIZE (2^18) observations between
 them, the first is estimated on a thread of its own while the second is
 estimated on the calling thread; the sort and the large NumPy loops
-release the GIL.  Each sample's numbers do not depend on the thread,
-so the results are bit-identical to the serial ones.
+release the GIL.  A one-sample test of at least 2^18 observations keeps
+one worker thread for the call instead (quantiles._Pair), which takes
+half of the sort and half of the kernel's moment table.  A two-sample
+test hands its samples no pair, so no call keeps more than two threads
+busy.  Each sample's numbers do not depend on the thread, so the
+results are bit-identical to the serial ones.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .measures import InequalitySpec
 from .qdensity import QdMethod, _qhat_rows
-from .quantiles import _check_type, _sorted_one
+from .quantiles import _CONCURRENT_SIZE, _check_type, _Pair, _pair_for, _sorted_one
 
 __all__ = [
     "TestOptions",
@@ -46,11 +49,6 @@ __all__ = [
 ]
 
 _ALTERNATIVES = ("two_sided", "less", "greater")
-
-# two samples holding at least this many observations between them are
-# estimated concurrently: on a 2-vCPU host, two samples of 10^4 or 3*10^4
-# ran slower that way, two of 10^5 about broke even, two of 2*10^5 gained
-_CONCURRENT_SIZE = 2 ** 18
 
 RATIO_WARNING = ("estimate is a ratio; intervals and tests are usually better "
                  "behaved on the log scale (log_transf, with back_transf to "
@@ -186,12 +184,13 @@ def _bridge_form(p: np.ndarray, a, c, n: int):
             + np.add.reduce(q[1:] * (a[..., 1:] * inclusive_c[..., :-1]), axis=-1)) / n
 
 
-def _working_stats(xs, spec, opts: TestOptions):
+def _working_stats(xs, spec, opts: TestOptions, pair: _Pair | None = None):
     """Each sample's estimate and variance on the working scale.
 
     xs is a stack of sorted samples, one per row, unpadded: only the
     kernel's band gather (qdensity._band_sums) reads the zeros
     X_(0) = X_(n+1) = 0.  spec is a MeasureSpec or an InequalitySpec.
+    The kernel's moment tables are built on the threads of pair, if given.
     Returns (working_estimate, working_variance), with one element per
     sample, and floored, the probabilities of the first sample whose
     quantile density was floored.
@@ -209,7 +208,8 @@ def _working_stats(xs, spec, opts: TestOptions):
     if not np.all(np.isfinite(est)):
         raise ValueError("the estimate is not finite: the measure's value overflows")
     grid = spec._grid
-    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
+    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z,
+                                   pair)
     with np.errstate(over="ignore", invalid="ignore"):
         a = grad * qhat
         var = _bridge_form(grid, a, a, xs.shape[1])
@@ -287,9 +287,12 @@ def _finish(working_est, working_var, warnings, spec, opts: TestOptions,
                       data_name="x and y" if two_sample else "x")
 
 
-def _stats_one(x, spec, opts: TestOptions):
-    """_working_stats of one sample, as floats, with its warnings."""
-    est, var, floored = _working_stats(_sorted_one(x), spec, opts)
+def _stats_one(x, spec, opts: TestOptions, pair: _Pair | None = None):
+    """_working_stats of one sample, as floats, with its warnings.
+
+    With a pair, the sort and the moment table run on its two threads.
+    """
+    est, var, floored = _working_stats(_sorted_one(x, pair), spec, opts, pair)
     return float(est[0]), float(var[0]), _floored_warnings(floored)
 
 
@@ -299,63 +302,6 @@ def _size(x) -> int:
     Converting a list holds the GIL, so lists are not worth a thread.
     """
     return x.size if isinstance(x, np.ndarray) else 0
-
-
-class _Pair:
-    """The calling thread and one worker thread, for rounds of work.
-
-    run(there, here) runs there() on the worker and here() here, and
-    returns both results.  The worker is started by the first round and
-    kept for the next ones, and stopped when the pair is closed (it is a
-    context manager).  Only private functions and NumPy may run in there,
-    so the tracer's spans stay on the calling thread.  An error is raised
-    as the serial order, there then here, would raise it: there's first,
-    even when here failed too.
-    """
-
-    def __init__(self):
-        # two locks held as semaphores, released by the other thread: a
-        # task (None stops the worker) is in _task, its outcome in _outcome
-        self._task_ready = threading.Lock()
-        self._outcome_ready = threading.Lock()
-        self._task_ready.acquire()
-        self._outcome_ready.acquire()
-        self._worker = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._worker is not None:
-            self._task = None
-            self._task_ready.release()
-            self._worker.join()
-
-    def _serve(self):
-        while True:
-            self._task_ready.acquire()
-            if self._task is None:
-                return
-            try:
-                self._outcome = (self._task(), None)
-            except BaseException as exc:  # re-raised on the calling thread
-                self._outcome = (None, exc)
-            self._outcome_ready.release()
-
-    def run(self, there, here):
-        if self._worker is None:
-            self._worker = threading.Thread(target=self._serve)
-            self._worker.start()
-        self._task = there
-        self._task_ready.release()
-        try:
-            result = here()
-        finally:
-            self._outcome_ready.acquire()
-            value, error = self._outcome
-            if error is not None:
-                raise error from None
-        return value, result
 
 
 def _stats_two(x, y, spec, opts: TestOptions):
@@ -373,8 +319,14 @@ def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     its log under log_transf, and the measure again under back_transf.
     true_q None tests a measure of 0 (a ratio of 1 under back_transf), or
     an index of 0.5.
+
+    A sample of at least 2^18 observations is sorted, and its kernel's
+    moment table built, on this thread and one worker thread; the
+    results are bit-identical to one thread's.
     """
-    working_est, working_var, warnings = _stats_one(x, spec, opts)
+    x = np.asarray(x, dtype=float)
+    with _pair_for(x.size) as pair:
+        working_est, working_var, warnings = _stats_one(x, spec, opts, pair)
     return _finish(working_est, working_var, warnings, spec, opts, two_sample=False)
 
 

@@ -29,8 +29,9 @@ d the distance from x_p to the nearest order statistic.  Each term left
 out is below e^-50 times the largest one, so f_hat moves by less than
 n e^-50 relative (2e-16 at n = 10^6).  Samples shorter than
 _WINDOW_MIN = 2^15, and windows that would hold half the sample or more,
-sum the whole sample.  Both estimators take a stack of sorted samples,
-one per row.
+sum the whole sample; a window found to reach past the middle half of
+its sample from two order statistics is not searched for.  Both
+estimators take a stack of sorted samples, one per row.
 
 The direct estimator is evaluated at every probability of a grid at once.
 Summation by parts over the zero-padded sample X_(0) = X_(n+1) = 0 turns
@@ -53,7 +54,9 @@ gathered and summed at once, with no loop over the levels.  Every table
 entry adds nonnegative terms, so the result keeps float64 accuracy
 (about 2e-14 relative to the literal sum at n = 10^6), where global
 prefix sums of j D_j and j^2 D_j lose digits to cancellation.  The table
-holds O(n/32) numbers.
+holds O(n/32) numbers.  Its leaves are independent, so a one-sample call
+on at least 2^18 values, which keeps a worker thread (quantiles._Pair),
+fills half of them there; the bits are those of one thread.
 
 The window sums and the leaf moments are fixed-order NumPy reductions
 (einsum and subtraction), never BLAS calls: a BLAS dot product splits
@@ -235,7 +238,7 @@ _BAND_MAX = 2 ** 17
 _CHUNK = 4096
 
 
-def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray, pair=None) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
     xs is a stack of sorted samples (_sorted_rows), one per row, without
@@ -243,7 +246,8 @@ def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     estimates per row of xs.  b holds one bandwidth per probability,
     shared by every row, or one row of them per row of xs; every b lies
     in (0, 1).  Shared bandwidths give every row the same windows and
-    kernel weights.  The table path handles one row at a time.
+    kernel weights.  The table path handles one row at a time, and
+    builds each row's moment table on the threads of pair, if given.
     """
     n = xs.shape[1]
     c = n * p  # window centres and half-widths, in spacings
@@ -252,7 +256,7 @@ def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     width = int(2.0 * reach) + 2
     if p.size * width > _BAND_MAX:
         hs = np.broadcast_to(h, (xs.shape[0], p.size))
-        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(xs, hs)])
+        q = np.stack([_table_sums(x, c, hx, pair) for x, hx in zip(xs, hs)])
     else:
         lo = (c - reach).astype(np.intp)
         if width > n + 1:  # windows wider than the sample: take all of it
@@ -305,10 +309,11 @@ def _band_sums(xs, lo, c, h, width: int) -> np.ndarray:
     return np.einsum("...j,...j->...", dx, w)
 
 
-def _table_sums(xs, c, h) -> np.ndarray:
+def _table_sums(xs, c, h, pair=None) -> np.ndarray:
     """The Epanechnikov sums of _band_sums, with full blocks from the table.
 
-    xs is one sorted sample.  K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2)
+    xs is one sorted sample; its table is built on the threads of pair,
+    if given.  K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2)
     inside the window, so the full blocks of a window contribute
     0.75 (S0 - S2/h^2) with S0 the sum of D_j and S2 the sum of
     D_j (j - c)^2.  Blocks hold only spacings inside their window, where
@@ -342,7 +347,7 @@ def _table_sums(xs, c, h) -> np.ndarray:
     # stays at or past the right one at every higher level, so nothing
     # more is taken
     k0, k1 = int(kl[full].min()), int(kr[full].max())
-    table, start = _moment_table(xs, k0, k1)
+    table, start = _moment_table(xs, k0, k1, pair)
     level = np.arange(start.size)[:, None]
     left = -(-(kl - k0) >> level)
     right = (kr - k0) >> level
@@ -362,7 +367,7 @@ def _table_sums(xs, c, h) -> np.ndarray:
     return out + 0.75 * (sums[0] - sums[1] / (h * h))
 
 
-def _moment_table(xs, k0: int, k1: int):
+def _moment_table(xs, k0: int, k1: int, pair=None):
     """Spacing moments of dyadic runs of the blocks k0 .. k1-1, in one buffer.
 
     Returns the buffer and the row where each level starts in it.  Level
@@ -375,7 +380,9 @@ def _moment_table(xs, k0: int, k1: int):
     _band_sums knows.  A leaf's zeroth moment telescopes to
     X_(32k + 32) - X_(32k), one rounding; the other two are einsum
     reductions.  None is a BLAS call, so the bits do not depend on the
-    BLAS thread count.
+    BLAS thread count.  The leaves are filled in chunks of _CHUNK blocks,
+    each chunk on its own, so with a pair and more than one chunk each
+    thread fills half of them; the levels above are added on this thread.
     """
     sizes = [k1 - k0]
     while sizes[-1] > 1:
@@ -384,14 +391,28 @@ def _moment_table(xs, k0: int, k1: int):
     table = np.empty((start[-1], 3))
     t = np.arange(_BLOCK, dtype=float)
     t2 = t * t
-    for a in range(k0, k1, _CHUNK):
-        z = min(a + _CHUNK, k1)
-        run = xs[a * _BLOCK - 1:z * _BLOCK]
-        spacings = np.diff(run).reshape(-1, _BLOCK)
-        rows = table[a - k0:z - k0]
-        np.subtract(run[_BLOCK::_BLOCK], run[:-1:_BLOCK], out=rows[:, 0])
-        np.einsum("ij,j->i", spacings, t, out=rows[:, 1])
-        np.einsum("ij,j->i", spacings, t2, out=rows[:, 2])
+
+    def leaves(chunks, buffer):
+        for a in chunks:
+            z = min(a + _CHUNK, k1)
+            run = xs[a * _BLOCK - 1:z * _BLOCK]
+            spacings = np.subtract(run[1:], run[:-1],
+                                   out=buffer[:(z - a) * _BLOCK]).reshape(-1, _BLOCK)
+            rows = table[a - k0:z - k0]
+            np.subtract(run[_BLOCK::_BLOCK], run[:-1:_BLOCK], out=rows[:, 0])
+            np.einsum("ij,j->i", spacings, t, out=rows[:, 1])
+            np.einsum("ij,j->i", spacings, t2, out=rows[:, 2])
+
+    chunks = range(k0, k1, _CHUNK)
+    size = min(_CHUNK, k1 - k0) * _BLOCK
+    if pair is None or len(chunks) < 2:
+        leaves(chunks, np.empty(size))
+    else:
+        # the worker's spacings buffer too is made here
+        buffers = np.empty((2, size))
+        half = len(chunks) // 2
+        pair.run(lambda: leaves(chunks[:half], buffers[0]),
+                 lambda: leaves(chunks[half:], buffers[1]))
     levels = [table[a:z] for a, z in zip(start[:-1], start[1:])]
     half = _BLOCK
     for below, level in zip(levels, levels[1:]):
@@ -462,19 +483,33 @@ def _inversion_windows(rows, p, quantile_type: int, xp, h):
     window that would hold at least half its row, and every window of a
     row shorter than _WINDOW_MIN, is the whole row [0, n).  Each row's
     windows depend only on that row.
+
+    A window reaches at least 10 h either side of its quantile x.  So
+    where x -+ 10 h spans the m = ceil(n/2) order statistics about p's
+    place in the row, which their two ends show, the window holds half
+    the row and is the whole row.  A row where that holds at every p is
+    not searched, and when it holds in every row, nothing more is done.
     """
     n = rows.shape[1]
     lo = np.zeros(xp.shape, dtype=np.intp)
     hi = np.full(xp.shape, n, dtype=np.intp)
     if n < _WINDOW_MIN:
         return lo, hi
+    m = n - n // 2
+    s = np.clip((n * p).astype(np.intp) - m // 2, 0, n - m)
+    spread = 10.0 * h[:, None]
+    covered = np.all((rows[:, s] >= xp - spread) & (rows[:, s + m - 1] <= xp + spread), axis=1)
+    if covered.all():
+        return lo, hi
     k = _bracket(n, p, quantile_type)[0]
     below, above = rows[:, k - 1], rows[:, k]  # the order statistics around xp
-    reach = np.hypot(np.minimum(xp - below, above - xp), 10.0 * h[:, None])
+    reach = np.hypot(np.minimum(xp - below, above - xp), spread)
     # the ends never come inside the bracket, whatever the rounding of xp -+ reach
     left = np.minimum(xp - reach, below)
     right = np.maximum(xp + reach, above)
-    for row, a, b, lft, rgt in zip(rows, lo, hi, left, right):
+    for row, a, b, lft, rgt, skip in zip(rows, lo, hi, left, right, covered):
+        if skip:
+            continue
         a[:] = np.searchsorted(row, lft, "left")
         b[:] = np.searchsorted(row, rgt, "right")
     half = 2 * (hi - lo) >= n
@@ -515,11 +550,14 @@ def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
     return float(_inversion_grid(xs, p, quantile_type)[0, 0])
 
 
-def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np.ndarray):
+def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np.ndarray,
+               pair=None):
     """Floored quantile-density estimates of each sample of a stack.
 
     xs is a stack of sorted samples, one per row; grid is sorted and
-    unique, and z holds the standard normal quantiles at grid.  Returns
+    unique, and z holds the standard normal quantiles at grid.  The
+    kernel's moment tables are built on the threads of pair, if given.
+    Returns
     the estimates at grid (one row per sample), a mask of the floored
     estimates, the bandwidths at grid and the lognormal sigma and shift,
     each None where the method has none.
@@ -542,7 +580,7 @@ def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np
         one = grid.size == 1
         ps, zs = (grid[0], z[0]) if one else (grid, z)
         b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, zs), ps, xs.shape[1]))
-        qhat = _qdens_grid(xs, grid, b)
+        qhat = _qdens_grid(xs, grid, b, pair)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to

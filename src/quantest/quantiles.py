@@ -4,9 +4,21 @@ Implements the continuous interpolation family for quantile estimation
 (types 4 through 9 in the Hyndman and Fan (1996) numbering).  The default
 is type 8, whose plotting position (k - 1/3)/(n + 1/3) gives approximately
 median-unbiased estimates regardless of the underlying distribution.
+
+Every estimate starts from the sorted sample.  One call's work on at least
+_CONCURRENT_SIZE (2^18) values runs on the calling thread and one worker
+thread, a _Pair opened for the call; the worker a closed pair leaves is
+taken by the next.  A one-sample call hands its pair to the sort, which
+splits the sample about a pivot and sorts each side on its own thread
+(_split_sort), and to the kernel's moment table (qdensity._moment_table).
+The sort is np.sort's, bit for bit.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
+import threading
 
 import numpy as np
 
@@ -23,28 +35,202 @@ _PLOTTING_CONSTANTS = {
 }
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row of finite values sorted, a stack of samples.
+# work on at least this many values runs on two threads: on a 2-vCPU host,
+# two samples of 10^4 or 3*10^4 ran slower that way, two of 10^5 about
+# broke even, two of 2*10^5 gained; one sort of 2^17 values lost with a
+# worker thread started for it, one of 2^18 gained
+_CONCURRENT_SIZE = 2 ** 18
 
-    Non-finite values raise a ValueError rather than being dropped.  The
-    sort puts NaN and +inf last and -inf first, so the check reads only
-    the two end columns of the sorted stack.
+
+class _Worker:
+    """A thread that runs the tasks of a _Pair, one at a time."""
+
+    def __init__(self):
+        # two locks held as semaphores, released by the other thread: a
+        # task (None stops the worker) is in task, its outcome in outcome
+        self.task_ready = threading.Lock()
+        self.outcome_ready = threading.Lock()
+        self.task_ready.acquire()
+        self.outcome_ready.acquire()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while True:
+            self.task_ready.acquire()
+            if self.task is None:
+                return
+            try:
+                self.outcome = (self.task(), None)
+            except BaseException as exc:  # re-raised on the calling thread
+                self.outcome = (None, exc)
+            self.outcome_ready.release()
+
+    def stop(self):
+        self.task = None
+        self.task_ready.release()
+        self.thread.join()
+
+
+# the worker of a closed _Pair, kept for the next one: a thread costs 0.1 to
+# 0.5 ms to start, and one started while the last is still exiting gets a
+# malloc arena of its own, where a large sample's freed temporaries stay
+# resident beside those in the last worker's arena
+_idle: list = []
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_idle.clear)  # a forked child has no such thread
+
+
+class _Pair:
+    """The calling thread and one worker thread, for rounds of work.
+
+    run(there, here) runs there() on the worker and here() here, and
+    returns both results.  The first round takes the worker a closed pair
+    left, or starts one, and keeps it for the next rounds; closing the
+    pair (it is a context manager) leaves the worker for the next pair,
+    or stops it when another is already left or an error is raised.  Only
+    private functions and NumPy may run in there, so the tracer's spans
+    stay on the calling thread.  An error is raised as the serial order,
+    there then here, would raise it: there's first, even when here failed
+    too.
     """
-    xs = np.sort(rows, axis=-1)
+
+    def __init__(self):
+        self._worker = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if self._worker is None:
+            return
+        # after an error the worker may still be in a task an interrupt cut
+        # short, so it is stopped, not left
+        if _idle or exc_type is not None:
+            self._worker.stop()
+        else:
+            _idle.append(self._worker)
+
+    def run(self, there, here):
+        if self._worker is None:
+            try:
+                self._worker = _idle.pop()
+            except IndexError:
+                self._worker = _Worker()
+        worker = self._worker
+        worker.task = there
+        worker.task_ready.release()
+        try:
+            result = here()
+        finally:
+            worker.outcome_ready.acquire()
+            (value, error), worker.task, worker.outcome = worker.outcome, None, None
+            if error is not None:
+                raise error from None
+        return value, result
+
+
+def _pair_for(size: int):
+    """A _Pair for a call's work on size values, or, below _CONCURRENT_SIZE,
+    a context that gives None: the call then runs on this thread alone."""
+    return _Pair() if size >= _CONCURRENT_SIZE else contextlib.nullcontext()
+
+
+def _finite_ends(xs: np.ndarray) -> np.ndarray:
+    """xs, a stack of sorted rows, after a check that every value is finite.
+
+    The sort puts NaN and +inf last and -inf first, so the check reads
+    only the two end columns.
+    """
     if not np.all(np.isfinite(xs[:, [0, -1]])):
         raise ValueError("sample contains non-finite values")
     return xs
 
 
-def _sorted_one(x) -> np.ndarray:
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row of finite values sorted, a stack of samples.
+
+    Non-finite values raise a ValueError rather than being dropped.
+    """
+    return _finite_ends(np.sort(rows, axis=-1))
+
+
+def _sorted_one(x, pair: _Pair | None = None) -> np.ndarray:
     """A stack of one: array-like x sorted, validated.
 
-    Empty and non-finite data raise a ValueError.
+    With a pair, the sort runs on its two threads (_split_sort), bit for
+    bit as np.sort.  Empty and non-finite data raise a ValueError.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
-    return _sorted_rows(arr[None])
+    if pair is None:
+        return _sorted_rows(arr[None])
+    return _finite_ends(_split_sort(arr, pair)[None])
+
+
+def _split_sort(arr: np.ndarray, pair: _Pair) -> np.ndarray:
+    """np.sort(arr) for a 1-D array, in three rounds on the threads of pair.
+
+    The pivot v is the median of about 2^12 values spread evenly over
+    arr.  First, each thread copies its half of arr into the output,
+    counts the values below v and partitions the half at that count.
+    Then the high values of the left half and the low values of the right
+    half that lie on the wrong side of the total count are swapped, half
+    the blocks on each thread.  Last, each thread sorts one side.  The
+    sides hold the values below v and the rest, so the output is np.sort's
+    bit for bit unless it holds more than one zero.  Zeros of either sign
+    compare equal, and which signs np.sort leaves depends on its path (its
+    min and max steps may copy one zero over another), so arr is then
+    sorted again by np.sort.  NaN is never below v, so it still sorts last.
+
+    A subsample that repeats a value marks tied data, which np.sort orders
+    fast and a partition about a tied pivot slowly, so arr is then sorted
+    on this thread alone.  Every large temporary is made on this thread.
+    """
+    n = arr.size
+    sub = np.sort(arr[::max(1, n >> 12)])
+    if np.count_nonzero(sub[1:] == sub[:-1]):
+        return np.sort(arr)
+    v = sub[sub.size // 2]
+    out = np.empty(n)
+    # the comparisons with v, and then the swap's temporaries
+    work = np.empty(n // 8 + 2)
+    below = work.view(bool)[:n]
+    h = n // 2
+
+    def split(lo, hi):
+        part = out[lo:hi]
+        np.copyto(part, arr[lo:hi])
+        k = np.count_nonzero(np.less(part, v, out=below[lo:hi]))
+        if 0 < k < part.size:
+            part.partition(k)
+        return k
+
+    left, right = pair.run(lambda: split(0, h), lambda: split(h, n))
+    # the fewer of the left half's high values and the right half's low
+    # ones: swapping as many of each puts every value below v first
+    m = min(h - left, right)
+    if m:
+        a, b = out[left:left + m], out[h + right - m:h + right]
+        temp = work.size // 2
+        pair.run(lambda: _swap(a[:m // 2], b[:m // 2], work[:temp]),
+                 lambda: _swap(a[m // 2:], b[m // 2:], work[temp:]))
+    k = left + right
+    pair.run(out[:k].sort, out[k:].sort)
+    if np.searchsorted(out, 0.0, "right") - np.searchsorted(out, 0.0, "left") > 1:
+        return np.sort(arr)
+    return out
+
+
+def _swap(a, b, temp) -> None:
+    """Exchange the values of the equal-sized arrays a and b through temp."""
+    for i in range(0, a.size, temp.size):
+        t = temp[:min(temp.size, a.size - i)]
+        j = i + t.size
+        np.copyto(t, a[i:j])
+        np.copyto(a[i:j], b[i:j])
+        np.copyto(b[i:j], t)
 
 
 def _check_type(quantile_type: int) -> None:

@@ -48,10 +48,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._normal import ndtri
-from .inference import _CONCURRENT_SIZE, TestOptions, _interval, _Pair, _working_stats
+from .inference import TestOptions, _interval, _working_stats
 from .measures import InequalitySpec
 from .qdensity import _BAND_MAX, QdMethod
-from .quantiles import _sorted_one, _sorted_rows
+from .quantiles import _CONCURRENT_SIZE, _Pair, _sorted_one, _sorted_rows
 
 __all__ = [
     "Distribution",
@@ -526,29 +526,30 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     equal those from sorting the resampled values.
 
     A block of at least _CONCURRENT_SIZE (2^18) indices runs on the
-    calling thread and one worker thread, started by the first such block
-    and kept for the call: its draws are split in pieces of the PCG64
+    calling thread and one worker thread, taken by the call's first
+    two-thread round and kept for the call (quantiles._Pair): its draws are split in pieces of the PCG64
     stream (_split_draws), and its resamples in _SPLIT_TASKS groups of
-    rows that are ordered and estimated apart.  The results are
+    rows that are ordered and estimated apart.  A sample of at least 2^18
+    values is sorted on the same two threads.  The results are
     bit-identical to the serial ones.
     """
     values = np.asarray(s, dtype=float).ravel()
-    srt = _sorted_one(values)[0]
-    if B < 500:
-        raise ValueError("need at least 500 bootstrap resamples")
-    _check_spec(measure)
-    n = values.size
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
-    rank[np.argsort(values, kind="stable")] = np.arange(n)
-    est = np.empty(B)
-
-    def estimate(ranks, out):
-        out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
-
-    step = max(1, _BOOT_BLOCK // n)
-    buffer, gens = None, []
     with _Pair() as pair:
+        srt = _sorted_one(values, pair if values.size >= _CONCURRENT_SIZE else None)[0]
+        if B < 500:
+            raise ValueError("need at least 500 bootstrap resamples")
+        _check_spec(measure)
+        n = values.size
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
+        rank[np.argsort(values, kind="stable")] = np.arange(n)
+        est = np.empty(B)
+
+        def estimate(ranks, out):
+            out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
+
+        step = max(1, _BOOT_BLOCK // n)
+        buffer, gens = None, []
         for start in range(0, B, step):
             rows = min(step, B - start)
             out = est[start:start + rows]

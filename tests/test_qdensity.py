@@ -19,7 +19,7 @@ from quantest.qdensity import (
     qdens_kernel,
     qor_lognormal,
 )
-from quantest.quantiles import _quantiles_sorted, _sorted_rows
+from quantest.quantiles import _bracket, _quantiles_sorted, _sorted_rows
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -457,6 +457,55 @@ def test_inversion_window_covering_its_row_is_the_full_sum(n):
     assert np.all(lo == 0) and np.all(hi == n)
     np.testing.assert_array_equal(_inversion_grid(xs, ps, 8),
                                   inversion_temporaries(xs, ps, 8, windowed=False))
+
+
+def searched_windows(rows, ps, quantile_type=8):
+    """The windows of _inversion_windows with every row of n >= _WINDOW_MIN searched."""
+    n = rows.shape[1]
+    xp = _quantiles_sorted(rows, ps, quantile_type)
+    k = _bracket(n, ps, quantile_type)[0]
+    below, above = rows[:, k - 1], rows[:, k]
+    reach = np.hypot(np.minimum(xp - below, above - xp), 10.0 * bandwidths(rows)[:, None])
+    left, right = np.minimum(xp - reach, below), np.maximum(xp + reach, above)
+    lo = np.stack([np.searchsorted(row, v, "left") for row, v in zip(rows, left)])
+    hi = np.stack([np.searchsorted(row, v, "right") for row, v in zip(rows, right)])
+    half = 2 * (hi - lo) >= n
+    return np.where(half, 0, lo), np.where(half, n, hi)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The rows np.searchsorted searched, by their length."""
+    seen = []
+    searchsorted = np.searchsorted
+
+    def spy(a, v, side="left"):
+        seen.append(len(a))
+        return searchsorted(a, v, side)
+
+    monkeypatch.setattr(np, "searchsorted", spy)
+    return seen
+
+
+@pytest.mark.parametrize("quantile_type", [4, 8])
+@pytest.mark.parametrize("n", [_WINDOW_MIN, 10**5, 2**18 + 1])
+def test_inversion_windows_skip_only_searches_that_give_the_whole_row(n, quantile_type,
+                                                                      searches):
+    rng = np.random.default_rng(n + quantile_type)
+    rows = _sorted_rows(np.stack([rng.lognormal(0.0, 0.6, n), rng.lognormal(0.0, 2.0, n),
+                                  rng.normal(size=n), np.round(rng.normal(size=n), 1),
+                                  rng.uniform(size=n)]))
+    for ps in (np.array([0.5]), WINDOW_PS, np.array([0.02, 0.3, 0.98])):
+        want = searched_windows(rows, ps, quantile_type)
+        got = windows(rows, ps, quantile_type)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+    # the median's window on the lognormal(0, 0.6) row holds the middle
+    # half of it below n = 2^18, and the row is not searched; at 2^18 the
+    # window still holds half the row, but not the middle half
+    searches.clear()
+    assert windows(rows[:1], np.array([0.5]), quantile_type)[1] == n
+    assert (searches == []) == (n < 2**18)
 
 
 @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])

@@ -14,6 +14,7 @@ import pytest
 import quantest.qdensity as qd
 from quantest.qcov import qcov
 from quantest.qdensity import optimal_bandwidth, qor_lognormal
+from quantest.quantiles import _Pair
 
 RTOL = 1e-10
 FLOOR = 1e-12  # absolute floor, as a share of the data range
@@ -142,6 +143,21 @@ def test_a_table_over_several_chunks_matches_the_literal_sum(table_calls):
     assert_literal(grid(xs, ps, bs), xs, ps, bs)
     assert table_calls == [ps.size]
     assert n // qd._BLOCK > qd._CHUNK
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3, 5])
+def test_a_table_split_over_two_threads_is_the_serial_table(chunks):
+    # with a pair each thread fills half the leaf chunks, the last one
+    # partial; the levels above are added on the calling thread
+    k0 = 3
+    k1 = k0 + (chunks - 1) * qd._CHUNK + 101
+    xs = np.sort(np.random.default_rng(chunks).lognormal(size=(k1 + 2) * qd._BLOCK))
+    table, start = qd._moment_table(xs, k0, k1)
+    with _Pair() as pair:
+        split_table, split_start = qd._moment_table(xs, k0, k1, pair)
+        assert (pair._worker is not None) == (chunks > 1)
+    np.testing.assert_array_equal(split_start, start)
+    np.testing.assert_array_equal(split_table, table)
 
 
 def test_stacked_rows_with_their_own_fitted_bandwidths_match_the_literal_sum(table_calls):

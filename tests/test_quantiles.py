@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quantest.quantiles import (
+    _CONCURRENT_SIZE,
+    _Pair,
     _quantiles_sorted,
     _sorted_one,
     _sorted_rows,
+    _split_sort,
     sample_quantile,
     sample_quantiles,
 )
@@ -95,6 +98,86 @@ def test_one_bad_middle_row_of_a_stack_raises(bad):
     rows[31, 20] = bad
     with pytest.raises(ValueError, match="sample contains non-finite values"):
         _sorted_rows(rows)
+
+
+# ---------------------------------------------------------------------------
+# the sort of one large sample on two threads
+
+
+def split_input(kind: str, n: int) -> np.ndarray:
+    rng = np.random.default_rng(n)
+    x = rng.lognormal(0.0, 0.8, n)
+    if kind == "rounded to 0.1":
+        return np.round(x, 1)
+    if kind == "rounded to integers":
+        return np.round(x)
+    if kind == "sorted":
+        return np.sort(x)
+    if kind == "reversed":
+        return np.sort(x)[::-1]
+    if kind == "all equal":
+        return np.full(n, 2.5)
+    if kind == "signed zeros":
+        # zeros of either sign among values of either sign; at 2^18 values
+        # they are off the pivot's subsample, so the sample is split and
+        # then sorted again, since np.sort may copy one zero over another
+        x = rng.normal(size=n)
+        if n > 1001:
+            x[[5, 77, n // 2 + 3]] = [-0.0, 0.0, -0.0]
+        else:
+            x[::2] = np.copysign(0.0, x[::2])
+        return x
+    return x
+
+
+SPLIT_KINDS = ["continuous", "rounded to 0.1", "rounded to integers", "sorted", "reversed",
+               "all equal", "signed zeros"]
+# the subsample of tied data repeats a value, and np.sort sorts it on one thread
+TIED = {"rounded to 0.1", "rounded to integers", "all equal"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1001, _CONCURRENT_SIZE - 1, _CONCURRENT_SIZE,
+                               _CONCURRENT_SIZE + 1])
+@pytest.mark.parametrize("kind", SPLIT_KINDS)
+def test_split_sort_is_np_sort(kind, n):
+    x = split_input(kind, n)
+    before = x.copy()
+    with _Pair() as pair:
+        got = _split_sort(x, pair)
+        threaded = pair._worker is not None
+    want = np.sort(x)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    np.testing.assert_array_equal(x, before)  # the input is only read
+    if n >= _CONCURRENT_SIZE - 1:
+        assert threaded == (kind not in TIED)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 7, _CONCURRENT_SIZE // 2 + 9, -1])
+def test_a_non_finite_value_fails_the_split_sort_as_the_sort(bad, where):
+    x = np.random.default_rng(3).lognormal(size=_CONCURRENT_SIZE + 1)
+    x[where] = bad
+    with _Pair() as pair, pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x, pair)
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x)
+
+
+def test_a_sample_mostly_nan_fails_the_split_sort():
+    # the pivot is NaN: no value is below it, so one side holds them all
+    x = np.full(_CONCURRENT_SIZE, math.nan)
+    x[::3] = 1.0
+    with _Pair() as pair, pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x, pair)
+
+
+def test_sorted_one_with_a_pair_is_the_stack_of_one():
+    x = np.random.default_rng(4).lognormal(size=(512, 513))
+    with _Pair() as pair:
+        got = _sorted_one(x, pair)
+    np.testing.assert_array_equal(got, _sorted_one(x))
+    assert got.shape == (1, x.size)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """The package runs on NumPy alone and imports only what it needs.
 
 Importing it loads no SciPy module, and no concurrent.futures: a large
-two-sample test starts a bare thread of its own for one sample.
+call runs on one bare worker thread (quantiles._Pair), which takes one
+sample of a two-sample test, or half the sort and moment table of a
+one-sample call, and is left for the next large call.
 """
 
 import os

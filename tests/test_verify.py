@@ -8,9 +8,9 @@ from scipy.special import ndtr, ndtri
 
 import quantest.verify as verify
 from quantest.inference import TestOptions, q_test_one
-from quantest.inference import _Pair as Pair
 from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
 from quantest.qdensity import QdMethod
+from quantest.quantiles import _Pair as Pair
 from quantest.quantiles import _quantiles_sorted
 from quantest.verify import (
     Distribution,
