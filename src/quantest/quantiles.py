@@ -77,8 +77,19 @@ class _Worker:
 # malloc arena of its own, where a large sample's freed temporaries stay
 # resident beside those in the last worker's arena
 _idle: list = []
+_idle_lock = threading.Lock()
+
+
+def _forget_workers():
+    """Drop the parent's idle workers in a forked child: it has none of
+    the parent's threads, and no thread of its own holds the lock."""
+    global _idle_lock
+    _idle.clear()
+    _idle_lock = threading.Lock()
+
+
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_idle.clear)  # a forked child has no such thread
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 class _Pair:
@@ -106,10 +117,12 @@ class _Pair:
             return
         # after an error the worker may still be in a task an interrupt cut
         # short, so it is stopped, not left
-        if _idle or exc_type is not None:
+        with _idle_lock:
+            keep = exc_type is None and not _idle
+            if keep:
+                _idle.append(self._worker)
+        if not keep:
             self._worker.stop()
-        else:
-            _idle.append(self._worker)
 
     def run(self, there, here):
         if self._worker is None:

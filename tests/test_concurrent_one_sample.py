@@ -9,6 +9,7 @@ gate out of reach, on the calling thread alone.
 
 import dataclasses
 import math
+import sys
 import threading
 
 import numpy as np
@@ -204,3 +205,29 @@ def test_an_error_in_a_large_one_sample_test_is_the_serial_error(started):
     with pytest.raises(ZeroDivisionError), quantiles._Pair() as pair:
         pair.run(lambda: 1 / 0, lambda: None)
     assert quantiles._idle == [] and not pair._worker.thread.is_alive()
+
+
+def test_callers_on_many_threads_each_get_their_serial_result(monkeypatch):
+    # more callers than cores, switching often, taking and leaving workers:
+    # each gets its own serial result
+    calls = [lambda: qineq_test(X), lambda: q_test_one(Y, resolve_measure("iqr")),
+             lambda: qineq_test(X, spec=InequalitySpec(kind="G2", J=40))] * 2
+    want = [dataclasses.astuple(serial(monkeypatch, call)) for call in calls]
+    got = [None] * len(calls)
+
+    def run(i):
+        got[i] = dataclasses.astuple(calls[i]())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+    assert len(quantiles._idle) <= 1
