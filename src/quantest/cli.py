@@ -1,8 +1,9 @@
 """Command-line front end: a thin shell over the library calls.
 
 --format json prints every field of the result dataclass, in field order.
-Each call builds the arguments of only the command it runs; the other
-commands are registered by name and help alone.
+A command line is parsed by the parser of the command it names alone;
+the parser of every command (build_parser) reads only a line that names
+none or leaves arguments over, and prints what argparse prints for it.
 
 Subcommands:
   qtest   one- or two-sample test of a quantile measure
@@ -72,12 +73,12 @@ def load_column(path: str, selector: str | None = None):
     Two readers give the same values, bit for bit, and the same skip
     count.  NumPy's C reader, np.loadtxt, takes a file whose first line
     has no quote and whose other lines hold only the bytes of
-    _C_READER_BYTES, some of them content; this is decided from the bytes
-    before any parsing.  Its column stands if it read one value per line
-    or, in a file with no quote, if every line it dropped is empty, which
-    the loop counts as skipped.  Every other file, and every file the C
-    reader rejects, goes through the csv row loop (_read_rows), the
-    reference: float() of each row's cell.
+    _C_READER_BYTES, some of them content, and NA, which it reads as nan;
+    this is decided from the bytes before any parsing.  Its column stands
+    if it read one value per line or, in a file with no quote, if every
+    line it dropped is empty, which the loop counts as skipped.  Every
+    other file, and every file the C reader rejects, goes through the csv
+    row loop (_read_rows), the reference: float() of each row's cell.
     """
     try:
         with open(path, "rb") as fh:
@@ -131,12 +132,21 @@ def _read_clean(raw: bytes, idx: int):
             # a quoted line end would carry the header past its first line
             or b'"' in head
             # empty lines alone are no data to np.loadtxt, which warns
-            or not _LINE_CONTENT.search(raw, start)
-            or len(raw.translate(None, _C_READER_BYTES))
-            != len(head.translate(None, _C_READER_BYTES))):
+            or not _LINE_CONTENT.search(raw, start)):
         return None
-    body = io.BytesIO(raw)  # shares raw's buffer
-    body.seek(start)
+    other = (len(raw.translate(None, _C_READER_BYTES))
+             - len(head.translate(None, _C_READER_BYTES)))
+    if not other:
+        body = io.BytesIO(raw)  # shares raw's buffer
+        body.seek(start)
+    else:
+        # R's write.csv writes NA for a missing value.  As nan, a cell that
+        # holds NA reads as NaN or not at all, and float() never reads it:
+        # a NaN is skipped as the row loop skips the cell
+        text = raw[start:].replace(b"NA", b"nan")
+        if 2 * (len(text) - len(raw) + start) != other:  # a byte outside every NA
+            return None
+        body = io.BytesIO(text)
     try:
         values = np.loadtxt(body, delimiter=",", quotechar='"', usecols=idx,
                             comments=None, ndmin=1, encoding="latin-1")
@@ -295,11 +305,25 @@ def _add_data_flags(sp, two_sample: bool):
                     help="column name or 0-based index (default: first column)")
 
 
-def _add_var_flags(sp):
+# --var-method's names of the three quantile-density methods
+_VAR_METHODS = {
+    "qor": QdMethod(),
+    "qor-fit": QdMethod(sigma=None),
+    "density": QdMethod(kind="density"),
+}
+
+
+def _add_type_flag(sp):
     sp.add_argument("--type", type=int, default=8, choices=range(4, 10),
                     metavar="{4..9}", help="quantile interpolation type (default 8)")
-    sp.add_argument("--var-method", choices=["qor", "density"], default="qor",
-                    help="quantile-density estimator behind the variances")
+
+
+def _add_var_method(sp):
+    sp.add_argument("--var-method", choices=list(_VAR_METHODS), default="qor",
+                    help="quantile-density estimator behind the variances: the "
+                         "kernel with the lognormal QOR bandwidth at sigma 1 (qor) "
+                         "or at sigma fitted from the data (qor-fit), or KDE "
+                         "inversion (density); default qor")
 
 
 def _add_verify_flags(sp):
@@ -352,7 +376,8 @@ def _qtest_flags(sp, indices=False):
                     help="report log-scale results back on the original scale")
     sp.add_argument("--min-q", type=float, default=-math.inf,
                     help="lower bound to clamp the reported interval at")
-    _add_var_flags(sp)
+    _add_type_flag(sp)
+    _add_var_method(sp)
     _add_format(sp)
 
 
@@ -360,7 +385,8 @@ def _qcov_flags(sp):
     _add_data_flags(sp, two_sample=False)
     sp.add_argument("--u", required=True,
                     help="probabilities of the quantiles, comma separated")
-    _add_var_flags(sp)
+    _add_type_flag(sp)
+    _add_var_method(sp)
     _add_format(sp)
 
 
@@ -376,6 +402,7 @@ def _coverage_flags(sp):
     sp.add_argument("--log-ratio", action="store_true",
                     help="build intervals for ratio measures on the log scale "
                          "with back-transformation")
+    _add_var_method(sp)
     _add_verify_flags(sp)
 
 
@@ -442,7 +469,7 @@ def _cmd_qtest(args) -> int:
     opts = _config_error(TestOptions, alternative=args.alternative.replace("-", "_"),
                          conf_level=args.level, true_q=args.true_q, log_transf=args.log,
                          back_transf=args.back, min_q=args.min_q, quantile_type=args.type,
-                         var_method=QdMethod(kind=args.var_method))
+                         var_method=_VAR_METHODS[args.var_method])
     x = _load(args.x, args.column)
     if args.y is None:
         result = q_test_one(x, spec, opts)
@@ -458,7 +485,7 @@ def _cmd_qcov(args) -> int:
     if not all(0.0 < p < 1.0 for p in us):  # NaN fails too
         raise UsageError("probabilities must lie strictly inside (0, 1)")
     x = _load(args.x, args.column)
-    c = qcov(x, us, method=QdMethod(kind=args.var_method), quantile_type=args.type)
+    c = qcov(x, us, method=_VAR_METHODS[args.var_method], quantile_type=args.type)
     print(render(c, args.format))
     return 0
 
@@ -479,7 +506,7 @@ def _cmd_verify_coverage(args) -> int:
     dist = _config_error(Distribution, args.dist, params)
     cfg = _config_error(SimConfig, distribution=dist, n=args.n, reps=args.reps,
                         measure=measure, level=args.level, seed=args.seed,
-                        log_ratio=args.log_ratio)
+                        log_ratio=args.log_ratio, var_method=_VAR_METHODS[args.var_method])
     coverage, avg_width, mc_se = coverage_sim(cfg)
     _print_tsv_and_json(
         {"coverage": coverage, "avg_width": avg_width, "mc_se": mc_se},
@@ -487,7 +514,7 @@ def _cmd_verify_coverage(args) -> int:
          "params": list(dist.params), "n": args.n, "reps": args.reps,
          "measure": args.measure, "J": getattr(measure, "J", None),
          "level": args.level, "seed": args.seed, "log_ratio": args.log_ratio,
-         "rng": RNG_DESCRIPTION}, args.format)
+         "var_method": args.var_method, "rng": RNG_DESCRIPTION}, args.format)
     return 0
 
 
@@ -526,51 +553,69 @@ _COMMANDS = (
 )
 
 
-def _add_commands(parser, dest, commands, argv):
-    """Register every command of the table on parser, by name and help.
-
-    Only the command argv[0] names gets its arguments, or every command
-    when argv[0] names none; the others get not even -h.  No parser above
-    a command takes an option but -h, so a command named by argv[0] is
-    the one argparse chooses, and argparse reads a command's arguments
-    only once it is chosen: the output is that of the whole parser.
-    """
-    chosen = argv[0] if argv and argv[0] in [c[0] for c in commands] else None
+def _add_commands(parser, dest, commands):
+    """Register every command of the table on parser, with its arguments."""
     sub = parser.add_subparsers(dest=dest, required=True)
     for name, help_text, add_arguments, run in commands:
-        if chosen not in (None, name):
-            sub.add_parser(name, help=help_text, add_help=False)
-            continue
         sp = sub.add_parser(name, help=help_text)
         if add_arguments is None:
-            _add_commands(sp, f"{name}_command", run, argv[1:] if chosen else [])
+            _add_commands(sp, f"{name}_command", run)
         else:
             sp.set_defaults(run=run)
             add_arguments(sp)
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The quantest parser, with the arguments of only the command argv names.
+def build_parser() -> argparse.ArgumentParser:
+    """The quantest parser, with every command and its arguments.
 
-    Every command is registered by name and help, so the top-level help,
-    usage line and invalid-choice errors do not depend on argv; the
-    arguments of a command (and of a verify subcommand) are built only
-    when argv names it, or for every command when argv is None or names
-    none.
+    main parses a command line with the parser of the command it names
+    alone (_parse_args); this parser reads only the lines that name no
+    command or leave arguments over, and prints their help and errors.
     """
     parser = argparse.ArgumentParser(
         prog="quantest",
         description="Estimation, hypothesis tests and confidence intervals "
                     "for quantile-based measures.")
-    _add_commands(parser, "command", _COMMANDS, list(argv or ()))
+    _add_commands(parser, "command", _COMMANDS)
     return parser
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """build_parser().parse_args(argv), from the parser of the command argv names.
+
+    The words at the start of argv are walked through _COMMANDS.  When
+    they name a command, its parser alone reads the rest of argv with
+    parse_known_args, the call argparse makes on the subparser it
+    chooses; no parser above a command takes an option but -h, so the
+    namespace, help and errors are those of the full parser.  A line that
+    names no command, or that leaves arguments over (which the full
+    parser reports under its own usage), is read by build_parser().
+    """
+    commands, dest = _COMMANDS, "command"
+    namespace = argparse.Namespace()
+    for i, word in enumerate(argv):
+        row = next((c for c in commands if c[0] == word), None)
+        if row is None:
+            break
+        name, _, add_arguments, run = row
+        setattr(namespace, dest, name)
+        if add_arguments is None:
+            commands, dest = run, f"{name}_command"
+            continue
+        parser = argparse.ArgumentParser(prog=" ".join(["quantest", *argv[:i + 1]]))
+        parser.set_defaults(run=run)
+        add_arguments(parser)
+        args, extras = parser.parse_known_args(argv[i + 1:], namespace)
+        if not extras:
+            return args
+        break
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:

@@ -542,7 +542,8 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
         n = values.size
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
-        rank[np.argsort(values, kind="stable")] = np.arange(n)
+        # tied values have equal sorted[rank] whatever their order
+        rank[np.argsort(values)] = np.arange(n)
         est = np.empty(B)
 
         def estimate(ranks, out):

@@ -22,6 +22,7 @@ from quantest.inference import TestOptions, q_test_one, q_test_two, qineq_test
 from quantest.measures import InequalitySpec, resolve_measure
 from quantest.qcov import qcov
 from quantest.qdensity import QdMethod
+from quantest.verify import Distribution, SimConfig, coverage_sim
 from conftest import data_path
 
 BLADDER = str(data_path("bladder_remission.csv"))
@@ -177,7 +178,7 @@ def test_clean_file_skips_the_row_loop(tmp_path, monkeypatch):
     assert (values.size, skipped) == (100, 0)
 
 
-@pytest.mark.parametrize("cell", ["NA", "text", "1_000", "\u0661\u0662\u0663", "nan"])
+@pytest.mark.parametrize("cell", ["text", "1_000", "\u0661\u0662\u0663", "nan", "NAN"])
 def test_dirty_file_skips_the_c_reader(tmp_path, monkeypatch, cell):
     # a cell the C reader cannot take is found in the bytes, before any parse
     monkeypatch.setattr(np, "loadtxt", mock.Mock(side_effect=AssertionError("C reader")))
@@ -188,8 +189,23 @@ def test_dirty_file_skips_the_c_reader(tmp_path, monkeypatch, cell):
     assert (values.size, skipped) == ((1001, 0) if kept else (1000, 1))
 
 
-_CELLS = ["NA", "text", "1_000", "\u0661\u0662\u0663", "1e999", "nan", "-inf", "-0.0",
-          " 2.5 ", "", " ", "4\n", "5\r6"]  # the last two split a line unless quoted
+def test_na_cells_take_the_c_reader(tmp_path, monkeypatch):
+    # R's write.csv writes NA for a missing value: the C reader reads it as
+    # nan and it is skipped, as the row loop skips it; NA in the header or
+    # in a column not read counts for nothing
+    monkeypatch.setattr(cli, "_read_rows", mock.Mock(side_effect=AssertionError("row loop")))
+    f = tmp_path / "na.csv"
+    f.write_text("NA,v\n" + "1.5,NA\n" * 1000 + "NA,2.5\n")
+    values, skipped, _ = load_column(str(f), "v")
+    assert (values.tolist(), skipped) == ([2.5], 1000)
+    f.write_bytes(b'v,w\r\n1.5,NA\r\n"NA",2\r\n NA ,3\r\n-0.0,4')
+    values, skipped, _ = load_column(str(f))
+    assert (values.tobytes(), skipped) == (np.array([1.5, -0.0]).tobytes(), 2)
+
+
+# the last two cells split a line unless quoted
+_CELLS = ["NA", "-NA", "NANA", "1NA", "text", "1_000", "\u0661\u0662\u0663", "1e999", "nan",
+          "-inf", "-0.0", " 2.5 ", "", " ", "4\n", "5\r6"]
 _number = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
                     st.integers(-10**20, 10**20).map(str))
 # mostly numbers, so that many files reach the C reader's count check
@@ -333,6 +349,39 @@ def test_json_prints_every_field_of_the_result(capsys, bladder, norm100, argv, c
     want = call(bladder, norm100)
     assert list(got) == [f.name for f in dataclasses.fields(want)]
     np.testing.assert_equal(got, dataclasses.asdict(want))
+
+
+_VAR_METHODS = [("qor", QdMethod()), ("qor-fit", QdMethod(sigma=None)),
+                ("density", QdMethod(kind="density"))]
+
+
+@pytest.mark.parametrize("name, method", _VAR_METHODS, ids=[m for m, _ in _VAR_METHODS])
+@pytest.mark.parametrize("argv, call", [
+    (["qtest", BLADDER, NORM100, "--measure", "iqr"],
+     lambda x, y, m: q_test_two(x, y, resolve_measure("iqr"), TestOptions(var_method=m))),
+    (["qineq", BLADDER, "--J", "25"],
+     lambda x, y, m: qineq_test(x, spec=InequalitySpec("QRI", 25),
+                                opts=TestOptions(var_method=m))),
+    (["qcov", BLADDER, "--u", "0.1,0.5,0.9"],
+     lambda x, y, m: qcov(x, [0.1, 0.5, 0.9], method=m)),
+], ids=["qtest", "qineq", "qcov"])
+def test_var_method_names_each_method(capsys, bladder, norm100, argv, call, name, method):
+    code, out, _ = run(capsys, argv + ["--var-method", name, "--format", "json"])
+    assert code == 0
+    np.testing.assert_equal(json.loads(out), dataclasses.asdict(call(bladder, norm100, method)))
+
+
+@pytest.mark.parametrize("name, method", _VAR_METHODS, ids=[m for m, _ in _VAR_METHODS])
+def test_verify_coverage_var_method_names_each_method(capsys, name, method):
+    code, out, _ = run(capsys, ["verify", "coverage", "--dist", "lognormal", "--n", "50",
+                                "--reps", "100", "--measure", "iqr", "--var-method", name,
+                                "--format", "json"])
+    assert code == 0
+    got = json.loads(out)
+    cfg = SimConfig(distribution=Distribution("lognormal"), n=50, reps=100,
+                    measure=resolve_measure("iqr"), var_method=method)
+    assert got["var_method"] == name
+    assert [got["coverage"], got["avg_width"], got["mc_se"]] == list(coverage_sim(cfg))
 
 
 def test_render_function_json_mode(bladder):
@@ -727,11 +776,21 @@ def test_computation_errors_exit_1(tmp_path, capsys):
     ["qcov", NORM100, "--u=0.1,0.5,0.9", "--format", "json"],
     ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100"],
     ["verify", "bootstrap", BLADDER, "--B", "500"],
+    # at the edge between the command's parser and the full parser
+    ["qtest", BLADDER, "--meas", "median"],
+    ["qtest", BLADDER, "--measure", "median", "--format", "xml"],
+    ["qtest", BLADDER, "--measure", "median", "--level", "abc"],
+    ["verify", "coverage", "--n", "50", "--reps", "100"],
+    ["qtest", "a", "b", "c"],
+    ["qtest", "--measure", "median", "--", BLADDER],
+    ["qtest", "--", BLADDER, "--measure", "median"],
+    ["qtest", BLADDER, "--measure", "median", "-h"],
+    ["verify", "nosuch"],
+    ["verify", "--help", "coverage"],
 ])
 def test_command_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, argv):
     got = run(capsys, argv)
-    full = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert got == run(capsys, argv)
 
 
@@ -744,12 +803,28 @@ def _dests(parser):
     return [a.dest for a in parser._actions]
 
 
-def test_build_parser_adds_only_the_named_commands_arguments():
-    full = _commands(cli.build_parser())
-    named = _commands(cli.build_parser(["qtest", BLADDER, "--measure", "median"]))
-    assert list(named) == list(full) == ["qtest", "qineq", "qcov", "verify"]
-    assert _dests(named["qtest"]) == _dests(full["qtest"])
-    assert _dests(named["qineq"]) == _dests(named["qcov"]) == _dests(named["verify"]) == []
-    verify = _commands(_commands(cli.build_parser(["verify", "bootstrap", BLADDER]))["verify"])
-    assert _dests(verify["bootstrap"]) == _dests(_commands(full["verify"])["bootstrap"])
-    assert _dests(verify["coverage"]) == []
+@pytest.mark.parametrize("argv", [
+    ["qtest", BLADDER, "--measure", "median"],
+    ["qtest", BLADDER, BLADDER, "--meas", "rCViqr", "--log", "--back", "--format", "json"],
+    ["qineq", BLADDER, "--measure", "G2", "--J", "25"],
+    ["qcov", NORM100, "--u=0.1,0.5,0.9", "--var-method", "qor-fit"],
+    ["verify", "coverage", "--dist", "normal", "--n", "50", "--reps", "100"],
+    ["verify", "bootstrap", BLADDER, "--B", "500"],
+])
+def test_a_valid_command_line_never_builds_the_full_parser(monkeypatch, argv):
+    want = cli.build_parser().parse_args(argv)
+    monkeypatch.setattr(cli, "build_parser", mock.Mock(side_effect=AssertionError("full parser")))
+    assert cli._parse_args(argv) == want
+
+
+def test_build_parser_holds_every_commands_arguments():
+    commands = _commands(cli.build_parser())
+    for parsers, table in [(commands, cli._COMMANDS),
+                           (_commands(commands["verify"]), cli._VERIFY_COMMANDS)]:
+        assert list(parsers) == [name for name, *_ in table]
+        for name, _, add_arguments, _ in table:
+            if add_arguments is not None:
+                want = argparse.ArgumentParser()
+                add_arguments(want)
+                assert _dests(parsers[name]) == _dests(want), name
+    assert "measure" in _dests(commands["qtest"])

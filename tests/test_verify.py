@@ -714,6 +714,23 @@ def test_split_bootstrap_raises_the_serial_error():
     assert str(split.value) == str(serial.value)
 
 
+@pytest.mark.parametrize("name", ["median", "iqr"])
+@pytest.mark.parametrize("label", ["rounded", "signed zeros", "int32 ranks"])
+def test_bootstrap_ranks_ties_as_a_stable_argsort_would(label, name):
+    # bootstrap_se ranks with the default argsort, which orders tied values
+    # its own way; tied values have equal sorted[rank], so the SE is that of
+    # serial_bootstrap's ranks, from a stable argsort
+    rng = np.random.default_rng(12)
+    if label == "signed zeros":
+        x = rng.permutation(np.concatenate([np.full(400, 0.0), np.full(300, -0.0),
+                                            rng.normal(size=2300)]))
+    else:
+        x = np.round(rng.lognormal(size=3000 if label == "rounded" else 40000), 1)
+    assert not np.array_equal(np.argsort(x), np.argsort(x, kind="stable"))
+    measure = resolve_measure(name)
+    assert bootstrap_se(x, measure, B=500, seed=4) == serial_bootstrap(x, measure, 500, 4)
+
+
 def first_piece_end(state, n, h):
     """Whether the serial draw of h indices from state ends on a buffered word,
     and the 32-bit words past the first h it reads: its rejections."""
