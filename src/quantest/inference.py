@@ -15,15 +15,15 @@ which generally yields better-calibrated intervals for ratio measures.
 Tests are Wald tests against a normal reference distribution.
 
 The two samples of q_test_two share no work until the final difference,
-so when they hold at least _CONCURRENT_SIZE (2^18) observations between
-them, the first is estimated on a thread of its own while the second is
-estimated on the calling thread; the sort and the large NumPy loops
-release the GIL.  A one-sample test of at least 2^18 observations keeps
-one worker thread for the call instead (quantiles._Pair), which takes
-half of the sort and half of the kernel's moment table.  A two-sample
-test hands its samples no pair, so no call keeps more than two threads
-busy.  Each sample's numbers do not depend on the thread, so the
-results are bit-identical to the serial ones.
+so when they hold at least 2^18 observations between them and the call
+gets the process's worker thread (quantiles._pair_for), the first is
+estimated there while the second is estimated on the calling thread; the
+sort and the large NumPy loops release the GIL.  Each sample's sort and
+moment table then run on its one thread.  A one-sample test gives the
+worker half of its sort and moment table instead.  On one CPU, or while
+another caller holds the worker, a call runs on its thread alone.  Each
+sample's numbers do not depend on the thread, so the results are
+bit-identical to the serial ones.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 from ._normal import ndtr, ndtri
 from .measures import InequalitySpec
 from .qdensity import QdMethod, _qhat_rows
-from .quantiles import _CONCURRENT_SIZE, _check_type, _Pair, _pair_for, _sorted_one
+from .quantiles import _check_type, _pair_for, _sorted_one
 
 __all__ = [
     "TestOptions",
@@ -184,13 +184,12 @@ def _bridge_form(p: np.ndarray, a, c, n: int):
             + np.add.reduce(q[1:] * (a[..., 1:] * inclusive_c[..., :-1]), axis=-1)) / n
 
 
-def _working_stats(xs, spec, opts: TestOptions, pair: _Pair | None = None):
+def _working_stats(xs, spec, opts: TestOptions):
     """Each sample's estimate and variance on the working scale.
 
     xs is a stack of sorted samples, one per row, unpadded: only the
     kernel's band gather (qdensity._band_sums) reads the zeros
     X_(0) = X_(n+1) = 0.  spec is a MeasureSpec or an InequalitySpec.
-    The kernel's moment tables are built on the threads of pair, if given.
     Returns (working_estimate, working_variance), with one element per
     sample, and floored, the probabilities of the first sample whose
     quantile density was floored.
@@ -208,8 +207,7 @@ def _working_stats(xs, spec, opts: TestOptions, pair: _Pair | None = None):
     if not np.all(np.isfinite(est)):
         raise ValueError("the estimate is not finite: the measure's value overflows")
     grid = spec._grid
-    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z,
-                                   pair)
+    qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
     with np.errstate(over="ignore", invalid="ignore"):
         a = grad * qhat
         var = _bridge_form(grid, a, a, xs.shape[1])
@@ -287,28 +285,17 @@ def _finish(working_est, working_var, warnings, spec, opts: TestOptions,
                       data_name="x and y" if two_sample else "x")
 
 
-def _stats_one(x, spec, opts: TestOptions, pair: _Pair | None = None):
-    """_working_stats of one sample, as floats, with its warnings.
-
-    With a pair, the sort and the moment table run on its two threads.
-    """
-    est, var, floored = _working_stats(_sorted_one(x, pair), spec, opts, pair)
+def _stats_one(x, spec, opts: TestOptions):
+    """_working_stats of one sample, as floats, with its warnings."""
+    est, var, floored = _working_stats(_sorted_one(x), spec, opts)
     return float(est[0]), float(var[0]), _floored_warnings(floored)
 
 
-def _size(x) -> int:
-    """The observations in an array; 0 for other data.
-
-    Converting a list holds the GIL, so lists are not worth a thread.
-    """
-    return x.size if isinstance(x, np.ndarray) else 0
-
-
 def _stats_two(x, y, spec, opts: TestOptions):
-    """_stats_one of x and of y, x on a thread of its own when they are large."""
-    if _size(x) + _size(y) < _CONCURRENT_SIZE:
-        return _stats_one(x, spec, opts), _stats_one(y, spec, opts)
-    with _Pair() as pair:
+    """_stats_one of the arrays x and y, x on the worker thread with the pair."""
+    with _pair_for(x.size + y.size) as pair:
+        if pair is None:
+            return _stats_one(x, spec, opts), _stats_one(y, spec, opts)
         return pair.run(lambda: _stats_one(x, spec, opts), lambda: _stats_one(y, spec, opts))
 
 
@@ -320,13 +307,11 @@ def q_test_one(x, spec, opts: TestOptions = TestOptions()) -> TestResult:
     true_q None tests a measure of 0 (a ratio of 1 under back_transf), or
     an index of 0.5.
 
-    A sample of at least 2^18 observations is sorted, and its kernel's
-    moment table built, on this thread and one worker thread; the
-    results are bit-identical to one thread's.
+    A sample of at least 2^18 observations may be sorted, and its
+    kernel's moment table built, on this thread and the worker thread;
+    the results are bit-identical to one thread's.
     """
-    x = np.asarray(x, dtype=float)
-    with _pair_for(x.size) as pair:
-        working_est, working_var, warnings = _stats_one(x, spec, opts, pair)
+    working_est, working_var, warnings = _stats_one(x, spec, opts)
     return _finish(working_est, working_var, warnings, spec, opts, two_sample=False)
 
 
@@ -339,10 +324,11 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     (see TestOptions), and None tests equal measures: a difference of 0,
     or a ratio of 1 under back_transf.
 
-    When x and y hold at least 2^18 observations between them, x is
-    estimated on a thread of its own while y is estimated here; the
-    results are bit-identical to estimating one after the other.
+    When x and y hold at least 2^18 observations between them, x may be
+    estimated on the worker thread while y is estimated here; the results
+    are bit-identical to estimating one after the other.
     """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
     return _finish(wx - wy, vx + vy, warnings, spec, opts, two_sample=True)

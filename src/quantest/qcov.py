@@ -15,7 +15,7 @@ import numpy as np
 
 from ._normal import ndtri
 from .qdensity import QdMethod, _qhat_rows
-from .quantiles import _check_type, _pair_for, _sorted_one
+from .quantiles import _check_type, _sorted_one
 
 __all__ = ["QuantileCov", "qcov"]
 
@@ -56,24 +56,21 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     Duplicate probabilities are computed once and mirrored into the
     output, which preserves the caller's ordering.  Entry (i, j) with
     p_i <= p_j is p_i (1 - p_j) q_hat(p_i) q_hat(p_j) / n.  A sample of
-    at least 2^18 observations is sorted, and its kernel's moment table
-    built, on this thread and one worker thread, with the same bits.
+    at least 2^18 observations may be sorted, and its kernel's moment
+    table built, on this thread and the worker thread, with the same bits.
     """
-    x = np.asarray(x, dtype=float)
-    with _pair_for(x.size) as pair:
-        xs = _sorted_one(x, pair)
-        n = xs.shape[1]
-        _check_type(quantile_type)
-        ps = np.atleast_1d(np.asarray(us, dtype=float))
-        if ps.size == 0:
-            raise ValueError("need at least one probability")
-        # NaN fails the check too
-        if not np.all((ps > 0.0) & (ps < 1.0)):
-            raise ValueError("probabilities must lie strictly inside (0, 1)")
+    xs = _sorted_one(x)
+    n = xs.shape[1]
+    _check_type(quantile_type)
+    ps = np.atleast_1d(np.asarray(us, dtype=float))
+    if ps.size == 0:
+        raise ValueError("need at least one probability")
+    # NaN fails the check too
+    if not np.all((ps > 0.0) & (ps < 1.0)):
+        raise ValueError("probabilities must lie strictly inside (0, 1)")
 
-        uniq, inverse = np.unique(ps, return_inverse=True)
-        qhat, floored, b, sigma, shift = _qhat_rows(xs, uniq, method, quantile_type,
-                                                    ndtri(uniq), pair)
+    uniq, inverse = np.unique(ps, return_inverse=True)
+    qhat, floored, b, sigma, shift = _qhat_rows(xs, uniq, method, quantile_type, ndtri(uniq))
     if shift is not None:
         sigma, shift = float(sigma[0]), float(shift[0])
     # m[i, j] = min(p_i, p_j) (1 - max(p_i, p_j)) / n, in the caller's order

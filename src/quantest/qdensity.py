@@ -54,9 +54,10 @@ gathered and summed at once, with no loop over the levels.  Every table
 entry adds nonnegative terms, so the result keeps float64 accuracy
 (about 2e-14 relative to the literal sum at n = 10^6), where global
 prefix sums of j D_j and j^2 D_j lose digits to cancellation.  The table
-holds O(n/32) numbers.  Its leaves are independent, so a one-sample call
-on at least 2^18 values, which keeps a worker thread (quantiles._Pair),
-fills half of them there; the bits are those of one thread.
+holds O(n/32) numbers.  Its leaves are independent, so a table over at
+least 2^18 values that gets the process's worker (quantiles._pair_for)
+fills half of them there; on one CPU, inside a two-sample test or while
+another caller holds the worker it is built here alone, to the same bits.
 
 The window sums and the leaf moments are fixed-order NumPy reductions
 (einsum and subtraction), never BLAS calls: a BLAS dot product splits
@@ -80,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._normal import ndtri
-from .quantiles import _bracket, _check_type, _quantiles_sorted, _sorted_one
+from .quantiles import _bracket, _check_type, _pair_for, _quantiles_sorted, _sorted_one
 
 __all__ = [
     "QdMethod",
@@ -238,7 +239,7 @@ _BAND_MAX = 2 ** 17
 _CHUNK = 4096
 
 
-def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray, pair=None) -> np.ndarray:
+def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Direct kernel estimates of q at the probabilities p with bandwidths b.
 
     xs is a stack of sorted samples (_sorted_rows), one per row, without
@@ -246,8 +247,7 @@ def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray, pair=None) -> np.n
     estimates per row of xs.  b holds one bandwidth per probability,
     shared by every row, or one row of them per row of xs; every b lies
     in (0, 1).  Shared bandwidths give every row the same windows and
-    kernel weights.  The table path handles one row at a time, and
-    builds each row's moment table on the threads of pair, if given.
+    kernel weights.  The table path handles one row at a time.
     """
     n = xs.shape[1]
     c = n * p  # window centres and half-widths, in spacings
@@ -256,7 +256,7 @@ def _qdens_grid(xs: np.ndarray, p: np.ndarray, b: np.ndarray, pair=None) -> np.n
     width = int(2.0 * reach) + 2
     if p.size * width > _BAND_MAX:
         hs = np.broadcast_to(h, (xs.shape[0], p.size))
-        q = np.stack([_table_sums(x, c, hx, pair) for x, hx in zip(xs, hs)])
+        q = np.stack([_table_sums(x, c, hx) for x, hx in zip(xs, hs)])
     else:
         lo = (c - reach).astype(np.intp)
         if width > n + 1:  # windows wider than the sample: take all of it
@@ -309,11 +309,10 @@ def _band_sums(xs, lo, c, h, width: int) -> np.ndarray:
     return np.einsum("...j,...j->...", dx, w)
 
 
-def _table_sums(xs, c, h, pair=None) -> np.ndarray:
+def _table_sums(xs, c, h) -> np.ndarray:
     """The Epanechnikov sums of _band_sums, with full blocks from the table.
 
-    xs is one sorted sample; its table is built on the threads of pair,
-    if given.  K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2)
+    xs is one sorted sample.  K((j - c)/h) = 0.75 (1 - (j - c)^2/h^2)
     inside the window, so the full blocks of a window contribute
     0.75 (S0 - S2/h^2) with S0 the sum of D_j and S2 the sum of
     D_j (j - c)^2.  Blocks hold only spacings inside their window, where
@@ -347,7 +346,7 @@ def _table_sums(xs, c, h, pair=None) -> np.ndarray:
     # stays at or past the right one at every higher level, so nothing
     # more is taken
     k0, k1 = int(kl[full].min()), int(kr[full].max())
-    table, start = _moment_table(xs, k0, k1, pair)
+    table, start = _moment_table(xs, k0, k1)
     level = np.arange(start.size)[:, None]
     left = -(-(kl - k0) >> level)
     right = (kr - k0) >> level
@@ -367,7 +366,7 @@ def _table_sums(xs, c, h, pair=None) -> np.ndarray:
     return out + 0.75 * (sums[0] - sums[1] / (h * h))
 
 
-def _moment_table(xs, k0: int, k1: int, pair=None):
+def _moment_table(xs, k0: int, k1: int):
     """Spacing moments of dyadic runs of the blocks k0 .. k1-1, in one buffer.
 
     Returns the buffer and the row where each level starts in it.  Level
@@ -381,8 +380,9 @@ def _moment_table(xs, k0: int, k1: int, pair=None):
     X_(32k + 32) - X_(32k), one rounding; the other two are einsum
     reductions.  None is a BLAS call, so the bits do not depend on the
     BLAS thread count.  The leaves are filled in chunks of _CHUNK blocks,
-    each chunk on its own, so with a pair and more than one chunk each
-    thread fills half of them; the levels above are added on this thread.
+    each chunk on its own, so with more than one chunk and the pair for
+    xs.size values each thread fills half of them; the levels above are
+    added on this thread.
     """
     sizes = [k1 - k0]
     while sizes[-1] > 1:
@@ -405,14 +405,15 @@ def _moment_table(xs, k0: int, k1: int, pair=None):
 
     chunks = range(k0, k1, _CHUNK)
     size = min(_CHUNK, k1 - k0) * _BLOCK
-    if pair is None or len(chunks) < 2:
-        leaves(chunks, np.empty(size))
-    else:
-        # the worker's spacings buffer too is made here
-        buffers = np.empty((2, size))
-        half = len(chunks) // 2
-        pair.run(lambda: leaves(chunks[:half], buffers[0]),
-                 lambda: leaves(chunks[half:], buffers[1]))
+    with _pair_for(xs.size if len(chunks) > 1 else 0) as pair:
+        if pair is None:
+            leaves(chunks, np.empty(size))
+        else:
+            # the worker's spacings buffer too is made here
+            buffers = np.empty((2, size))
+            half = len(chunks) // 2
+            pair.run(lambda: leaves(chunks[:half], buffers[0]),
+                     lambda: leaves(chunks[half:], buffers[1]))
     levels = [table[a:z] for a, z in zip(start[:-1], start[1:])]
     half = _BLOCK
     for below, level in zip(levels, levels[1:]):
@@ -550,14 +551,11 @@ def qdens_inversion(s, p: float, quantile_type: int = 8) -> float:
     return float(_inversion_grid(xs, p, quantile_type)[0, 0])
 
 
-def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np.ndarray,
-               pair=None):
+def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np.ndarray):
     """Floored quantile-density estimates of each sample of a stack.
 
     xs is a stack of sorted samples, one per row; grid is sorted and
-    unique, and z holds the standard normal quantiles at grid.  The
-    kernel's moment tables are built on the threads of pair, if given.
-    Returns
+    unique, and z holds the standard normal quantiles at grid.  Returns
     the estimates at grid (one row per sample), a mask of the floored
     estimates, the bandwidths at grid and the lognormal sigma and shift,
     each None where the method has none.
@@ -580,7 +578,7 @@ def _qhat_rows(xs, grid: np.ndarray, method: QdMethod, quantile_type: int, z: np
         one = grid.size == 1
         ps, zs = (grid[0], z[0]) if one else (grid, z)
         b = np.atleast_1d(_bandwidths(_qor_lognormal(row_sigma, zs), ps, xs.shape[1]))
-        qhat = _qdens_grid(xs, grid, b, pair)
+        qhat = _qdens_grid(xs, grid, b)
 
     # a genuine quantile density is on the order of the data range; this
     # threshold only catches estimates that are zero or negative up to

@@ -5,13 +5,12 @@ Implements the continuous interpolation family for quantile estimation
 is type 8, whose plotting position (k - 1/3)/(n + 1/3) gives approximately
 median-unbiased estimates regardless of the underlying distribution.
 
-Every estimate starts from the sorted sample.  One call's work on at least
-_CONCURRENT_SIZE (2^18) values runs on the calling thread and one worker
-thread, a _Pair opened for the call; the worker a closed pair leaves is
-taken by the next.  A one-sample call hands its pair to the sort, which
-splits the sample about a pivot and sorts each side on its own thread
-(_split_sort), and to the kernel's moment table (qdensity._moment_table).
-The sort is np.sort's, bit for bit.
+Every estimate starts from the sorted sample.  Each kernel that can split
+work on at least _CONCURRENT_SIZE (2^18) values asks _pair_for for the
+calling thread and the process's one worker thread, and runs alone when
+it gets none.  So a process keeps one worker at most, however many
+callers it has.  The sort splits the sample about a pivot and sorts each
+side on its own thread (_split_sort), bit for bit as np.sort.
 """
 
 from __future__ import annotations
@@ -42,111 +41,121 @@ _PLOTTING_CONSTANTS = {
 _CONCURRENT_SIZE = 2 ** 18
 
 
-class _Worker:
-    """A thread that runs the tasks of a _Pair, one at a time."""
-
-    def __init__(self):
-        # two locks held as semaphores, released by the other thread: a
-        # task (None stops the worker) is in task, its outcome in outcome
-        self.task_ready = threading.Lock()
-        self.outcome_ready = threading.Lock()
-        self.task_ready.acquire()
-        self.outcome_ready.acquire()
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        while True:
-            self.task_ready.acquire()
-            if self.task is None:
-                return
-            try:
-                self.outcome = (self.task(), None)
-            except BaseException as exc:  # re-raised on the calling thread
-                self.outcome = (None, exc)
-            self.outcome_ready.release()
-
-    def stop(self):
-        self.task = None
-        self.task_ready.release()
-        self.thread.join()
-
-
-# the worker of a closed _Pair, kept for the next one: a thread costs 0.1 to
-# 0.5 ms to start, and one started while the last is still exiting gets a
-# malloc arena of its own, where a large sample's freed temporaries stay
-# resident beside those in the last worker's arena
-_idle: list = []
-_idle_lock = threading.Lock()
-
-
-def _forget_workers():
-    """Drop the parent's idle workers in a forked child: it has none of
-    the parent's threads, and no thread of its own holds the lock."""
-    global _idle_lock
-    _idle.clear()
-    _idle_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_workers)
-
-
 class _Pair:
     """The calling thread and one worker thread, for rounds of work.
 
-    run(there, here) runs there() on the worker and here() here, and
-    returns both results.  The first round takes the worker a closed pair
-    left, or starts one, and keeps it for the next rounds; closing the
-    pair (it is a context manager) leaves the worker for the next pair,
-    or stops it when another is already left or an error is raised.  Only
-    private functions and NumPy may run in there, so the tracer's spans
-    stay on the calling thread.  An error is raised as the serial order,
-    there then here, would raise it: there's first, even when here failed
-    too.
+    run(there, here) runs there() on the worker, started by the first
+    round and kept for the next, and here() here, and returns both
+    results.  Only private functions and NumPy may run in there, so the
+    tracer's spans stay on the calling thread.  An error is raised as the
+    serial order, there then here, would raise it: there's first, even
+    when here failed too.
     """
 
     def __init__(self):
         self._worker = None
+        # two locks held as semaphores, released by the other thread: a
+        # task (None stops the worker) is in _task, its outcome in _outcome
+        self._task_ready = threading.Lock()
+        self._outcome_ready = threading.Lock()
+        self._task_ready.acquire()
+        self._outcome_ready.acquire()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._worker is None:
-            return
-        # after an error the worker may still be in a task an interrupt cut
-        # short, so it is stopped, not left
-        with _idle_lock:
-            keep = exc_type is None and not _idle
-            if keep:
-                _idle.append(self._worker)
-        if not keep:
-            self._worker.stop()
+    def _serve(self):
+        while True:
+            self._task_ready.acquire()
+            if self._task is None:
+                return
+            try:
+                self._outcome = (self._task(), None)
+            except BaseException as exc:  # re-raised on the calling thread
+                self._outcome = (None, exc)
+            self._outcome_ready.release()
 
     def run(self, there, here):
         if self._worker is None:
-            try:
-                self._worker = _idle.pop()
-            except IndexError:
-                self._worker = _Worker()
-        worker = self._worker
-        worker.task = there
-        worker.task_ready.release()
+            self._worker = threading.Thread(target=self._serve, daemon=True)
+            self._worker.start()
+        self._task = there
+        self._task_ready.release()
         try:
             result = here()
         finally:
-            worker.outcome_ready.acquire()
-            (value, error), worker.task, worker.outcome = worker.outcome, None, None
+            self._outcome_ready.acquire()
+            (value, error), self._task, self._outcome = self._outcome, None, None
             if error is not None:
                 raise error from None
         return value, result
 
+    def stop(self):
+        """End the worker, after the task it may be in."""
+        if self._worker is not None:
+            self._task = None
+            self._task_ready.release()
+            self._worker.join()
+
+
+# the process's pair, and the lock its user holds: one worker, kept, since a
+# thread costs 0.1 to 0.5 ms to start, and one started while the last is
+# still exiting gets a malloc arena of its own, where a large sample's freed
+# temporaries stay resident beside those in the last worker's arena
+_pair = _Pair()
+_pair_lock = threading.Lock()
+
+
+def _forget_pair():
+    """A new pair and lock in a forked child: it has none of the parent's
+    threads, and no thread of its own holds the lock."""
+    global _pair, _pair_lock
+    _pair, _pair_lock = _Pair(), threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pair)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_NO_PAIR = contextlib.nullcontext()
+
 
 def _pair_for(size: int):
-    """A _Pair for a call's work on size values, or, below _CONCURRENT_SIZE,
-    a context that gives None: the call then runs on this thread alone."""
-    return _Pair() if size >= _CONCURRENT_SIZE else contextlib.nullcontext()
+    """A context that gives the process's pair for work on size values, or None.
+
+    None below _CONCURRENT_SIZE, when the process may use one CPU, or when
+    the pair is held, by another caller or by this one further up: the
+    work then runs on this thread alone.  So a task on the worker never
+    gets the pair.
+    """
+    if size < _CONCURRENT_SIZE or _cpu_count() < 2:
+        # shared: a generator's context added 2-3% to a q_test_one of 10^4
+        return _NO_PAIR
+    return _held_pair()
+
+
+@contextlib.contextmanager
+def _held_pair():
+    """The pair, held for the context, or None if it is held already."""
+    global _pair
+    lock = _pair_lock
+    if not lock.acquire(blocking=False):
+        yield None
+        return
+    try:
+        yield _pair
+    except BaseException:
+        # an interrupt may have cut a round short, with the worker still in
+        # its task: it is stopped, and the next round starts another
+        _pair.stop()
+        _pair = _Pair()
+        raise
+    finally:
+        lock.release()
 
 
 def _finite_ends(xs: np.ndarray) -> np.ndarray:
@@ -168,18 +177,20 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return _finite_ends(np.sort(rows, axis=-1))
 
 
-def _sorted_one(x, pair: _Pair | None = None) -> np.ndarray:
+def _sorted_one(x) -> np.ndarray:
     """A stack of one: array-like x sorted, validated.
 
-    With a pair, the sort runs on its two threads (_split_sort), bit for
-    bit as np.sort.  Empty and non-finite data raise a ValueError.
+    With the pair, the sort runs on two threads (_split_sort), bit for bit
+    as np.sort.  Empty and non-finite data raise a ValueError.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if arr.size == 0:
         raise ValueError("empty sample")
-    if pair is None:
-        return _sorted_rows(arr[None])
-    return _finite_ends(_split_sort(arr, pair)[None])
+    with _pair_for(arr.size) as pair:
+        if pair is None:
+            return _sorted_rows(arr[None])
+        xs = _split_sort(arr, pair)
+    return _finite_ends(xs[None])
 
 
 def _split_sort(arr: np.ndarray, pair: _Pair) -> np.ndarray:

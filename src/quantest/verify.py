@@ -17,23 +17,24 @@ as a replicate-by-replicate loop would, but sets the streams up a chunk
 of replicates at a time: it computes the PCG64 states that
 default_rng(SeedSequence(seed).spawn(reps)[i]) would start from, for
 every i of the chunk at once, and sets each in turn into one generator.
-It draws each replicate into a row of one buffer, sorts each chunk once
-and computes every replicate's interval with the same estimator core that
-q_test_one and qineq_test run on a stack of one sample; no covariance
-matrix is built.  bootstrap_se draws its resamples in blocks of about
-2^20 indices and holds each resample as integer ranks into the sample's
-sort.  It orders the ranks only as far as
-the estimator reads them: a small grid's order statistics are selected
-into their sorted place by partitions, a large grid sorts every resample.
-It gathers only those order statistics and keeps only the B estimates.
-A block of at least 2^18 indices is drawn, ranked and ordered on two
-threads, each taking the next piece of work when it is free: the draws
-are cut into pieces of the stream, each drawn by its own generator moved
-on by PCG64.advance, with the few words where neighbouring pieces
-overlap set right afterwards; then groups of the block's resamples are
-ordered and estimated apart.  The results are bit-identical to the
-serial ones.  Memory in both is bounded by the chunk or block, not by
-reps or B.
+It draws each replicate into a row of one buffer, sorts each chunk once,
+in place, and computes every replicate's interval with the same estimator
+core that q_test_one and qineq_test run on a stack of one sample; no
+covariance matrix is built.  bootstrap_se draws its resamples in blocks
+of about 2^20 indices and holds each resample as integer ranks into the
+sample's sort.  It orders the ranks only as far as the estimator reads
+them: a small grid's order statistics are selected into their sorted
+place by partitions, a large grid sorts every resample.  It gathers only
+those order statistics and keeps only the B estimates.  A block of at
+least 2^18 indices that gets the process's worker thread
+(quantiles._pair_for; not on one CPU, nor while another caller holds it)
+is drawn, ranked and ordered on both threads, each taking the next piece
+of work when it is free: the draws are cut into pieces of the stream,
+each drawn by its own generator moved on by PCG64.advance, with the few
+words where neighbouring pieces overlap set right afterwards; then groups
+of the block's resamples are ordered and estimated apart.  The results
+are bit-identical to the serial ones.  Memory in both is bounded by the
+chunk or block, not by reps or B.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from ._normal import ndtri
 from .inference import TestOptions, _interval, _working_stats
 from .measures import InequalitySpec
 from .qdensity import _BAND_MAX, QdMethod
-from .quantiles import _CONCURRENT_SIZE, _Pair, _sorted_one, _sorted_rows
+from .quantiles import _finite_ends, _pair_for, _Pair, _sorted_one
 
 __all__ = [
     "Distribution",
@@ -244,14 +245,16 @@ def _check_spec(measure) -> None:
 def _replicate_intervals(cfg: SimConfig):
     """The study's interval function.
 
-    The function takes a stack of samples, one per row, and returns the
+    The function takes a stack of samples, one per row, sorts each row in
+    place (the study's chunk buffer, so no copy is made), and returns the
     lower and upper bounds of the interval that q_test_one builds for each.
     """
     opts = TestOptions(conf_level=cfg.level, log_transf=cfg.log_ratio,
                        back_transf=cfg.log_ratio, var_method=cfg.var_method)
 
     def intervals(values):
-        est, var, _ = _working_stats(_sorted_rows(values), cfg.measure, opts)
+        values.sort(axis=-1)
+        est, var, _ = _working_stats(_finite_ends(values), cfg.measure, opts)
         return _interval(est, var, opts)[2:]
     return intervals
 
@@ -525,37 +528,37 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     _RankRows).  sorted[rank] is monotone in the rank, so the estimates
     equal those from sorting the resampled values.
 
-    A block of at least _CONCURRENT_SIZE (2^18) indices runs on the
-    calling thread and one worker thread, taken by the call's first
-    two-thread round and kept for the call (quantiles._Pair): its draws are split in pieces of the PCG64
-    stream (_split_draws), and its resamples in _SPLIT_TASKS groups of
-    rows that are ordered and estimated apart.  A sample of at least 2^18
-    values is sorted on the same two threads.  The results are
-    bit-identical to the serial ones.
+    A block of at least 2^18 indices that gets the process's pair
+    (quantiles._pair_for) runs on the calling thread and the worker
+    thread: its draws are split in pieces of the PCG64 stream
+    (_split_draws), and its resamples in _SPLIT_TASKS groups of rows that
+    are ordered and estimated apart.  A sample of at least 2^18 values may
+    be sorted on the same two threads.  The results are bit-identical to
+    the serial ones.
     """
     values = np.asarray(s, dtype=float).ravel()
-    with _Pair() as pair:
-        srt = _sorted_one(values, pair if values.size >= _CONCURRENT_SIZE else None)[0]
-        if B < 500:
-            raise ValueError("need at least 500 bootstrap resamples")
-        _check_spec(measure)
-        n = values.size
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
-        # tied values have equal sorted[rank] whatever their order
-        rank[np.argsort(values)] = np.arange(n)
-        est = np.empty(B)
+    srt = _sorted_one(values)[0]
+    if B < 500:
+        raise ValueError("need at least 500 bootstrap resamples")
+    _check_spec(measure)
+    n = values.size
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
+    # tied values have equal sorted[rank] whatever their order
+    rank[np.argsort(values)] = np.arange(n)
+    est = np.empty(B)
 
-        def estimate(ranks, out):
-            out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
+    def estimate(ranks, out):
+        out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
 
-        step = max(1, _BOOT_BLOCK // n)
-        buffer, gens = None, []
-        for start in range(0, B, step):
-            rows = min(step, B - start)
-            out = est[start:start + rows]
-            # integers(0, 1) reads no words, so a sample of one is not split
-            if rows * n < _CONCURRENT_SIZE or n < 2:
+    step = max(1, _BOOT_BLOCK // n)
+    buffer, gens = None, []
+    for start in range(0, B, step):
+        rows = min(step, B - start)
+        out = est[start:start + rows]
+        # integers(0, 1) reads no words, so a sample of one is not split
+        with _pair_for(rows * n if n > 1 else 0) as pair:
+            if pair is None:
                 estimate(rank.take(rng.integers(0, n, size=(rows, n))), out)
                 continue
             if buffer is None:

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import pytest
 
+import quantest.quantiles as quantiles
+
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
 # Optional two-city house-price fixtures.  The public dataset behind them
@@ -33,3 +35,18 @@ def require_house_fixtures():
     x = np.loadtxt(HOUSE_X, skiprows=1)
     y = np.loadtxt(HOUSE_Y, skiprows=1)
     return x, y
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for quantiles._pair_for, however many the process may use,
+    so the split paths run, and are checked, on one CPU too."""
+    monkeypatch.setattr(quantiles, "_cpu_count", lambda: 2)
+
+
+@pytest.fixture
+def pair():
+    """A pair of threads of its own, whose worker is stopped after the test."""
+    pair = quantiles._Pair()
+    yield pair
+    pair.stop()

@@ -1,12 +1,15 @@
 """One-sample calls at and above the concurrency gate.
 
 A one-sample test, qcov or bootstrap_se on at least
-quantiles._CONCURRENT_SIZE observations keeps one worker thread for the
-call, which takes half of the sort and half of the kernel's moment
-table.  Every result must equal, bit for bit, the one computed with the
-gate out of reach, on the calling thread alone.
+quantiles._CONCURRENT_SIZE observations asks for the process's pair of
+threads (quantiles._pair_for); with it, the worker thread takes half of
+the sort and half of the kernel's moment table.  Every result must
+equal, bit for bit, the one computed with the gate out of reach, on the
+calling thread alone.  The CPU count is patched to two, so the split
+paths run, and are checked, on a process pinned to one CPU too.
 """
 
+import contextlib
 import dataclasses
 import math
 import sys
@@ -15,10 +18,8 @@ import threading
 import numpy as np
 import pytest
 
-import quantest.inference as inference
 import quantest.qdensity as qdensity
 import quantest.quantiles as quantiles
-import quantest.verify as verify
 from quantest.inference import TestOptions, q_test_one, q_test_two, qineq_test
 from quantest.measures import InequalitySpec, resolve_measure
 from quantest.qcov import qcov
@@ -31,32 +32,33 @@ X = RNG.lognormal(0.0, 0.8, GATE + 1001)
 Y = RNG.normal(3.0, 1.0, GATE)  # has nonpositive values: fitted sigma shifts
 FITTED = QdMethod(sigma=None)
 DENSITY = QdMethod(kind="density")
+PAIR_FOR = quantiles._pair_for  # the unspied one
+
+pytestmark = pytest.mark.usefixtures("two_cpus")
 
 
 def serial(monkeypatch, call):
     """call() with the gate out of reach: every sort and table on this thread."""
     with monkeypatch.context() as m:
-        for module in (quantiles, inference, verify):
-            m.setattr(module, "_CONCURRENT_SIZE", math.inf)
+        m.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
         return call()
 
 
 @pytest.fixture
 def paired(monkeypatch):
-    """Whether each sort and each moment table of a call ran with a pair."""
+    """Whether each sort and each moment table that asked for the pair got it."""
     seen = {"sort": [], "table": []}
-    split_sort, moment_table = quantiles._split_sort, qdensity._moment_table
 
-    def sort_spy(arr, pair):
-        seen["sort"].append(pair is not None)
-        return split_sort(arr, pair)
+    def spy(kind):
+        @contextlib.contextmanager
+        def pair_for(size):
+            with PAIR_FOR(size) as pair:
+                seen[kind].append(pair is not None)
+                yield pair
+        return pair_for
 
-    def table_spy(xs, k0, k1, pair=None):
-        seen["table"].append(pair is not None)
-        return moment_table(xs, k0, k1, pair)
-
-    monkeypatch.setattr(quantiles, "_split_sort", sort_spy)
-    monkeypatch.setattr(qdensity, "_moment_table", table_spy)
+    monkeypatch.setattr(quantiles, "_pair_for", spy("sort"))
+    monkeypatch.setattr(qdensity, "_pair_for", spy("table"))
     return seen
 
 
@@ -78,7 +80,7 @@ def test_a_large_one_sample_test_equals_the_serial_one(case, paired, monkeypatch
     r = q_test_one(x, spec, opts)
     assert paired["sort"] == [True]
     want = serial(monkeypatch, lambda: q_test_one(x, spec, opts))
-    assert paired["sort"] == [True]  # the serial call sorts with np.sort
+    assert paired["sort"] == [True, False]
     assert dataclasses.astuple(r) == dataclasses.astuple(want)
 
 
@@ -97,7 +99,7 @@ def test_a_large_one_sample_index_test_equals_the_serial_one(case, paired, monke
     kernel = opts.var_method.kind == "qor"
     assert paired == {"sort": [True], "table": [True] if kernel else []}
     want = serial(monkeypatch, lambda: qineq_test(X, spec=spec, opts=opts))
-    assert paired == {"sort": [True], "table": [True, False] if kernel else []}
+    assert paired == {"sort": [True, False], "table": [True, False] if kernel else []}
     assert dataclasses.astuple(r) == dataclasses.astuple(want)
 
 
@@ -132,65 +134,90 @@ def test_below_the_gate_a_one_sample_call_stays_on_the_calling_thread(paired):
     qineq_test(x)
     qcov(x, InequalitySpec(J=200)._grid)
     bootstrap_se(x[:1000], resolve_measure("median"), B=500)
-    assert paired == {"sort": [], "table": [False, False]}
+    assert paired == {"sort": [False] * 3, "table": [False, False]}
 
 
 @pytest.fixture
 def started(monkeypatch):
-    """The threads started during a test, by the thread that started them.
+    """The threads started during a test, each with the thread that started it.
 
-    No worker is left from an earlier test, and those the test leaves are stopped.
+    The test starts with a pair that has no worker yet, and the worker it
+    leaves is stopped.
     """
     starts = []
     start = threading.Thread.start
 
     def spy(thread):
-        starts.append(threading.get_ident())
+        starts.append((threading.get_ident(), thread))
         start(thread)
 
     monkeypatch.setattr(threading.Thread, "start", spy)
-    idle = []
-    monkeypatch.setattr(quantiles, "_idle", idle)
+    monkeypatch.setattr(quantiles, "_pair", quantiles._Pair())
     yield starts
-    for worker in idle:
-        worker.stop()
+    quantiles._pair.stop()
 
 
 def test_a_large_two_sample_test_starts_exactly_one_worker(started, paired):
-    # each sample runs on one thread with no pair of its own: never more than two busy
+    # the pair is held for both samples, so their sorts and tables get none:
+    # never more than two threads busy
     spec = InequalitySpec()
     q_test_two(X, Y + 4.0, spec)
-    assert started == [threading.get_ident()]
-    assert paired["sort"] == [] and paired["table"] == [False, False]
+    assert [who for who, _ in started] == [threading.get_ident()]
+    assert paired == {"sort": [False, False], "table": [False, False]}
 
 
 def test_a_large_one_sample_test_starts_exactly_one_worker(started, paired):
     qineq_test(X)
-    assert started == [threading.get_ident()]
+    assert [who for who, _ in started] == [threading.get_ident()]
     assert paired["sort"] == [True] and paired["table"] == [True]
 
 
-def test_the_next_large_call_takes_the_worker_the_last_one_left(started):
+def test_the_next_large_call_takes_the_worker_the_last_one_left(started, paired):
     qineq_test(X)
-    left = list(quantiles._idle)
     qcov(X, [0.25, 0.5])
     q_test_two(X, Y + 4.0, InequalitySpec())
     bootstrap_se(X[:GATE], resolve_measure("median"), B=500)
-    assert len(started) == 1 and quantiles._idle == left
-    assert left[0].thread.is_alive()
+    assert paired == {"sort": [True, True, False, False, True], "table": [True, False, False]}
+    assert len(started) == 1 and started[0][1].is_alive()
 
 
 def test_a_closed_pair_leaves_one_worker_at_most(started):
-    with quantiles._Pair() as first, quantiles._Pair() as second:
-        for pair in (first, second):
-            pair.run(threading.get_ident, threading.get_ident)
-    # the second pair closes first and leaves its worker; the first stops its own
-    assert len(started) == 2
-    assert len(quantiles._idle) == 1 and quantiles._idle[0] is second._worker
-    assert not first._worker.thread.is_alive()
+    def ask():
+        with PAIR_FOR(GATE) as pair:
+            return pair
+
+    # the caller that holds the pair, and a task on its worker, get none
+    with PAIR_FOR(GATE) as pair, PAIR_FOR(GATE) as again:
+        assert pair is not None and again is None
+        assert pair.run(ask, ask) == (None, None)
+    with PAIR_FOR(GATE) as next_pair:
+        assert next_pair.run(ask, ask) == (None, None)
+    assert len(started) == 1 and started[0][1].is_alive()
 
 
-def test_an_error_in_a_large_one_sample_test_is_the_serial_error(started):
+def test_a_caller_that_finds_the_pair_held_runs_alone(started, paired, monkeypatch):
+    got = []
+    with PAIR_FOR(GATE) as pair:
+        caller = threading.Thread(target=lambda: got.append(qineq_test(X)))
+        caller.start()
+        caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert pair is not None and [t for _, t in started] == [caller]
+    assert paired == {"sort": [False], "table": [False]}
+    want = serial(monkeypatch, lambda: qineq_test(X))
+    assert dataclasses.astuple(got[0]) == dataclasses.astuple(want)
+
+
+def test_one_cpu_means_no_pair(started, paired, monkeypatch):
+    monkeypatch.setattr(quantiles, "_cpu_count", lambda: 1)
+    got = qineq_test(X)
+    assert paired == {"sort": [False], "table": [False]} and started == []
+    monkeypatch.setattr(quantiles, "_cpu_count", lambda: 2)
+    assert dataclasses.astuple(got) == dataclasses.astuple(qineq_test(X))
+    assert paired == {"sort": [False, True], "table": [False, True]}
+
+
+def test_an_error_in_a_large_one_sample_test_is_the_serial_error(started, monkeypatch):
     x = X.copy()
     x[GATE // 3] = -1.0
     with pytest.raises(ValueError, match="QRI requires positive data"):
@@ -200,16 +227,18 @@ def test_an_error_in_a_large_one_sample_test_is_the_serial_error(started):
         qineq_test(x)
     with pytest.raises(ValueError, match="sample contains non-finite values"):
         qcov(x, [0.5])
-    # a pair closed by an error stops its worker rather than leave it
-    assert quantiles._idle == []
-    with pytest.raises(ZeroDivisionError), quantiles._Pair() as pair:
+    with pytest.raises(ZeroDivisionError), PAIR_FOR(GATE) as pair:
         pair.run(lambda: 1 / 0, lambda: None)
-    assert quantiles._idle == [] and not pair._worker.thread.is_alive()
+    # the error stopped the worker; the next large call starts one and
+    # gets its serial result
+    want = serial(monkeypatch, lambda: qineq_test(X))
+    assert dataclasses.astuple(qineq_test(X)) == dataclasses.astuple(want)
+    assert sum(t.is_alive() for _, t in started) == 1
 
 
-def test_callers_on_many_threads_each_get_their_serial_result(monkeypatch):
-    # more callers than cores, switching often, taking and leaving workers:
-    # each gets its own serial result
+def test_callers_on_many_threads_each_get_their_serial_result(started, monkeypatch):
+    # more callers than cores, switching often, each taking the pair or
+    # finding it held: each gets its own serial result, and one worker serves them all
     calls = [lambda: qineq_test(X), lambda: q_test_one(Y, resolve_measure("iqr")),
              lambda: qineq_test(X, spec=InequalitySpec(kind="G2", J=40))] * 2
     want = [dataclasses.astuple(serial(monkeypatch, call)) for call in calls]
@@ -230,4 +259,4 @@ def test_callers_on_many_threads_each_get_their_serial_result(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == want
-    assert len(quantiles._idle) <= 1
+    assert len([t for _, t in started if t not in callers]) == 1

@@ -1,10 +1,12 @@
 """Two-sample tests at and above the concurrency gate.
 
-When x and y hold at least inference._CONCURRENT_SIZE observations between
-them, x is estimated on a worker thread while y is estimated on the
-calling thread.  The results must equal, bit for bit, the serial
-composition of _working_stats on each sample, and errors must come in
-serial order: x's first.
+When x and y hold at least quantiles._CONCURRENT_SIZE observations
+between them and the call gets the process's pair of threads, x is
+estimated on the worker thread while y is estimated on the calling
+thread.  The results must equal, bit for bit, the serial composition of
+_working_stats on each sample, and errors must come in serial order: x's
+first.  The CPU count is patched to two, so the concurrent path runs,
+and is checked, on a process pinned to one CPU too.
 """
 
 import dataclasses
@@ -18,19 +20,22 @@ import numpy as np
 import pytest
 
 import quantest.inference as inference
+import quantest.quantiles as quantiles
 from quantest.inference import TestOptions, _working_stats, q_test_two, qineq_test
 from quantest.measures import InequalitySpec, resolve_measure
 from quantest.qdensity import QdMethod
 from quantest.quantiles import _sorted_rows
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-GATE = inference._CONCURRENT_SIZE
+GATE = quantiles._CONCURRENT_SIZE
 RNG = np.random.default_rng(2024)
 # equal sizes that reach the gate together, and unequal sizes above it
 X_EQ = RNG.lognormal(0.0, 1.0, GATE // 2)
 Y_EQ = RNG.lognormal(0.2, 0.8, GATE // 2)
 X_BIG = RNG.lognormal(0.1, 0.9, GATE)
 Y_SMALL = RNG.normal(3.0, 1.0, GATE // 4)  # has nonpositive values: fitted sigma shifts
+
+pytestmark = pytest.mark.usefixtures("two_cpus")
 
 
 @pytest.fixture
@@ -62,7 +67,7 @@ def serial_stats(x, spec, opts):
 def serial_result(x, y, spec, opts, monkeypatch):
     """q_test_two with the gate out of reach: the samples one after the other."""
     with monkeypatch.context() as m:
-        m.setattr(inference, "_CONCURRENT_SIZE", math.inf)
+        m.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
         return q_test_two(x, y, spec, opts)
 
 
@@ -98,8 +103,17 @@ def test_concurrent_inequality_test_equals_the_serial_composition(spec, threads,
     (wx, vx), (wy, vy) = serial_stats(X_EQ, spec, opts), serial_stats(X_BIG, spec, opts)
     assert (r.estimate, r.se) == (wx - wy, math.sqrt(vx + vy))
     with monkeypatch.context() as m:
-        m.setattr(inference, "_CONCURRENT_SIZE", math.inf)
+        m.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
         assert dataclasses.astuple(r) == dataclasses.astuple(qineq_test(X_EQ, X_BIG, spec))
+
+
+def test_lists_take_the_worker_thread_as_arrays_do(threads, monkeypatch):
+    spec = resolve_measure("iqr")
+    r = q_test_two(X_EQ.tolist(), Y_EQ.tolist(), spec)
+    assert len(set(threads.values())) == 2
+    assert dataclasses.astuple(r) == dataclasses.astuple(serial_result(X_EQ, Y_EQ, spec,
+                                                                       TestOptions(),
+                                                                       monkeypatch))
 
 
 def test_below_the_gate_both_samples_run_on_the_calling_thread(threads):
@@ -171,7 +185,9 @@ def test_a_forked_child_starts_its_own_worker():
     # the child has none of the parent's threads: its large test starts its own
     code = f"""
 import os, signal, numpy as np
+import quantest.quantiles
 from quantest import q_test_two, resolve_measure
+quantest.quantiles._cpu_count = lambda: 2  # the worker's path, even on one CPU
 x = np.random.default_rng(1).lognormal(size={GATE})
 spec = resolve_measure("median")
 before = q_test_two(x, x[::-1] * 1.5, spec)

@@ -6,15 +6,16 @@ read the window sums from a dyadic table of block moments.  Both regimes
 must reproduce the literal order-statistic sum.
 """
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
 import quantest.qdensity as qd
+import quantest.quantiles as quantiles
 from quantest.qcov import qcov
 from quantest.qdensity import optimal_bandwidth, qor_lognormal
-from quantest.quantiles import _Pair
 
 RTOL = 1e-10
 FLOOR = 1e-12  # absolute floor, as a share of the data range
@@ -146,16 +147,27 @@ def test_a_table_over_several_chunks_matches_the_literal_sum(table_calls):
 
 
 @pytest.mark.parametrize("chunks", [1, 2, 3, 5])
-def test_a_table_split_over_two_threads_is_the_serial_table(chunks):
-    # with a pair each thread fills half the leaf chunks, the last one
+def test_a_table_split_over_two_threads_is_the_serial_table(chunks, monkeypatch, two_cpus):
+    # with the pair each thread fills half the leaf chunks, the last one
     # partial; the levels above are added on the calling thread
     k0 = 3
     k1 = k0 + (chunks - 1) * qd._CHUNK + 101
     xs = np.sort(np.random.default_rng(chunks).lognormal(size=(k1 + 2) * qd._BLOCK))
+    monkeypatch.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
     table, start = qd._moment_table(xs, k0, k1)
-    with _Pair() as pair:
-        split_table, split_start = qd._moment_table(xs, k0, k1, pair)
-        assert (pair._worker is not None) == (chunks > 1)
+    # any table of two or more chunks gets the pair, on any CPU count
+    monkeypatch.setattr(quantiles, "_CONCURRENT_SIZE", 1)
+    paired, pair_for = [], qd._pair_for
+
+    @contextlib.contextmanager
+    def spy(size):
+        with pair_for(size) as pair:
+            paired.append(pair is not None)
+            yield pair
+
+    monkeypatch.setattr(qd, "_pair_for", spy)
+    split_table, split_start = qd._moment_table(xs, k0, k1)
+    assert paired == [chunks > 1]
     np.testing.assert_array_equal(split_start, start)
     np.testing.assert_array_equal(split_table, table)
 

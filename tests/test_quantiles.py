@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quantest.quantiles as quantiles
 from quantest.quantiles import (
     _CONCURRENT_SIZE,
-    _Pair,
     _quantiles_sorted,
     _sorted_one,
     _sorted_rows,
@@ -139,12 +139,11 @@ TIED = {"rounded to 0.1", "rounded to integers", "all equal"}
 @pytest.mark.parametrize("n", [1, 2, 3, 1001, _CONCURRENT_SIZE - 1, _CONCURRENT_SIZE,
                                _CONCURRENT_SIZE + 1])
 @pytest.mark.parametrize("kind", SPLIT_KINDS)
-def test_split_sort_is_np_sort(kind, n):
+def test_split_sort_is_np_sort(kind, n, pair):
     x = split_input(kind, n)
     before = x.copy()
-    with _Pair() as pair:
-        got = _split_sort(x, pair)
-        threaded = pair._worker is not None
+    got = _split_sort(x, pair)
+    threaded = pair._worker is not None
     want = np.sort(x)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -155,30 +154,30 @@ def test_split_sort_is_np_sort(kind, n):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("where", [0, 7, _CONCURRENT_SIZE // 2 + 9, -1])
-def test_a_non_finite_value_fails_the_split_sort_as_the_sort(bad, where):
+def test_a_non_finite_value_fails_the_split_sort_as_the_sort(bad, where, two_cpus, monkeypatch):
     x = np.random.default_rng(3).lognormal(size=_CONCURRENT_SIZE + 1)
     x[where] = bad
-    with _Pair() as pair, pytest.raises(ValueError, match="sample contains non-finite values"):
-        _sorted_one(x, pair)
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x)
+    monkeypatch.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
     with pytest.raises(ValueError, match="sample contains non-finite values"):
         _sorted_one(x)
 
 
-def test_a_sample_mostly_nan_fails_the_split_sort():
+def test_a_sample_mostly_nan_fails_the_split_sort(two_cpus):
     # the pivot is NaN: no value is below it, so one side holds them all
     x = np.full(_CONCURRENT_SIZE, math.nan)
     x[::3] = 1.0
-    with _Pair() as pair, pytest.raises(ValueError, match="sample contains non-finite values"):
-        _sorted_one(x, pair)
+    with pytest.raises(ValueError, match="sample contains non-finite values"):
+        _sorted_one(x)
 
 
-def test_sorted_one_with_a_pair_is_the_stack_of_one():
+def test_sorted_one_with_a_pair_is_the_stack_of_one(two_cpus, monkeypatch):
     x = np.random.default_rng(4).lognormal(size=(512, 513))
-    with _Pair() as pair:
-        got = _sorted_one(x, pair)
+    got = _sorted_one(x)
+    monkeypatch.setattr(quantiles, "_CONCURRENT_SIZE", math.inf)
     np.testing.assert_array_equal(got, _sorted_one(x))
     assert got.shape == (1, x.size)
-
 
 # ---------------------------------------------------------------------------
 # oracle agreement

@@ -1,9 +1,9 @@
 """The package runs on NumPy alone and imports only what it needs.
 
 Importing it loads no SciPy module, and no concurrent.futures: a large
-call runs on one bare worker thread (quantiles._Pair), which takes one
-sample of a two-sample test, or half the sort and moment table of a
-one-sample call, and is left for the next large call.
+call runs on the process's one bare worker thread (quantiles._pair_for),
+started by the first large call and kept, which takes one sample of a
+two-sample test, or half the sort and moment table of a one-sample call.
 """
 
 import os

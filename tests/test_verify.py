@@ -10,7 +10,6 @@ import quantest.verify as verify
 from quantest.inference import TestOptions, q_test_one
 from quantest.measures import InequalitySpec, MeasureSpec, resolve_measure
 from quantest.qdensity import QdMethod
-from quantest.quantiles import _Pair as Pair
 from quantest.quantiles import _quantiles_sorted
 from quantest.verify import (
     Distribution,
@@ -399,6 +398,38 @@ def test_oracle_cases_include_partial_chunks():
     assert kinds == {MeasureSpec, InequalitySpec}
 
 
+def study_outcome(cfg):
+    """coverage_sim(cfg), or the message of the error it raises."""
+    try:
+        return coverage_sim(cfg)
+    except ValueError as exc:
+        return str(exc)
+
+
+# the failing study of test_study_with_a_failing_replicate_raises_the_loops_error
+FAILING_STUDY = SimConfig(Distribution("normal", (1.0, 1.0)), n=10, reps=130,
+                          measure=resolve_measure("rCViqr"), seed=1, log_ratio=True)
+
+
+@pytest.mark.parametrize("case", [0, 5, 12, 18, 21, "failing"])
+def test_a_study_is_the_same_whether_or_not_its_chunks_are_sorted_in_place(case, monkeypatch):
+    if case == "failing":
+        cfg = FAILING_STUDY
+    else:
+        dist, n, reps, measure, level, log_ratio, *method = ORACLE_CASES[case]
+        cfg = SimConfig(dist, n=n, reps=reps, measure=measure, level=level, seed=case,
+                        log_ratio=log_ratio, var_method=method[0] if method else QdMethod())
+    sorted_in_place = study_outcome(cfg)
+    replicate_intervals = verify._replicate_intervals
+
+    def on_a_copy(cfg):
+        intervals = replicate_intervals(cfg)
+        return lambda values: intervals(values.copy())
+
+    monkeypatch.setattr(verify, "_replicate_intervals", on_a_copy)
+    assert study_outcome(cfg) == sorted_in_place
+
+
 @pytest.mark.parametrize("name", ["normal", "lognormal", "uniform", "exponential"])
 def test_coverage_matches_the_loop_for_a_multi_word_seed(name):
     # 2^64 + 5 hashes three 32-bit words; 100 replicates of 2000 fill 65, then 35
@@ -684,7 +715,7 @@ def count_splits(monkeypatch):
     (1001, InequalitySpec("QRI", 25), 2000, 2),
     (10**4, InequalitySpec("G2", 100), 500, 5),
 ])
-def test_split_bootstrap_is_the_serial_loop(monkeypatch, n, measure, B, split):
+def test_split_bootstrap_is_the_serial_loop(monkeypatch, two_cpus, n, measure, B, split):
     x = np.random.default_rng(n).lognormal(size=n)
     calls = count_splits(monkeypatch)
     got = bootstrap_se(x, measure, B=B, seed=7)
@@ -748,7 +779,7 @@ def first_piece_end(state, n, h):
 
 
 @pytest.mark.parametrize("limit", [verify._SPLIT_STEPS, 8, 0])
-def test_split_draws_are_the_serial_draw(monkeypatch, limit):
+def test_split_draws_are_the_serial_draw(monkeypatch, limit, pair):
     # 2^32 mod n is 2^20: a word is rejected with probability 2^-12, so a
     # first piece of about 2^17 words reads about 32 words of the next
     # piece's stream, 16 LCG steps
@@ -779,8 +810,7 @@ def test_split_draws_are_the_serial_draw(monkeypatch, limit):
                 ends.add((end, r))
                 flat = np.empty(m, dtype=np.int32)
                 found.clear()
-                with Pair() as pair:
-                    verify._split_draws(pair, rng, rank, flat, [])
+                verify._split_draws(pair, rng, rank, flat, [])
                 assert np.array_equal(flat, want)
                 assert rng.bit_generator.state == serial.bit_generator.state
                 # two pieces; past the step limit the second is drawn again
@@ -791,7 +821,7 @@ def test_split_draws_are_the_serial_draw(monkeypatch, limit):
     assert min(r for _, r in ends) > 0
 
 
-def test_split_draws_in_many_pieces_are_the_serial_draw():
+def test_split_draws_in_many_pieces_are_the_serial_draw(pair):
     # one block of a sample above 2^20 values is one resample, cut into
     # ten pieces; 2^32 mod n is about 0.8 n, so each piece of 2^17 words
     # holds about 32 rejected ones and reads words of the next piece's stream
@@ -804,8 +834,7 @@ def test_split_draws_in_many_pieces_are_the_serial_draw():
     want = rank.take(serial.integers(0, n, n))
     flat = np.empty(n, dtype=np.int32)
     gens = []
-    with Pair() as pair:
-        verify._split_draws(pair, rng, rank, flat, gens)
+    verify._split_draws(pair, rng, rank, flat, gens)
     assert len(gens) == n // verify._PIECE - 1
     assert np.array_equal(flat, want)
     assert rng.bit_generator.state == serial.bit_generator.state
