@@ -136,17 +136,20 @@ def _read_clean(raw: bytes, idx: int):
         return None
     other = (len(raw.translate(None, _C_READER_BYTES))
              - len(head.translate(None, _C_READER_BYTES)))
+    grown = 0
     if not other:
         body = io.BytesIO(raw)  # shares raw's buffer
-        body.seek(start)
     else:
         # R's write.csv writes NA for a missing value.  As nan, a cell that
         # holds NA reads as NaN or not at all, and float() never reads it:
-        # a NaN is skipped as the row loop skips the cell
-        text = raw[start:].replace(b"NA", b"nan")
-        if 2 * (len(text) - len(raw) + start) != other:  # a byte outside every NA
+        # a NaN is skipped as the row loop skips the cell.  raw is copied
+        # once, header and all; no NA spans the header's line end
+        grown = raw.count(b"NA", 0, start)  # the header's own NAs
+        text = raw.replace(b"NA", b"nan")
+        if 2 * (len(text) - len(raw) - grown) != other:  # a byte outside every NA
             return None
         body = io.BytesIO(text)
+    body.seek(start + grown)
     try:
         values = np.loadtxt(body, delimiter=",", quotechar='"', usecols=idx,
                             comments=None, ndmin=1, encoding="latin-1")

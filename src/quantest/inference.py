@@ -179,7 +179,7 @@ def _bridge_form(p: np.ndarray, a, c, n: int):
     # the ufuncs' own methods: cumsum and sum cost more on small grids
     q = 1.0 - p
     inclusive_a = np.add.accumulate(a * p, axis=-1)
-    inclusive_c = np.add.accumulate(c * p, axis=-1)
+    inclusive_c = inclusive_a if c is a else np.add.accumulate(c * p, axis=-1)
     return (np.add.reduce(q * (c * inclusive_a), axis=-1)
             + np.add.reduce(q[1:] * (a[..., 1:] * inclusive_c[..., :-1]), axis=-1)) / n
 
@@ -202,18 +202,17 @@ def _working_stats(xs, spec, opts: TestOptions):
     gradient entry otherwise.
     """
     est, grad = spec._estimate(xs, opts.quantile_type)
-    if np.count_nonzero(np.isnan(est)):
-        raise ValueError(spec._nan_message)
-    if not np.all(np.isfinite(est)):
+    if np.count_nonzero(np.isfinite(est)) < est.size:
+        if np.count_nonzero(np.isnan(est)):
+            raise ValueError(spec._nan_message)
         raise ValueError("the estimate is not finite: the measure's value overflows")
     grid = spec._grid
     qhat, floored, *_ = _qhat_rows(xs, grid, opts.var_method, opts.quantile_type, spec._z)
     with np.errstate(over="ignore", invalid="ignore"):
         a = grad * qhat
         var = _bridge_form(grid, a, a, xs.shape[1])
-    bad = ~np.isfinite(var)
-    if np.count_nonzero(bad):
-        row = np.argmax(bad)
+    if np.count_nonzero(np.isfinite(var)) < var.size:
+        row = np.argmax(~np.isfinite(var))
         q = qhat[row]
         with np.errstate(over="ignore"):
             qhat_overflows = not np.isfinite(q.max() ** 2)
@@ -239,12 +238,12 @@ def _interval(working_est, working_var, opts: TestOptions):
     Returns (se, estimate, lower, upper); se stays on the working scale.
     """
     se = np.sqrt(np.maximum(working_var, 0.0))
+    if not opts.back_transf:
+        return (se, working_est,
+                *wald_interval(working_est, se, opts.conf_level, opts.alternative, opts.min_q))
     lo, hi = wald_interval(working_est, se, opts.conf_level, opts.alternative)
-    estimate = working_est
-    if opts.back_transf:
-        estimate, lo, hi = np.exp(working_est), np.exp(lo), np.exp(hi)
-    # clamped after any back-transform: min_q refers to the reported scale
-    return se, estimate, np.maximum(lo, opts.min_q), hi
+    # clamped after the back-transform: min_q refers to the reported scale
+    return se, np.exp(working_est), np.maximum(np.exp(lo), opts.min_q), np.exp(hi)
 
 
 def _finish(working_est, working_var, warnings, spec, opts: TestOptions,
@@ -328,7 +327,13 @@ def q_test_two(x, y, spec, opts: TestOptions = TestOptions()) -> TestResult:
     estimated on the worker thread while y is estimated here; the results
     are bit-identical to estimating one after the other.
     """
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    try:
+        y = np.asarray(y, dtype=float)
+    except (TypeError, ValueError):
+        # the serial order: x's own error, if it has one, comes first
+        _stats_one(x, spec, opts)
+        raise
     (wx, vx, warn_x), (wy, vy, warn_y) = _stats_two(x, y, spec, opts)
     warnings = warn_x + [w for w in warn_y if w not in warn_x]
     return _finish(wx - wy, vx + vy, warnings, spec, opts, two_sample=True)

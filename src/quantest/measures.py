@@ -86,11 +86,11 @@ class MeasureSpec:
     def __post_init__(self):
         if (self.u2 is None) != (self.coef2 is None):
             raise ValueError("u2 and coef2 must be supplied together")
-        object.__setattr__(self, "u", tuple(float(p) for p in self.u))
-        object.__setattr__(self, "coef", tuple(float(c) for c in self.coef))
+        object.__setattr__(self, "u", tuple(map(float, self.u)))
+        object.__setattr__(self, "coef", tuple(map(float, self.coef)))
         if self.u2 is not None:
-            object.__setattr__(self, "u2", tuple(float(p) for p in self.u2))
-            object.__setattr__(self, "coef2", tuple(float(c) for c in self.coef2))
+            object.__setattr__(self, "u2", tuple(map(float, self.u2)))
+            object.__setattr__(self, "coef2", tuple(map(float, self.coef2)))
         if not all(map(math.isfinite, self.coef + (self.coef2 or ()))):
             raise ValueError("coefficients must be finite")
         if len(self.u) == 0:
@@ -110,16 +110,17 @@ class MeasureSpec:
             object.__setattr__(self, "plural", self.label)
         # sorted(), not np.unique: on NumPy 2.4 np.unique imports numpy.ma,
         # about 1.4 MB of resident memory
-        grid = np.array(sorted(set(self.u + (self.u2 or ()))))
+        points = sorted(set(self.u + (self.u2 or ())))
+        grid = np.array(points)
         object.__setattr__(self, "_grid", grid)
         object.__setattr__(self, "_z", _normal_quantiles(grid))
-        object.__setattr__(self, "_b1", _on_grid(grid, self.u, self.coef))
+        object.__setattr__(self, "_b1", _on_grid(points, self.u, self.coef))
         object.__setattr__(self, "_b2",
-                           _on_grid(grid, self.u2, self.coef2) if self.is_ratio else None)
+                           _on_grid(points, self.u2, self.coef2) if self.is_ratio else None)
         # coefficients at a repeated probability add up, and may cancel
-        if not np.any(self._b1):
+        if not np.count_nonzero(self._b1):
             raise ValueError("numerator coefficients are identically zero")
-        if self.is_ratio and not np.any(self._b2):
+        if self.is_ratio and not np.count_nonzero(self._b2):
             raise ValueError("denominator coefficients are identically zero")
         grid.setflags(write=False)
 
@@ -149,15 +150,15 @@ class MeasureSpec:
         warning; the caller states the failure.  With gradient False the
         gradient is None.
         """
+        # np.fmin(v, inf) is v, and inf where v is NaN
         with np.errstate(over="ignore", invalid="ignore"):
             num = np.add.reduce(xq * self._b1, axis=-1)
             if not self.is_ratio:
-                return np.where(np.isnan(num), np.inf, num), (self._b1 if gradient else None)
+                return np.fmin(num, np.inf), (self._b1 if gradient else None)
             den = np.add.reduce(xq * self._b2, axis=-1)
             zero = den == 0.0
             den = np.where(zero, 1.0, den)
-            ratio = num / den
-            ratio = np.where(zero, np.nan, np.where(np.isnan(ratio), np.inf, ratio))
+            ratio = np.where(zero, np.nan, np.fmin(num / den, np.inf))
             if not gradient:
                 return ratio, None
             # d(num/den)/dQ = (b1 - ratio b2)/den
@@ -211,10 +212,15 @@ def _normal_quantiles(grid: np.ndarray) -> np.ndarray:
     return z
 
 
-def _on_grid(grid: np.ndarray, u: tuple, coef: tuple) -> np.ndarray:
-    """The coefficients of a combination over grid; repeated probabilities add up."""
-    b = np.zeros(grid.size)
-    np.add.at(b, np.searchsorted(grid, u), coef)
+def _on_grid(points: list, u: tuple, coef: tuple) -> np.ndarray:
+    """The coefficients of a combination over the sorted grid points.
+
+    Repeated probabilities add up, from 0.0 and in u's order.
+    """
+    sums = dict.fromkeys(points, 0.0)
+    for p, c in zip(u, coef):
+        sums[p] += c
+    b = np.array(list(sums.values()))
     b.setflags(write=False)
     return b
 

@@ -66,7 +66,7 @@ def qcov(x, us, method: QdMethod = QdMethod(), quantile_type: int = 8) -> Quanti
     if ps.size == 0:
         raise ValueError("need at least one probability")
     # NaN fails the check too
-    if not np.all((ps > 0.0) & (ps < 1.0)):
+    if np.count_nonzero((ps > 0.0) & (ps < 1.0)) < ps.size:
         raise ValueError("probabilities must lie strictly inside (0, 1)")
 
     uniq, inverse = np.unique(ps, return_inverse=True)

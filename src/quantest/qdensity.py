@@ -293,14 +293,17 @@ def _band_sums(xs, lo, c, h, width: int) -> np.ndarray:
                                               h[..., i:i + step], width)
                                    for i in range(0, d, step)], axis=1)
     i = lo[:, None] + np.arange(-1, width)  # X_(j) is xs[j - 1], j = lo .. lo + width
-    dx = np.diff(xs.take(i, axis=1, mode="clip"))
-    if lo.min() <= 0 or lo.max() + width > n:  # some window holds j = 0 or j = n
-        ends = np.subtract.outer((0, n), lo)  # their places in each window
-        end, window = np.nonzero((ends >= 0) & (ends < width))
-        dx[:, window, ends[end, window]] = np.where(end == 0, xs[:, :1], -xs[:, -1:])
+    x = xs.take(i, axis=1, mode="clip")
+    dx = np.subtract(x[..., 1:], x[..., :-1])
+    del x  # freed before the weights' buffer is made: the peak heap stays lower
+    j = i[:, 1:]  # the j of each D_j in dx
+    if lo.min() <= 0:  # some window holds j = 0
+        np.copyto(dx, xs[:, :1, None], where=j == 0)
+    if lo.max() + width > n:  # some window holds j = n
+        np.copyto(dx, -xs[:, -1:, None], where=j == n)
     # the Epanechnikov weights 0.75 max(1 - u^2, 0), u = (j - c)/h, in one buffer
     w = np.empty(h.shape + (width,))
-    np.subtract(i[:, 1:], c[:, None], out=w)
+    np.subtract(j, c[:, None], out=w)
     w /= h[..., None]
     np.multiply(w, w, out=w)
     np.subtract(1.0, w, out=w)

@@ -162,9 +162,10 @@ def _finite_ends(xs: np.ndarray) -> np.ndarray:
     """xs, a stack of sorted rows, after a check that every value is finite.
 
     The sort puts NaN and +inf last and -inf first, so the check reads
-    only the two end columns.
+    only the two end columns, a view.
     """
-    if not np.all(np.isfinite(xs[:, [0, -1]])):
+    ends = xs[:, ::max(xs.shape[1] - 1, 1)]
+    if np.count_nonzero(np.isfinite(ends)) < ends.size:
         raise ValueError("sample contains non-finite values")
     return xs
 
@@ -271,9 +272,10 @@ def _bracket(n: int, p: np.ndarray, quantile_type: int):
     X_(k) to X_(k+1) (1-based), with 1 <= k <= n - 1 and gamma in [0, 1].
     """
     a, b = _PLOTTING_CONSTANTS[quantile_type]
-    h = (n + a) * p + b
-    h = np.clip(h, 1.0, float(n))
-    k = np.clip(np.floor(h).astype(int), 1, n - 1)
+    h = np.minimum(np.maximum((n + a) * p + b, 1.0), float(n))
+    # h >= 1, so truncation is floor(h), and floor(min(h, n - 1)) is
+    # floor(h) clipped to [1, n - 1]
+    k = np.minimum(h, n - 1.0).astype(int)
     return k, h - k
 
 
@@ -296,8 +298,9 @@ def _quantiles_sorted(sorted_values: np.ndarray, ps, quantile_type: int = 8) -> 
     # rounding outside the bracket
     out = np.where(gamma < 0.5, lo + gamma * diff, hi - (1.0 - gamma) * diff)
     # a gather from a stack of rows comes back in Fortran order; in C order
-    # a sum over the quantiles adds each row as it adds a row alone
-    return np.clip(out, lo, hi, order="C")
+    # a sum over the quantiles adds each row as it adds a row alone.  The
+    # two ufuncs are np.clip's arithmetic, without its Python wrapper
+    return np.minimum(np.maximum(out, lo), hi, order="C")
 
 
 def sample_quantile(s, p: float, quantile_type: int = 8) -> float:
@@ -329,6 +332,6 @@ def sample_quantiles(s, ps, quantile_type: int = 8) -> np.ndarray:
     if p.size == 0:
         return np.empty(0)
     # NaN fails the check too
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    if np.count_nonzero((p >= 0.0) & (p <= 1.0)) < p.size:
         raise ValueError("probabilities outside [0, 1]")
     return _quantiles_sorted(xs[0], p, quantile_type)

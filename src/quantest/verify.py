@@ -31,10 +31,12 @@ least 2^18 indices that gets the process's worker thread
 is drawn, ranked and ordered on both threads, each taking the next piece
 of work when it is free: the draws are cut into pieces of the stream,
 each drawn by its own generator moved on by PCG64.advance, with the few
-words where neighbouring pieces overlap set right afterwards; then groups
-of the block's resamples are ordered and estimated apart.  The results
-are bit-identical to the serial ones.  Memory in both is bounded by the
-chunk or block, not by reps or B.
+words where neighbouring pieces overlap set right afterwards, wherever
+the rejected words put the true ends (PCG's jump distance, with no step
+cap), and a piece that starts more words early than it holds drawn
+again; then groups of the block's resamples are ordered and estimated
+apart.  The results are bit-identical to the serial ones.  Memory in
+both is bounded by the chunk or block, not by reps or B.
 """
 
 from __future__ import annotations
@@ -68,19 +70,16 @@ RNG_DESCRIPTION = "numpy PCG64, per-replicate SeedSequence.spawn streams"
 # resampled indices that bootstrap_se draws, ranks and orders at a time
 _BOOT_BLOCK = 2**20
 
-# a split block's draws are drawn in pieces of about this many indices,
-# and its resamples ordered in _SPLIT_TASKS tasks, each task taken by the
-# first of the two threads free, so a thread the host runs slower takes fewer
+# a split block's draws are drawn in an even number of pieces of about this
+# many indices, and its resamples ordered in _SPLIT_TASKS tasks, each task
+# taken by the first of the two threads free, so a thread the host runs
+# slower takes fewer
 _PIECE = 2**17
 _SPLIT_TASKS = 4
 
 # indices _draw_ranks draws at a time: 512 KiB of int64, still in cache
 # when rank.take reads them
 _DRAW_CHUNK = 2**16
-
-# LCG steps _steps_between takes, at most, to find where a piece's draws
-# ended: r rejected words take about r/2 steps
-_SPLIT_STEPS = 2**12
 
 # the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx)
 # and the multiplier of PCG64's 128-bit LCG (numpy/random/src/pcg64/pcg64.h)
@@ -441,14 +440,26 @@ def _share(pair: _Pair, tasks) -> None:
     pair.run(drain, drain)
 
 
-def _steps_between(start: dict, end: dict):
-    """PCG64 steps from state start to state end, or None past _SPLIT_STEPS."""
-    word, inc, target = start["state"]["state"], start["state"]["inc"], end["state"]["state"]
-    for steps in range(_SPLIT_STEPS + 1):
-        if word == target:
-            return steps
-        word = (word * _PCG64_MULT + inc) & _MASK128
-    return None
+def _steps_between(start: dict, end: dict) -> int:
+    """PCG64 steps from state start to state end.
+
+    O'Neill's jump distance for an LCG (pcg_random.hpp, distance): from
+    the lowest bit up, where the states still differ in the bit, take one
+    step of the current stride, 2^b plain steps; the stride's multiplier
+    and increment are then squared into the next one's.  So it takes one
+    round per bit, at most 128, whatever the distance.
+    """
+    word, target = start["state"]["state"], end["state"]["state"]
+    mult, plus = _PCG64_MULT, start["state"]["inc"]
+    bit = steps = 0
+    while word != target:
+        if (word ^ target) >> bit & 1:
+            word = (word * mult + plus) & _MASK128
+            steps |= 1 << bit
+        plus = (mult + 1) * plus & _MASK128
+        mult = mult * mult & _MASK128
+        bit += 1
+    return steps
 
 
 def _split_draws(pair: _Pair, rng, rank, flat, gens: list) -> None:
@@ -462,18 +473,23 @@ def _split_draws(pair: _Pair, rng, rank, flat, gens: list) -> None:
     needed) started where the stream would be if no word before the piece
     were rejected: PCG64.advance moves it on by half the indices before
     the piece, less rng's buffered word, and the piece bounds keep that a
-    whole step.  Piece 0 is drawn by rng.  Then, piece by piece, the
+    whole step.  Piece 0 is drawn by rng.  The pieces are an even number,
+    so the two threads can draw as many.  Then, piece by piece, the
     stream's true state at the end of the pieces before it is r words past
-    the piece's start, r the rejections before it; r is found by stepping
-    the LCG.  Of those r words the piece's generator read, a were accepted:
-    the piece's draws, shifted left by a and followed by a more, are the
-    serial ones.  When r takes more than _SPLIT_STEPS steps to find, as
-    for n near 2^31, the piece is drawn again from the true state.
+    the piece's start, r the rejections before it; _steps_between finds r
+    from the two states.  Of those r words the piece's generator read, a
+    were accepted: the piece's draws, shifted left by a and followed by a
+    more, are the serial ones.  That needs a no larger than the piece, so
+    a piece more than its own length behind (r > its size, reached when
+    the rejections before it add up to a piece, for a large n or a long
+    block) is drawn again from the true state instead, and the pieces
+    after it are further behind still; so no fix-up reads more words than
+    its piece holds.
     """
     n, m = rank.size, flat.size
     state = rng.bit_generator.state
     buffered = state["has_uint32"]
-    k = max(2, m // _PIECE)
+    k = max(2, (m // _PIECE + 1) // 2 * 2)
     size = m // k - m // k % 2
     bounds = [0] + [j * size + buffered for j in range(1, k)] + [m]
     while len(gens) < k - 1:
@@ -487,20 +503,20 @@ def _split_draws(pair: _Pair, rng, rank, flat, gens: list) -> None:
     _share(pair, (functools.partial(_draw_ranks, g, rank, piece)
                   for g, piece in zip([rng, *gens], pieces)))
     true, bits = rng, None
+    threshold = 2**32 % n
     for g, start, piece in zip(gens, starts, pieces[1:]):
         end = true.bit_generator.state
         steps = _steps_between(start, end)
-        if steps is None:
-            _draw_ranks(true, rank, piece)
-            continue
         r = 2 * steps - end["has_uint32"]
+        if r > piece.size:
+            _draw_ranks(true, rank, piece)  # true moves on to the piece's end
+            continue
         if r:
             bits = bits or np.random.PCG64()
             bits.state = start
-            raw = bits.random_raw(steps).tolist()
-            words = [w >> shift & _MASK32 for w in raw for shift in (0, 32)]
-            threshold = 2**32 % n
-            a = sum(w * n & _MASK32 >= threshold for w in words[:r])
+            # each step's two words, low half first
+            words = bits.random_raw(steps).astype("<u8", copy=False).view("<u4")[:r]
+            a = np.count_nonzero(words * np.uint32(n) >= threshold)
             if a:
                 piece[:-a] = piece[a:]
                 _draw_ranks(g, rank, piece[-a:])

@@ -203,6 +203,20 @@ def test_na_cells_take_the_c_reader(tmp_path, monkeypatch):
     assert (values.tobytes(), skipped) == (np.array([1.5, -0.0]).tobytes(), 2)
 
 
+@pytest.mark.parametrize("selector", ["NAME", "NANA", "v"])
+def test_na_in_the_header_and_the_cells_reads_as_the_row_loop(tmp_path, selector):
+    # the file is copied once with nan for every NA, the header's too: the C
+    # reader starts past the grown header and reads what the row loop reads
+    f = tmp_path / "na_header.csv"
+    f.write_text("NAME,NANA,v\n" + "1.5,NA,2\nNA,3,NA\n-0.0,4,5e-3\n" * 300 + "NA,NA,NA\n")
+    with mock.patch.object(cli, "_read_rows", side_effect=AssertionError("row loop")):
+        values, skipped, name = load_column(str(f), selector)  # the C reader alone
+    with mock.patch.object(cli, "_read_clean", return_value=None):
+        want, want_skipped, _ = load_column(str(f), selector)  # the row loop alone
+    assert (values.tobytes(), skipped, name) == (want.tobytes(), want_skipped, selector)
+    assert skipped == 301
+
+
 # the last two cells split a line unless quoted
 _CELLS = ["NA", "-NA", "NANA", "1NA", "text", "1_000", "\u0661\u0662\u0663", "1e999", "nan",
           "-inf", "-0.0", " 2.5 ", "", " ", "4\n", "5\r6"]

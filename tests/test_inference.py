@@ -130,6 +130,19 @@ def test_ratio_errors_name_the_failure():
                    TestOptions(log_transf=True))
 
 
+@pytest.mark.parametrize("x, y, error, message", [
+    ([2.0] * 10, [1.0, "a", 3.0], ValueError, "degenerate sample"),
+    ([1.0, math.nan, 3.0], [1.0, "a", 3.0], ValueError, "non-finite"),
+    ([1.0, 2.0, 3.0, 4.0], [1.0, "a", 3.0], ValueError, "could not convert string to float"),
+    ([1.0, 2.0, 3.0, 4.0], [{}, 1.0], TypeError, "float"),
+], ids=["x degenerate", "x nonfinite", "only y unconvertible", "only y not a number"])
+def test_two_sample_errors_come_in_serial_order(x, y, error, message):
+    # x is tested before y is read: x's own error comes first, even when y
+    # cannot be converted, and y's conversion error stands when x has none
+    with pytest.raises(error, match=message):
+        q_test_two(x, y, resolve_measure("median"))
+
+
 # ---------------------------------------------------------------------------
 # wald_interval / p_value
 

@@ -723,15 +723,6 @@ def test_split_bootstrap_is_the_serial_loop(monkeypatch, two_cpus, n, measure, B
     assert got == serial_bootstrap(x, measure, B, 7)
 
 
-def test_split_bootstrap_falls_back_to_the_serial_draw(monkeypatch):
-    # no LCG steps allowed: every piece after a rejected word is drawn
-    # again from where the pieces before it end
-    monkeypatch.setattr(verify, "_SPLIT_STEPS", 0)
-    x = np.random.default_rng(40000).lognormal(size=40000)
-    measure = resolve_measure("median")
-    assert bootstrap_se(x, measure, B=520, seed=1) == serial_bootstrap(x, measure, 520, 1)
-
-
 def test_split_bootstrap_raises_the_serial_error():
     # nine tenths of the sample at one value: most resamples have a zero IQR,
     # the denominator of Bowley's skew
@@ -778,12 +769,8 @@ def first_piece_end(state, n, h):
     return end["has_uint32"], 2 * steps - end["has_uint32"]
 
 
-@pytest.mark.parametrize("limit", [verify._SPLIT_STEPS, 8, 0])
-def test_split_draws_are_the_serial_draw(monkeypatch, limit, pair):
-    # 2^32 mod n is 2^20: a word is rejected with probability 2^-12, so a
-    # first piece of about 2^17 words reads about 32 words of the next
-    # piece's stream, 16 LCG steps
-    monkeypatch.setattr(verify, "_SPLIT_STEPS", limit)
+def spy_steps(monkeypatch) -> list:
+    """The LCG steps _steps_between finds, call by call."""
     found = []
     steps_between = verify._steps_between
 
@@ -791,6 +778,23 @@ def test_split_draws_are_the_serial_draw(monkeypatch, limit, pair):
         found.append(steps_between(start, end))
         return found[-1]
     monkeypatch.setattr(verify, "_steps_between", spy)
+    return found
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 4095, 4096, 4097, 10**9, 2**127 + 3])
+def test_steps_between_is_the_jump_distance(steps):
+    rng = np.random.default_rng(6)
+    rng.integers(0, 2**32, dtype=np.uint32)  # a buffered word is no step
+    start = rng.bit_generator.state
+    rng.bit_generator.advance(steps)
+    assert verify._steps_between(start, rng.bit_generator.state) == steps
+
+
+def test_split_draws_are_the_serial_draw(monkeypatch, pair):
+    # 2^32 mod n is 2^20: a word is rejected with probability 2^-12, so a
+    # first piece of about 2^17 words reads about 32 words of the next
+    # piece's stream, 16 LCG steps
+    found = spy_steps(monkeypatch)
     n = 3 * 2**19
     rank = np.random.default_rng(1).permutation(n).astype(np.int32)
     ends = set()
@@ -813,12 +817,26 @@ def test_split_draws_are_the_serial_draw(monkeypatch, limit, pair):
                 verify._split_draws(pair, rng, rank, flat, [])
                 assert np.array_equal(flat, want)
                 assert rng.bit_generator.state == serial.bit_generator.state
-                # two pieces; past the step limit the second is drawn again
-                assert found == [None if (r + end) // 2 > limit else (r + end) // 2]
+                # two pieces, the second started r words early
+                assert found == [(r + end) // 2]
     # first pieces that end on a buffered word and on a whole one, all
     # reading into the second piece's words
     assert {end for end, _ in ends} == {0, 1}
     assert min(r for _, r in ends) > 0
+
+
+def check_split_draws(pair, rng, rank, m) -> int:
+    """Assert that _split_draws of m indices from rng are the serial draw and
+    leave rng in the serial draw's end state; return the number of pieces."""
+    serial = np.random.Generator(np.random.PCG64())
+    serial.bit_generator.state = rng.bit_generator.state
+    want = rank.take(serial.integers(0, rank.size, m))
+    flat = np.empty(m, dtype=rank.dtype)
+    gens = []
+    verify._split_draws(pair, rng, rank, flat, gens)
+    assert np.array_equal(flat, want)
+    assert rng.bit_generator.state == serial.bit_generator.state
+    return len(gens) + 1
 
 
 def test_split_draws_in_many_pieces_are_the_serial_draw(pair):
@@ -829,15 +847,37 @@ def test_split_draws_in_many_pieces_are_the_serial_draw(pair):
     rank = np.random.default_rng(2).permutation(n).astype(np.int32)
     rng = np.random.default_rng(5)
     rng.integers(0, 2**32, dtype=np.uint32)
-    serial = np.random.Generator(np.random.PCG64())
-    serial.bit_generator.state = rng.bit_generator.state
-    want = rank.take(serial.integers(0, n, n))
-    flat = np.empty(n, dtype=np.int32)
-    gens = []
-    verify._split_draws(pair, rng, rank, flat, gens)
-    assert len(gens) == n // verify._PIECE - 1
-    assert np.array_equal(flat, want)
-    assert rng.bit_generator.state == serial.bit_generator.state
+    assert check_split_draws(pair, rng, rank, n) == 10
+    # m // _PIECE pieces, rounded up to an even count: three pieces' worth
+    # make four, and a median bootstrap block at n = 10^4, 7.9 pieces'
+    # worth, eight
+    rank = np.random.default_rng(3).permutation(10**4).astype(np.int16)
+    for m, pieces in [(2**18, 2), (3 * 2**17, 4), (104 * 10**4, 8)]:
+        assert check_split_draws(pair, np.random.default_rng(8), rank, m) == pieces
+
+
+def test_split_draws_far_behind_their_start_are_the_serial_draw(monkeypatch, pair):
+    # 2^32 mod n is 2^24 - 255: about one word in 2^8 is rejected, so
+    # before the last of 20 pieces of 2^17 about 9700 words are, and that
+    # piece starts about 4900 LCG steps early, past any cap of 2^12 steps.
+    # The rank array takes 64 MB.
+    rank = np.arange(2**24, -1, -1, dtype=np.int32)
+    found = spy_steps(monkeypatch)
+    assert check_split_draws(pair, np.random.default_rng(9), rank, 20 * verify._PIECE) == 20
+    assert found == sorted(found) and found[-1] > 2**12
+
+
+def test_split_draws_more_than_a_piece_behind_are_drawn_again(monkeypatch, pair):
+    # the same n, with 512 pieces of 2^10: about 4 words are rejected per
+    # piece, so from about the 256th piece on the words a piece's generator
+    # read before the true start hold more accepted ones than the piece;
+    # such a piece is drawn again from the true state
+    monkeypatch.setattr(verify, "_PIECE", 2**10)
+    rank = np.arange(2**24, -1, -1, dtype=np.int32)
+    found = spy_steps(monkeypatch)
+    assert check_split_draws(pair, np.random.default_rng(10), rank, 2**19) == 512
+    # the first pieces are set right, the last ones drawn again
+    assert 2 * found[0] < verify._PIECE < 2 * found[-1]
 
 
 # ---------------------------------------------------------------------------
