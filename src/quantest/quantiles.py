@@ -9,8 +9,11 @@ Every estimate starts from the sorted sample.  Each kernel that can split
 work on at least _CONCURRENT_SIZE (2^18) values asks _pair_for for the
 calling thread and the process's one worker thread, and runs alone when
 it gets none.  So a process keeps one worker at most, however many
-callers it has.  The sort splits the sample about a pivot and sorts each
-side on its own thread (_split_sort), bit for bit as np.sort.
+callers it has.  Each round of work on the pair has its own outcome: a
+round cut short by an interrupt finishes on the worker, and the next
+round waits in the worker's queue behind it.  The sort splits the sample
+about a pivot and sorts each side on its own thread (_split_sort), bit
+for bit as np.sort.
 """
 
 from __future__ import annotations
@@ -49,49 +52,49 @@ class _Pair:
     results.  Only private functions and NumPy may run in there, so the
     tracer's spans stay on the calling thread.  An error is raised as the
     serial order, there then here, would raise it: there's first, even
-    when here failed too.
+    when here failed too.  Each round carries its own outcome and lock
+    through the worker's queue.  So a round cut short by an interrupt
+    finishes on the worker into an outcome no one reads, and the next
+    round waits in the queue behind it.
     """
 
     def __init__(self):
         self._worker = None
-        # two locks held as semaphores, released by the other thread: a
-        # task (None stops the worker) is in _task, its outcome in _outcome
-        self._task_ready = threading.Lock()
-        self._outcome_ready = threading.Lock()
-        self._task_ready.acquire()
-        self._outcome_ready.acquire()
 
     def _serve(self):
-        while True:
-            self._task_ready.acquire()
-            if self._task is None:
-                return
+        for there, outcome, done in iter(self._rounds.get, None):  # None stops it
             try:
-                self._outcome = (self._task(), None)
+                outcome += there(), None
             except BaseException as exc:  # re-raised on the calling thread
-                self._outcome = (None, exc)
-            self._outcome_ready.release()
+                outcome += None, exc
+            # dropped now: kept as loop variables until the next round, the
+            # task and its outcome would hold a sample's temporaries
+            del there, outcome
+            done.release()
 
     def run(self, there, here):
         if self._worker is None:
+            import queue  # about 1 ms: paid by the first large call alone
+
+            self._rounds = queue.SimpleQueue()
             self._worker = threading.Thread(target=self._serve, daemon=True)
             self._worker.start()
-        self._task = there
-        self._task_ready.release()
+        outcome, done = [], threading.Lock()
+        done.acquire()
+        self._rounds.put((there, outcome, done))
         try:
             result = here()
         finally:
-            self._outcome_ready.acquire()
-            (value, error), self._task, self._outcome = self._outcome, None, None
+            done.acquire()
+            value, error = outcome
             if error is not None:
                 raise error from None
         return value, result
 
     def stop(self):
-        """End the worker, after the task it may be in."""
+        """End the worker, after the rounds queued before."""
         if self._worker is not None:
-            self._task = None
-            self._task_ready.release()
+            self._rounds.put(None)
             self._worker.join()
 
 
@@ -141,19 +144,12 @@ def _pair_for(size: int):
 @contextlib.contextmanager
 def _held_pair():
     """The pair, held for the context, or None if it is held already."""
-    global _pair
     lock = _pair_lock
     if not lock.acquire(blocking=False):
         yield None
         return
     try:
         yield _pair
-    except BaseException:
-        # an interrupt may have cut a round short, with the worker still in
-        # its task: it is stopped, and the next round starts another
-        _pair.stop()
-        _pair = _Pair()
-        raise
     finally:
         lock.release()
 

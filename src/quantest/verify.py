@@ -284,26 +284,20 @@ def _stream_states(seed: int, start: int, count: int) -> list:
 
     Entry k equals default_rng(SeedSequence(seed).spawn(start + count)[start + k])
     .bit_generator.state.  The spawn keys must lie below 2^32, one word
-    each; np.arange refuses larger ones.  The hashing runs as SeedSequence
-    runs it: the seed's 32-bit words, padded to the pool's four, are
-    hashed and mixed into the pool, then the spawn key, the one word that
-    differs between the streams, vectorised over the keys;
+    each; np.arange refuses larger ones.  A child's entropy is the seed's
+    w 32-bit words, padded to the pool's four, then its spawn key: so its
+    pool is the seed's own pool, SeedSequence(seed).pool, with the key
+    mixed in after 4 max(4, w) hashmix steps.  That last mix, the one step
+    that differs between the streams, runs vectorised over the keys;
     generate_state(4, uint64) then reads the pool.  PCG64 seeds from those
     four words: inc = 2 seq + 1 and state = ((inc + initstate) M + inc)
     mod 2^128.
     """
     seed = operator.index(seed)
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (_POOL_SIZE - len(words))
-    hashmix = _hashmix(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(w))
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    words = max((seed.bit_length() + 31) // 32, 1)
+    hashmix = _hashmix(_INIT_A * pow(_MULT_A, 4 * max(_POOL_SIZE, words), 2**32) & _MASK32,
+                       _MULT_A)
     keys = np.arange(start, start + count, dtype=np.uint32)
     for dst in range(_POOL_SIZE):
         pool[dst] = _mix(np.full(count, pool[dst], dtype=np.uint32), hashmix(keys))

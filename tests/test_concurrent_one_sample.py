@@ -12,6 +12,8 @@ paths run, and are checked, on a process pinned to one CPU too.
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -26,6 +28,7 @@ from quantest.qcov import qcov
 from quantest.qdensity import QdMethod
 from quantest.verify import bootstrap_se
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 GATE = quantiles._CONCURRENT_SIZE
 RNG = np.random.default_rng(2029)
 X = RNG.lognormal(0.0, 0.8, GATE + 1001)
@@ -229,11 +232,77 @@ def test_an_error_in_a_large_one_sample_test_is_the_serial_error(started, monkey
         qcov(x, [0.5])
     with pytest.raises(ZeroDivisionError), PAIR_FOR(GATE) as pair:
         pair.run(lambda: 1 / 0, lambda: None)
-    # the error stopped the worker; the next large call starts one and
+    # the errors left the worker running: the next large call takes it and
     # gets its serial result
     want = serial(monkeypatch, lambda: qineq_test(X))
     assert dataclasses.astuple(qineq_test(X)) == dataclasses.astuple(want)
-    assert sum(t.is_alive() for _, t in started) == 1
+    assert len(started) == 1 and started[0][1].is_alive()
+
+
+def test_an_interrupted_round_leaves_the_next_rounds_their_own_results():
+    # two interrupts cut a round short while its task still runs on the
+    # worker; it finishes there, and every later round, a large two-sample
+    # test too, gets its own result.  In a child, so pytest sees no signal.
+    code = f"""
+import math, os, signal, threading, time
+import numpy as np
+import quantest.quantiles as quantiles
+from quantest import q_test_two, resolve_measure
+signal.alarm(60)  # a child stuck on a round dies, not hangs
+quantiles._cpu_count = lambda: 2  # the worker's path, even on one CPU
+finished = threading.Event()
+timers = [threading.Timer(t, os.kill, (os.getpid(), signal.SIGINT)) for t in (0.5, 1.0)]
+
+def there():
+    time.sleep(2.0)
+    finished.set()
+    return "x of the interrupted call"
+
+def here():
+    for t in timers:
+        t.start()
+    raise KeyboardInterrupt
+
+def paired_round(there, here):
+    with quantiles._pair_for(quantiles._CONCURRENT_SIZE) as pair:
+        return pair.run(there, here)
+
+try:
+    paired_round(there, here)
+except KeyboardInterrupt:
+    pass
+while True:  # the second interrupt may land here: absorb it, and wait for the worker
+    try:
+        for t in timers:
+            t.join()
+        finished.wait()
+        break
+    except KeyboardInterrupt:
+        pass
+got = []
+for i in range(3):
+    try:
+        got.append(paired_round(lambda: f"x of call {{i}}", lambda: f"y of call {{i}}"))
+    except Exception as exc:
+        got.append(repr(exc))
+rng = np.random.default_rng(5)
+x, y = rng.lognormal(size={GATE}), rng.lognormal(0.2, 1.0, {GATE})
+spec = resolve_measure("iqr")
+try:
+    test = q_test_two(x, y, spec)
+except Exception as exc:
+    got.append(repr(exc))
+else:
+    quantiles._CONCURRENT_SIZE = math.inf
+    got.append(test == q_test_two(x, y, spec))
+print(got)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == str([(f"x of call {i}", f"y of call {i}") for i in range(3)]
+                                     + [True])
 
 
 def test_callers_on_many_threads_each_get_their_serial_result(started, monkeypatch):

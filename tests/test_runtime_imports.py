@@ -1,9 +1,11 @@
 """The package runs on NumPy alone and imports only what it needs.
 
-Importing it loads no SciPy module, and no concurrent.futures: a large
-call runs on the process's one bare worker thread (quantiles._pair_for),
-started by the first large call and kept, which takes one sample of a
-two-sample test, or half the sort and moment table of a one-sample call.
+Importing it loads no SciPy module, no concurrent.futures and no queue:
+a large call runs on the process's one worker thread (quantiles._pair_for),
+a plain thread that drains a queue of rounds.  The first large call
+imports queue and starts the worker, which is kept; it takes one sample
+of a two-sample test, or half the sort and moment table of a one-sample
+call.
 """
 
 import os
@@ -30,3 +32,8 @@ def test_import_loads_no_scipy():
 
 def test_import_loads_no_concurrent_futures():
     assert loaded_after_import("concurrent") == "[]"
+
+
+def test_import_loads_no_queue():
+    assert loaded_after_import("queue") == "[]"
+    assert loaded_after_import("_queue") == "[]"
