@@ -25,18 +25,17 @@ of about 2^20 indices and holds each resample as integer ranks into the
 sample's sort.  It orders the ranks only as far as the estimator reads
 them: a small grid's order statistics are selected into their sorted
 place by partitions, a large grid sorts every resample.  It gathers only
-those order statistics and keeps only the B estimates.  A block of at
-least 2^18 indices that gets the process's worker thread
-(quantiles._pair_for; not on one CPU, nor while another caller holds it)
-is drawn, ranked and ordered on both threads, each taking the next piece
-of work when it is free: the draws are cut into pieces of the stream,
-each drawn by its own generator moved on by PCG64.advance, with the few
-words where neighbouring pieces overlap set right afterwards, wherever
-the rejected words put the true ends (PCG's jump distance, with no step
-cap), and a piece that starts more words early than it holds drawn
-again; then groups of the block's resamples are ordered and estimated
-apart.  The results are bit-identical to the serial ones.  Memory in
-both is bounded by the chunk or block, not by reps or B.
+those order statistics and keeps only the B estimates.  Its indices are
+those of rng.integers, bit for bit: raw PCG64 words mapped by NumPy's
+own Lemire step (_draw_ranks), with the few rejected words dropped
+afterwards.  A block of at least 2^18 indices that gets the
+process's worker thread (quantiles._pair_for; not on one CPU, nor while
+another caller holds it) is drawn, ranked and ordered on both threads,
+each taking the next piece of work when it is free: the block's words
+are cut into pieces of the stream, each read by its own generator moved
+on by PCG64.advance; then groups of the block's resamples are ordered
+and estimated apart.  The results are bit-identical to the serial ones.
+Memory in both is bounded by the chunk or block, not by reps or B.
 """
 
 from __future__ import annotations
@@ -46,6 +45,7 @@ import collections
 import functools
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,8 +77,10 @@ _BOOT_BLOCK = 2**20
 _PIECE = 2**17
 _SPLIT_TASKS = 4
 
-# indices _draw_ranks draws at a time: 512 KiB of int64, still in cache
-# when rank.take reads them
+# 32-bit words _draw_piece maps at a time, into each thread's scratch: the
+# uint64 products, 512 KiB, are still in cache when rank.take reads them,
+# and a smaller chunk makes more NumPy calls, each of which hands the
+# interpreter lock to the other thread of a pair and waits to take it back
 _DRAW_CHUNK = 2**16
 
 # the hash constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx)
@@ -409,17 +411,6 @@ class _RankRows:
             self._placed.insert(i, c)
 
 
-def _draw_ranks(rng, rank, out) -> None:
-    """rank.take(rng.integers(0, rank.size, out.size)) into out, a chunk at a time.
-
-    Successive integers calls continue one stream, so the draws do not
-    depend on the chunk size.
-    """
-    for i in range(0, out.size, _DRAW_CHUNK):
-        part = out[i:i + _DRAW_CHUNK]
-        rank.take(rng.integers(0, rank.size, part.size), out=part, mode="clip")
-
-
 def _share(pair: _Pair, tasks) -> None:
     """Run every task, each taken by the first thread of the pair free."""
     tasks = collections.deque(tasks)
@@ -434,89 +425,92 @@ def _share(pair: _Pair, tasks) -> None:
     pair.run(drain, drain)
 
 
-def _steps_between(start: dict, end: dict) -> int:
-    """PCG64 steps from state start to state end.
+def _draw_piece(state, lo, rank, out, scratch, bad) -> None:
+    """out.size words of the PCG64 stream at state from step lo: word w goes
+    to rank[(w n) >> 32] in out, n = rank.size, as Lemire's step maps it,
+    and the place of each word it rejects, (w n) mod 2^32 < 2^32 mod n, to bad."""
+    if not hasattr(scratch, "bits"):  # this thread's first piece of the call
+        scratch.bits = np.random.PCG64()
+        scratch.prod = np.empty(_DRAW_CHUNK, dtype=np.uint64)
+    n, threshold = rank.size, 2**32 % rank.size
+    scratch.bits.state = state
+    scratch.bits.advance(lo)
+    for at in range(0, out.size, _DRAW_CHUNK):
+        raw = scratch.bits.random_raw(min(_DRAW_CHUNK, out.size - at) // 2)
+        words = raw.astype("<u8", copy=False).view("<u4")  # low half first
+        c = words.size
+        if threshold:
+            # (w n) mod 2^32 in prod's place; every loop's dtype is named, as
+            # NumPy 1 would pick a wrapping uint32 product by n's value
+            low = np.multiply(words, n, out=scratch.prod.view(np.uint32)[:c], dtype=np.uint32)
+            if low.min() < threshold:
+                bad += (np.flatnonzero(low < threshold) + at).tolist()
+        prod = np.multiply(words, n, out=scratch.prod[:c], dtype=np.uint64)
+        rank.take(np.right_shift(prod, 32, out=prod, dtype=np.uint64).view(np.int64),
+                  out=out[at:at + c], mode="clip")
 
-    O'Neill's jump distance for an LCG (pcg_random.hpp, distance): from
-    the lowest bit up, where the states still differ in the bit, take one
-    step of the current stride, 2^b plain steps; the stride's multiplier
-    and increment are then squared into the next one's.  So it takes one
-    round per bit, at most 128, whatever the distance.
-    """
-    word, target = start["state"]["state"], end["state"]["state"]
-    mult, plus = _PCG64_MULT, start["state"]["inc"]
-    bit = steps = 0
-    while word != target:
-        if (word ^ target) >> bit & 1:
-            word = (word * mult + plus) & _MASK128
-            steps |= 1 << bit
-        plus = (mult + 1) * plus & _MASK128
-        mult = mult * mult & _MASK128
-        bit += 1
-    return steps
 
+def _draw_ranks(pair: _Pair | None, rng, rank, flat, scratch) -> None:
+    """rank.take(rng.integers(0, rank.size, flat.size)) into flat, drawn in
+    pieces by the pair's two threads, or in one piece when pair is None.
 
-def _split_draws(pair: _Pair, rng, rank, flat, gens: list) -> None:
-    """rank.take(rng.integers(0, n, flat.size)) into flat, drawn in pieces by a pair of threads.
-
-    The draws, and the state rng is left in, are those of the serial
-    call, bit for bit.  NumPy draws each index from one 32-bit word (two
-    per PCG64 step, low half first) by Lemire's method, which rejects a
-    word w when (w n) mod 2^32 < 2^32 mod n, on the word alone.  So piece
-    j > 0 is drawn by a generator of gens (scratch generators, added as
-    needed) started where the stream would be if no word before the piece
-    were rejected: PCG64.advance moves it on by half the indices before
-    the piece, less rng's buffered word, and the piece bounds keep that a
-    whole step.  Piece 0 is drawn by rng.  The pieces are an even number,
-    so the two threads can draw as many.  Then, piece by piece, the
-    stream's true state at the end of the pieces before it is r words past
-    the piece's start, r the rejections before it; _steps_between finds r
-    from the two states.  Of those r words the piece's generator read, a
-    were accepted: the piece's draws, shifted left by a and followed by a
-    more, are the serial ones.  That needs a no larger than the piece, so
-    a piece more than its own length behind (r > its size, reached when
-    the rejections before it add up to a piece, for a large n or a long
-    block) is drawn again from the true state instead, and the pieces
-    after it are further behind still; so no fix-up reads more words than
-    its piece holds.
+    The draws, and the state rng is left in, are those of that call, bit
+    for bit.  NumPy draws each index from one 32-bit word of PCG64 (two per
+    step, low half first) by Lemire's multiply-shift, (w n) >> 32, and
+    draws another word when (w n) mod 2^32 < 2^32 mod n.  So m draws read
+    rng's buffered word, if it holds one, and then at least
+    (m - buffered) // 2 whole steps.  Those steps are read with random_raw,
+    which never rejects, in pieces (_draw_piece), each from a generator put
+    where its words start by PCG64.advance; a pair draws an even number of
+    pieces of about _PIECE words, so its two threads can draw as many.
+    Each word's rank goes to the word's own place in flat; one compaction
+    then drops the rejected words, moving each run of kept ones once.  The
+    last indices, one for an odd count and one per rejected word, are
+    drawn by rng.integers from the stream after the pieces.  scratch is a
+    threading.local that holds each thread's generator and product buffer
+    for the call that made it.
     """
     n, m = rank.size, flat.size
-    state = rng.bit_generator.state
-    buffered = state["has_uint32"]
-    k = max(2, (m // _PIECE + 1) // 2 * 2)
-    size = m // k - m // k % 2
-    bounds = [0] + [j * size + buffered for j in range(1, k)] + [m]
-    while len(gens) < k - 1:
-        gens.append(np.random.Generator(np.random.PCG64()))
-    starts = []
-    for j, g in enumerate(gens[:k - 1], 1):
-        g.bit_generator.state = state
-        g.bit_generator.advance(j * size // 2)  # and drops the buffered word
-        starts.append(g.bit_generator.state)
-    pieces = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    _share(pair, (functools.partial(_draw_ranks, g, rank, piece)
-                  for g, piece in zip([rng, *gens], pieces)))
-    true, bits = rng, None
-    threshold = 2**32 % n
-    for g, start, piece in zip(gens, starts, pieces[1:]):
-        end = true.bit_generator.state
-        steps = _steps_between(start, end)
-        r = 2 * steps - end["has_uint32"]
-        if r > piece.size:
-            _draw_ranks(true, rank, piece)  # true moves on to the piece's end
-            continue
-        if r:
-            bits = bits or np.random.PCG64()
-            bits.state = start
-            # each step's two words, low half first
-            words = bits.random_raw(steps).astype("<u8", copy=False).view("<u4")[:r]
-            a = np.count_nonzero(words * np.uint32(n) >= threshold)
-            if a:
-                piece[:-a] = piece[a:]
-                _draw_ranks(g, rank, piece[-a:])
-        true = g
-    if true is not rng:
-        rng.bit_generator.state = true.bit_generator.state
+    if n == 1 or m == 0:  # integers(0, 1) reads no word
+        flat[:] = rank[:1]
+        return
+    bits = rng.bit_generator
+    state = bits.state
+    first = state["has_uint32"]
+    steps = (m - first) // 2
+    k = 1 if pair is None else max(2, (m // _PIECE + 1) // 2 * 2)
+    cuts = [steps * j // k for j in range(k + 1)]
+    found = [[] for _ in range(k)]
+    tasks = [functools.partial(_draw_piece, state, lo, rank,
+                               flat[first + 2 * lo:first + 2 * hi], scratch, bad)
+             for lo, hi, bad in zip(cuts, cuts[1:], found)]
+    if pair is None:
+        tasks[0]()
+    else:
+        _share(pair, tasks)
+    drop = []
+    if first:
+        word = state["uinteger"] * n
+        flat[0] = rank[word >> 32]
+        if word & _MASK32 < 2**32 % n:
+            drop.append(0)
+    for lo, bad in zip(cuts, found):
+        drop += [first + 2 * lo + i for i in bad]
+    read = first + 2 * steps
+    # the run of kept words after the i-th rejected one moves i + 1 places
+    for i, (at, stop) in enumerate(zip(drop, drop[1:] + [read])):
+        flat[at - i:stop - i - 1] = flat[at + 1:stop]
+    # rng as integers leaves it after the words read: its buffered word
+    # used, and the high half of the last step kept, as NumPy keeps it
+    if steps:
+        bits.advance(steps - 1)
+        state["uinteger"] = int(bits.random_raw()) >> 32
+        state["state"] = bits.state["state"]
+    state["has_uint32"] = 0
+    bits.state = state
+    kept = read - len(drop)
+    if kept < m:
+        rank.take(rng.integers(0, n, m - kept), out=flat[kept:], mode="clip")
 
 
 def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
@@ -538,19 +532,26 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
     _RankRows).  sorted[rank] is monotone in the rank, so the estimates
     equal those from sorting the resampled values.
 
-    A block of at least 2^18 indices that gets the process's pair
-    (quantiles._pair_for) runs on the calling thread and the worker
-    thread: its draws are split in pieces of the PCG64 stream
-    (_split_draws), and its resamples in _SPLIT_TASKS groups of rows that
-    are ordered and estimated apart.  A sample of at least 2^18 values may
-    be sorted on the same two threads.  The results are bit-identical to
-    the serial ones.
+    Every block's indices are those of rng.integers(0, n, (rows, n)),
+    mapped from PCG64's raw words by Lemire's step (_draw_ranks) straight
+    into one buffer of ranks, which the blocks reuse.  A block of at least
+    2^18 indices that gets the process's pair (quantiles._pair_for) runs
+    on the calling thread and the worker thread: its words are read in
+    pieces of the stream, and its resamples ordered and estimated in
+    _SPLIT_TASKS groups of rows.  A sample of at least 2^18 values may be
+    sorted on the same two threads.  The results are bit-identical to the
+    serial ones.
+
+    B must be an integer of at least 500 and seed a non-negative integer;
+    both are checked before the sample is read.
     """
-    values = np.asarray(s, dtype=float).ravel()
-    srt = _sorted_one(values)[0]
+    B = operator.index(B)
     if B < 500:
         raise ValueError("need at least 500 bootstrap resamples")
+    _check_seed(seed)
     _check_spec(measure)
+    values = np.asarray(s, dtype=float).ravel()
+    srt = _sorted_one(values)[0]
     n = values.size
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     rank = np.empty(n, dtype=np.int16 if n <= 2**15 else np.int32)
@@ -562,19 +563,18 @@ def bootstrap_se(s, measure, B: int = 2000, seed: int = 0) -> float:
         out[:] = measure._estimate(_RankRows(srt, ranks), 8, gradient=False)[0]
 
     step = max(1, _BOOT_BLOCK // n)
-    buffer, gens = None, []
+    buffer = np.empty(min(step, B) * n, dtype=rank.dtype)
+    scratch = threading.local()
     for start in range(0, B, step):
         rows = min(step, B - start)
         out = est[start:start + rows]
+        ranks = buffer[:rows * n].reshape(rows, n)
         # integers(0, 1) reads no words, so a sample of one is not split
         with _pair_for(rows * n if n > 1 else 0) as pair:
+            _draw_ranks(pair, rng, rank, ranks.ravel(), scratch)
             if pair is None:
-                estimate(rank.take(rng.integers(0, n, size=(rows, n))), out)
+                estimate(ranks, out)
                 continue
-            if buffer is None:
-                buffer = np.empty(step * n, dtype=rank.dtype)
-            _split_draws(pair, rng, rank, buffer[:rows * n], gens)
-            ranks = buffer[:rows * n].reshape(rows, n)
             group = -(-rows // _SPLIT_TASKS)
             _share(pair, (functools.partial(estimate, ranks[i:i + group], out[i:i + group])
                           for i in range(0, rows, group)))

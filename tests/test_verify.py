@@ -1,6 +1,8 @@
 """Monte Carlo verification harness: distributions, coverage, bootstrap."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -295,6 +297,47 @@ def test_bootstrap_fails_cleanly_on_invalid_inequality_rows():
 def test_bootstrap_type_error():
     with pytest.raises(TypeError):
         bootstrap_se(np.arange(1.0, 50.0), "median", B=600)
+
+
+def forbid_sort(monkeypatch):
+    """Make bootstrap_se fail the test if it sorts the sample."""
+    def fail(values):
+        raise AssertionError("the sample was sorted before the arguments were checked")
+    monkeypatch.setattr(verify, "_sorted_one", fail)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 1.0, 0.5, "3", None, (1, 2)])
+def test_bootstrap_rejects_a_seed_that_is_no_non_negative_integer(monkeypatch, seed):
+    # the message and check of SimConfig and the CLI, before the sort
+    forbid_sort(monkeypatch)
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        bootstrap_se(np.arange(1.0, 50.0), resolve_measure("median"), B=500, seed=seed)
+
+
+@pytest.mark.parametrize("B", [2000.0, 500.5, "2000", None])
+def test_bootstrap_rejects_a_resample_count_that_is_no_integer(monkeypatch, B):
+    forbid_sort(monkeypatch)
+    with pytest.raises(TypeError):
+        bootstrap_se(np.arange(1.0, 50.0), resolve_measure("median"), B=B)
+
+
+def test_bootstrap_takes_integer_types_for_the_count_and_seed():
+    x = np.random.default_rng(3).lognormal(size=60)
+    want = bootstrap_se(x, resolve_measure("median"), B=600, seed=2)
+    assert bootstrap_se(x, resolve_measure("median"), B=np.int64(600), seed=np.uint8(2)) == want
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"B": 100}, "at least 500"), ({"B": 2000.0}, "integer"),
+    ({"seed": -1}, "seed must be"), ({"measure": "median"}, "MeasureSpec or InequalitySpec"),
+])
+def test_bootstrap_checks_its_arguments_before_the_sample(kwargs, error):
+    # an empty sample is an error too, raised only once the rest pass
+    args = {"s": [], "measure": resolve_measure("median"), "B": 500, "seed": 0, **kwargs}
+    with pytest.raises((ValueError, TypeError), match=error):
+        bootstrap_se(**args)
+    with pytest.raises(ValueError, match="empty sample"):
+        bootstrap_se([], resolve_measure("median"), B=500)
 
 
 def test_bootstrap_is_deterministic():
@@ -688,20 +731,21 @@ def serial_bootstrap(x, measure, B, seed):
 def count_splits(monkeypatch):
     """Count the blocks whose draws bootstrap_se splits over two threads."""
     calls = []
-    split_draws = verify._split_draws
+    draw_ranks = verify._draw_ranks
 
-    def spy(pair, rng, rank, flat, gens):
-        calls.append(flat.size)
-        return split_draws(pair, rng, rank, flat, gens)
-    monkeypatch.setattr(verify, "_split_draws", spy)
+    def spy(pair, rng, rank, flat, scratch):
+        if pair is not None:
+            calls.append(flat.size)
+        return draw_ranks(pair, rng, rank, flat, scratch)
+    monkeypatch.setattr(verify, "_draw_ranks", spy)
     return calls
 
 
 # (n, measure, B, blocks split): blocks hold _BOOT_BLOCK // n rows, and
 # a split block's draws are cut in pieces of about _PIECE indices.  At
 # 10^4 and 40000 a word is rejected about once per 10^6 draws, so most
-# blocks have pieces that read words of the next piece's stream; at 3333
-# and 1001 almost none do.
+# blocks drop a word or two in their compaction; at 3333 and 1001 almost
+# none do.
 @pytest.mark.parametrize("n, measure, B, split", [
     # 19 blocks of 104 rows, then 24 rows (240,000 indices, serial)
     (10**4, resolve_measure("median"), 2000, 19),
@@ -753,131 +797,206 @@ def test_bootstrap_ranks_ties_as_a_stable_argsort_would(label, name):
     assert bootstrap_se(x, measure, B=500, seed=4) == serial_bootstrap(x, measure, 500, 4)
 
 
-def first_piece_end(state, n, h):
-    """Whether the serial draw of h indices from state ends on a buffered word,
-    and the 32-bit words past the first h it reads: its rejections."""
-    rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = state
-    rng.integers(0, n, h)
-    end = rng.bit_generator.state
-    rng.bit_generator.state = state
-    rng.bit_generator.advance((h - state["has_uint32"]) // 2)
-    steps = 0
-    while rng.bit_generator.state["state"] != end["state"]:
-        rng.bit_generator.advance(1)
-        steps += 1
-    return end["has_uint32"], 2 * steps - end["has_uint32"]
-
-
-def spy_steps(monkeypatch) -> list:
-    """The LCG steps _steps_between finds, call by call."""
-    found = []
-    steps_between = verify._steps_between
-
-    def spy(start, end):
-        found.append(steps_between(start, end))
-        return found[-1]
-    monkeypatch.setattr(verify, "_steps_between", spy)
-    return found
-
-
-@pytest.mark.parametrize("steps", [0, 1, 2, 4095, 4096, 4097, 10**9, 2**127 + 3])
-def test_steps_between_is_the_jump_distance(steps):
-    rng = np.random.default_rng(6)
-    rng.integers(0, 2**32, dtype=np.uint32)  # a buffered word is no step
-    start = rng.bit_generator.state
-    rng.bit_generator.advance(steps)
-    assert verify._steps_between(start, rng.bit_generator.state) == steps
-
-
-def test_split_draws_are_the_serial_draw(monkeypatch, pair):
-    # 2^32 mod n is 2^20: a word is rejected with probability 2^-12, so a
-    # first piece of about 2^17 words reads about 32 words of the next
-    # piece's stream, 16 LCG steps
-    found = spy_steps(monkeypatch)
-    n = 3 * 2**19
-    rank = np.random.default_rng(1).permutation(n).astype(np.int32)
-    ends = set()
-    for seed in range(3):
-        for buffered in (0, 1):
-            for m in (2**18, 2**18 + 1):
-                rng = np.random.default_rng(seed)
-                if buffered:
-                    rng.integers(0, 2**32, dtype=np.uint32)
-                state = rng.bit_generator.state
-                assert state["has_uint32"] == buffered
-                serial = np.random.Generator(np.random.PCG64())
-                serial.bit_generator.state = state
-                want = rank.take(serial.integers(0, n, m))
-                h = m // 2 - m // 2 % 2 + buffered
-                end, r = first_piece_end(state, n, h)
-                ends.add((end, r))
-                flat = np.empty(m, dtype=np.int32)
-                found.clear()
-                verify._split_draws(pair, rng, rank, flat, [])
-                assert np.array_equal(flat, want)
-                assert rng.bit_generator.state == serial.bit_generator.state
-                # two pieces, the second started r words early
-                assert found == [(r + end) // 2]
-    # first pieces that end on a buffered word and on a whole one, all
-    # reading into the second piece's words
-    assert {end for end, _ in ends} == {0, 1}
-    assert min(r for _, r in ends) > 0
-
-
-def check_split_draws(pair, rng, rank, m) -> int:
-    """Assert that _split_draws of m indices from rng are the serial draw and
-    leave rng in the serial draw's end state; return the number of pieces."""
+def check_draws(pair, rng, rank, m):
+    """Assert that _draw_ranks of m indices from rng are
+    rank.take(rng.integers(0, n, m)) and leave rng in that call's end state,
+    its buffered word and the high half NumPy keeps included."""
     serial = np.random.Generator(np.random.PCG64())
     serial.bit_generator.state = rng.bit_generator.state
     want = rank.take(serial.integers(0, rank.size, m))
     flat = np.empty(m, dtype=rank.dtype)
-    gens = []
-    verify._split_draws(pair, rng, rank, flat, gens)
+    verify._draw_ranks(pair, rng, rank, flat, threading.local())
     assert np.array_equal(flat, want)
     assert rng.bit_generator.state == serial.bit_generator.state
-    return len(gens) + 1
 
 
-def test_split_draws_in_many_pieces_are_the_serial_draw(pair):
-    # one block of a sample above 2^20 values is one resample, cut into
-    # ten pieces; 2^32 mod n is about 0.8 n, so each piece of 2^17 words
-    # holds about 32 rejected ones and reads words of the next piece's stream
-    n = 2**20 + 2**18 + 1
-    rank = np.random.default_rng(2).permutation(n).astype(np.int32)
-    rng = np.random.default_rng(5)
-    rng.integers(0, 2**32, dtype=np.uint32)
-    assert check_split_draws(pair, rng, rank, n) == 10
+def with_buffered_word(seed, word):
+    """default_rng(seed), holding word as its buffered 32-bit half, or none if word is None."""
+    rng = np.random.default_rng(seed)
+    if word is not None:
+        state = rng.bit_generator.state
+        state.update(has_uint32=1, uinteger=word)
+        rng.bit_generator.state = state
+    return rng
+
+
+def rejected_words(rng, n, count) -> int:
+    """How many of the next count 32-bit words of rng Lemire's step rejects
+    for n; rng is left as it was."""
+    state = rng.bit_generator.state
+    bits = np.random.PCG64()
+    bits.state = state
+    words = bits.random_raw(count // 2 + 1).astype("<u8").view("<u4").astype(np.uint64)
+    if state["has_uint32"]:
+        words = np.concatenate([[state["uinteger"]], words])
+    return int(np.count_nonzero(words[:count] * n % 2**32 < 2**32 % n))
+
+
+# n, with 2^32 mod n: 1 reads no word; 2 and 2^17 divide 2^32, so no word
+# is rejected; 3 rejects only the word 0; 10^4 about one word in 6 * 10^5;
+# 3 * 2^19 one in 2^12 and 2^24 + 1 one in 256
+DRAW_SIZES = [1, 2, 3, 2**17, 10**4, 3 * 2**19, 2**24 + 1]
+# a buffered word of 2^32 - 1 is kept for every n; 0 is rejected wherever
+# 2^32 mod n > 0
+BUFFERED = pytest.mark.parametrize("word", [None, 2**32 - 1, 0],
+                                   ids=["unbuffered", "kept", "dropped"])
+
+
+@pytest.fixture(scope="module")
+def draw_ranks_of():
+    """A rank array for each n of DRAW_SIZES, the largest 64 MB, made once."""
+    return {n: np.arange(n - 1, -1, -1, dtype=np.int16 if n <= 2**15 else np.int32)
+            for n in DRAW_SIZES}
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@BUFFERED
+@pytest.mark.parametrize("m", [1, 2, 2**12 + 1, 2**15])
+def test_draws_in_one_piece_are_the_serial_draw(draw_ranks_of, n, word, m):
+    check_draws(None, with_buffered_word(n + m, word), draw_ranks_of[n], m)
+
+
+def lcg_jump(state: int, inc: int, steps: int) -> int:
+    """PCG64's 128-bit LCG state steps on from state: O'Neill's jump, one
+    round per bit of steps, the stride's multiplier and increment squared
+    into the next one's."""
+    mult, plus, acc_mult, acc_plus = verify._PCG64_MULT, inc, 1, 0
+    while steps:
+        if steps & 1:
+            acc_mult, acc_plus = acc_mult * mult % 2**128, (acc_plus * mult + plus) % 2**128
+        mult, plus = mult * mult % 2**128, (mult + 1) * plus % 2**128
+        steps >>= 1
+    return (acc_mult * state + acc_plus) % 2**128
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2, 4095, 4096, 4097, 10**9, 2**127 + 3])
+def test_steps_between_is_the_jump_distance(monkeypatch, draw_ranks_of, steps):
+    # the steps between the stream's start and a piece's are an O'Neill
+    # jump of that distance: _draw_piece, advanced by steps, reads the
+    # words of the LCG jumped here, low half first, in chunks of 2^12
+    # words, and notes the rejected words' places
+    monkeypatch.setattr(verify, "_DRAW_CHUNK", 2**12)
+    rng = np.random.default_rng(6)
+    rng.integers(0, 2**32, dtype=np.uint32)  # a buffered word is no step
+    state = rng.bit_generator.state
+    jumped = np.random.PCG64()
+    jumped.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0, "state": {
+        "state": lcg_jump(state["state"]["state"], state["state"]["inc"], steps),
+        "inc": state["state"]["inc"]}}
+    words = jumped.random_raw(2**14).astype("<u8").view("<u4").astype(np.uint64)
+    n = 2**24 + 1  # about one word in 256 rejected
+    out, bad = np.empty(2**15, dtype=np.int32), []
+    verify._draw_piece(state, steps, draw_ranks_of[n], out, threading.local(), bad)
+    assert np.array_equal(out, n - 1 - (words * n >> 32))
+    assert bad == np.flatnonzero(words * n % 2**32 < 2**32 % n).tolist()
+    assert len(bad) > 64
+
+
+def test_split_draws_are_the_serial_draw(draw_ranks_of, pair):
+    # two pieces, odd and even counts, with no buffered word, a kept one
+    # and a dropped one
+    for n in DRAW_SIZES:
+        for word in (None, 2**32 - 1, 0):
+            for m in (2**18, 2**18 + 1):
+                check_draws(pair, with_buffered_word(n + m, word), draw_ranks_of[n], m)
+
+
+@pytest.mark.parametrize("word, words", [(2**32 - 1, 3), (0, 4)])
+def test_a_buffered_word_is_read_first_and_kept_or_dropped(word, words):
+    # three draws read the buffered word and one step; a dropped buffered
+    # word takes a fourth, the low half of the next step, which leaves its
+    # high half buffered
+    n = 10**4
+    rank = np.arange(n, dtype=np.int16)
+    rng = with_buffered_word(4, word)
+    assert rejected_words(rng, n, 4) == (word == 0)
+    low = rng.bit_generator.random_raw() & 2**32 - 1  # the next step's low half
+    rng = with_buffered_word(4, word)
+    flat = np.empty(3, dtype=np.int16)
+    verify._draw_ranks(None, rng, rank, flat, threading.local())
+    assert flat[0] == (low if word == 0 else word) * n >> 32
+    assert rng.bit_generator.state["has_uint32"] == (words - 1) % 2
+    check_draws(None, with_buffered_word(4, word), rank, 3)
+
+
+def test_a_sample_of_one_reads_no_word(pair):
+    rank = np.zeros(1, dtype=np.int16)
+    for p in (None, pair):
+        rng = with_buffered_word(2, 12345)
+        state = rng.bit_generator.state
+        flat = np.full(2**18 + 1, 7, dtype=np.int16)
+        verify._draw_ranks(p, rng, rank, flat, threading.local())
+        assert not flat.any()
+        assert rng.bit_generator.state == state
+
+
+def test_split_draws_in_many_pieces_are_the_serial_draw(monkeypatch, draw_ranks_of, pair):
+    # pieces of 2^12 indices: at 2^24 + 1 about 16 words per piece are
+    # rejected, so the compaction moves 4000-odd runs of kept words; at
+    # 3 * 2^19 about one per piece; at 10^4, one or two in the whole draw
+    monkeypatch.setattr(verify, "_PIECE", 2**12)
+    pieces = count_pieces(monkeypatch)
+    for word in (None, 2**32 - 1, 0):
+        for n, m, rejected in [(2**24 + 1, 2**20 + 3, 3800), (3 * 2**19, 2**18 + 1, 40),
+                               (10**4, 104 * 10**4, 1)]:
+            rng = with_buffered_word(n, word)
+            assert rejected_words(rng, n, m) >= rejected
+            pieces.clear()
+            check_draws(pair, rng, draw_ranks_of[n], m)
+            # m // _PIECE, made even
+            assert len(pieces) == (m // 2**12 + 1) // 2 * 2
+
+
+def test_split_draws_far_behind_their_start_are_the_serial_draw(monkeypatch, draw_ranks_of,
+                                                                pair):
+    # at 2^24 + 1 about one word in 256 is rejected: before the last of 20
+    # pieces of 2^17 about 9700 are, so the last piece's indices land that
+    # many places before the place its words were read into
+    n = 2**24 + 1
+    rng = np.random.default_rng(9)
+    assert rejected_words(rng, n, 19 * verify._PIECE) > 9000
+    pieces = count_pieces(monkeypatch)
+    check_draws(pair, rng, draw_ranks_of[n], 20 * verify._PIECE)
+    assert len(pieces) == 20
+
+
+def test_split_draws_hold_under_a_short_switch_interval(monkeypatch, draw_ranks_of, pair):
+    # 128 pieces of 2^10 at 2^24 + 1, about 500 rejected words, with the
+    # two threads switching every microsecond while they take pieces, fill
+    # their places of flat and note their rejected words
+    monkeypatch.setattr(verify, "_PIECE", 2**10)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            check_draws(pair, np.random.default_rng(seed), draw_ranks_of[2**24 + 1], 2**17 + 1)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_odd_piece_counts_are_made_even(monkeypatch, pair):
     # m // _PIECE pieces, rounded up to an even count: three pieces' worth
     # make four, and a median bootstrap block at n = 10^4, 7.9 pieces'
-    # worth, eight
-    rank = np.random.default_rng(3).permutation(10**4).astype(np.int16)
-    for m, pieces in [(2**18, 2), (3 * 2**17, 4), (104 * 10**4, 8)]:
-        assert check_split_draws(pair, np.random.default_rng(8), rank, m) == pieces
+    # worth, eight; a split block has two pieces at least, a serial one one
+    rank = np.arange(10**4, dtype=np.int16)
+    pieces = count_pieces(monkeypatch)
+    for p, m, want in [(pair, 2**17, 2), (pair, 2**18, 2), (pair, 3 * 2**17, 4),
+                       (pair, 104 * 10**4, 8), (None, 104 * 10**4, 1)]:
+        pieces.clear()
+        check_draws(p, np.random.default_rng(8), rank, m)
+        assert len(pieces) == want
 
 
-def test_split_draws_far_behind_their_start_are_the_serial_draw(monkeypatch, pair):
-    # 2^32 mod n is 2^24 - 255: about one word in 2^8 is rejected, so
-    # before the last of 20 pieces of 2^17 about 9700 words are, and that
-    # piece starts about 4900 LCG steps early, past any cap of 2^12 steps.
-    # The rank array takes 64 MB.
-    rank = np.arange(2**24, -1, -1, dtype=np.int32)
-    found = spy_steps(monkeypatch)
-    assert check_split_draws(pair, np.random.default_rng(9), rank, 20 * verify._PIECE) == 20
-    assert found == sorted(found) and found[-1] > 2**12
+def count_pieces(monkeypatch) -> list:
+    """The first step and the word count of each piece _draw_ranks draws."""
+    pieces = []
+    draw_piece = verify._draw_piece
 
-
-def test_split_draws_more_than_a_piece_behind_are_drawn_again(monkeypatch, pair):
-    # the same n, with 512 pieces of 2^10: about 4 words are rejected per
-    # piece, so from about the 256th piece on the words a piece's generator
-    # read before the true start hold more accepted ones than the piece;
-    # such a piece is drawn again from the true state
-    monkeypatch.setattr(verify, "_PIECE", 2**10)
-    rank = np.arange(2**24, -1, -1, dtype=np.int32)
-    found = spy_steps(monkeypatch)
-    assert check_split_draws(pair, np.random.default_rng(10), rank, 2**19) == 512
-    # the first pieces are set right, the last ones drawn again
-    assert 2 * found[0] < verify._PIECE < 2 * found[-1]
+    def spy(state, lo, rank, out, *args):
+        pieces.append((lo, out.size))
+        return draw_piece(state, lo, rank, out, *args)
+    monkeypatch.setattr(verify, "_draw_piece", spy)
+    return pieces
 
 
 # ---------------------------------------------------------------------------
